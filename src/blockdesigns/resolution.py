@@ -144,6 +144,38 @@ def _content_key(design: Design, classes) -> tuple:
     return tuple(sorted(tuple(sorted(blocks[i] for i in refs)) for refs in classes))
 
 
+def _class_completions(chosen, cover, full, candidates, masks, used, budget):
+    """Yield `chosen` once for each way to complete a partial parallel class.
+
+    `chosen` lists the block indices placed so far and `cover` is the mask
+    of the points they cover.  The lowest uncovered point is filled next,
+    trying the blocks of `candidates[point]` in order that contain it, are
+    not `used` and miss `cover`.  Every placed block costs one node of the
+    single-element counter `budget`; the search raises SearchBudgetExceeded
+    when the counter drops below zero.  `chosen` and `used` are restored
+    after each completion has been consumed.
+    """
+    if cover == full:
+        yield chosen
+        return
+    bit = ~cover & full
+    bit &= -bit
+    for i in candidates[bit.bit_length() - 1]:
+        mask = masks[i]
+        if used[i] or mask & cover or not mask & bit:
+            continue
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise SearchBudgetExceeded(0, [])
+        used[i] = True
+        chosen.append(i)
+        yield from _class_completions(
+            chosen, cover | mask, full, candidates, masks, used, budget
+        )
+        chosen.pop()
+        used[i] = False
+
+
 def find_resolutions(
     design: Design, limit: int, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> list[Resolution]:
@@ -162,68 +194,50 @@ def find_resolutions(
     w = v // k
     if b == 0 or b % w:
         return []
-    blocks = design.blocks
-    masks = [block_mask(block) for block in blocks]
-    full = (1 << v) - 1
+    masks = [block_mask(block) for block in design.blocks]
     by_point: list[list[int]] = [[] for _ in range(v)]
-    for i, block in enumerate(blocks):
+    for i, block in enumerate(design.blocks):
         for p in block:
             by_point[p].append(i)
+    found: dict[tuple, Resolution] = {}
+    try:
+        _complete_resolution(
+            design, limit, masks, by_point, [False] * b, [], [node_budget], found
+        )
+    except SearchBudgetExceeded:
+        raise SearchBudgetExceeded(node_budget, found.values()) from None
+    return list(found.values())
 
-    results: list[Resolution] = []
-    seen: set[tuple] = set()
-    used = [False] * b
-    classes: list[tuple[int, ...]] = []
-    nodes = 0
 
-    def record() -> bool:
-        key = _content_key(design, classes)
-        if key not in seen:
-            seen.add(key)
-            res = Resolution(
-                design, tuple(ParallelClass(tuple(refs)) for refs in classes)
-            )
-            results.append(canonical_resolution(res))
-        return len(results) >= limit
-
-    def extend_class(current: list[int], cover: int) -> bool:
-        nonlocal nodes
-        if cover == full:
-            classes.append(tuple(current))
-            done = next_class()
-            classes.pop()
-            return done
-        lowest = ((~cover) & full)
-        point = (lowest & -lowest).bit_length() - 1
-        for i in by_point[point]:
-            if used[i] or (masks[i] & cover):
-                continue
-            nodes += 1
-            if nodes > node_budget:
-                raise SearchBudgetExceeded(node_budget, results)
-            used[i] = True
-            current.append(i)
-            done = extend_class(current, cover | masks[i])
-            current.pop()
-            used[i] = False
-            if done:
-                return True
-        return False
-
-    def next_class() -> bool:
+def _complete_resolution(
+    design, limit, masks, by_point, used, classes, budget, found
+) -> bool:
+    """Extend the classes in `classes` to resolutions, recording each new
+    one in `found` under its content key; True once `limit` are found."""
+    try:
         # The lowest-indexed unused block must open the next class: classes
         # are unordered, so fixing it prunes the r! class-order symmetry.
-        try:
-            seed = used.index(False)
-        except ValueError:
-            return record()
-        used[seed] = True
-        done = extend_class([seed], masks[seed])
-        used[seed] = False
-        return done
-
-    next_class()
-    return results
+        seed = used.index(False)
+    except ValueError:
+        key = _content_key(design, classes)
+        if key not in found:
+            res = Resolution(design, tuple(ParallelClass(refs) for refs in classes))
+            found[key] = canonical_resolution(res)
+        return len(found) >= limit
+    full = (1 << design.points.size) - 1
+    used[seed] = True
+    for chosen in _class_completions(
+        [seed], masks[seed], full, by_point, masks, used, budget
+    ):
+        classes.append(tuple(chosen))
+        done = _complete_resolution(
+            design, limit, masks, by_point, used, classes, budget, found
+        )
+        classes.pop()
+        if done:
+            return True
+    used[seed] = False
+    return False
 
 
 def has_unique_resolution(
@@ -237,7 +251,7 @@ def _replacement_alphas(
     design: Design,
     class_a: ParallelClass,
     class_b: ParallelClass,
-    budget: list[int] | None = None,
+    budget: list[int],
 ) -> set[int]:
     """All values of |S ∩ class_a| over parallel classes S built from the
     2w block instances of class_a ∪ class_b.
@@ -245,40 +259,21 @@ def _replacement_alphas(
     Every such S leaves a complementary parallel class (each point is
     covered exactly twice by the two classes), so S ranges over all valid
     replacement pairs.  The intersection with class_a is counted on block
-    contents as a multiset.  `budget` is a single-element node counter
-    shared across calls; it raises when it hits zero.
+    contents as a multiset.  `budget` is the node counter of
+    _class_completions, shared across calls.
     """
     refs = list(class_a.block_refs) + list(class_b.block_refs)
     blocks = [design.blocks[ref] for ref in refs]
     masks = [block_mask(block) for block in blocks]
-    v = design.points.size
-    full = (1 << v) - 1
+    full = (1 << design.points.size) - 1
     a_content = Counter(design.blocks[ref] for ref in class_a.block_refs)
-    in_use = [False] * len(refs)
-    chosen: list[int] = []
+    every_block = [range(len(refs))] * design.points.size
     alphas: set[int] = set()
-
-    def dfs(cover: int) -> None:
-        if cover == full:
-            overlap = Counter(blocks[j] for j in chosen) & a_content
-            alphas.add(sum(overlap.values()))
-            return
-        lowest = (~cover) & full
-        point = (lowest & -lowest).bit_length() - 1
-        for j, mask in enumerate(masks):
-            if in_use[j] or not (mask >> point) & 1 or (mask & cover):
-                continue
-            if budget is not None:
-                budget[0] -= 1
-                if budget[0] < 0:
-                    raise SearchBudgetExceeded(0, [])
-            in_use[j] = True
-            chosen.append(j)
-            dfs(cover | mask)
-            chosen.pop()
-            in_use[j] = False
-
-    dfs(0)
+    for chosen in _class_completions(
+        [], 0, full, every_block, masks, [False] * len(refs), budget
+    ):
+        overlap = Counter(blocks[j] for j in chosen) & a_content
+        alphas.add(sum(overlap.values()))
     return alphas
 
 

@@ -1,8 +1,15 @@
+import gc
+
 import pytest
 
 from blockdesigns.catalog import catalog_entry
 from blockdesigns.core import DesignError, make_design
-from blockdesigns.generators import cyclic_develop, trivial_design
+from blockdesigns.generators import (
+    affine_hyperplane_design,
+    cyclic_develop,
+    sub_factorization_embedding,
+    trivial_design,
+)
 from blockdesigns.resolution import (
     BadAlpha,
     ParallelClass,
@@ -169,6 +176,34 @@ def test_search_budget_raises():
     design = trivial_design(8, 2)
     with pytest.raises(SearchBudgetExceeded):
         find_resolutions(design, limit=10_000, node_budget=20)
+
+
+def test_search_depth_does_not_grow_with_block_count():
+    # AG(2,32) has 1056 blocks; a search recursing once per block would
+    # exceed the interpreter's default recursion limit.
+    design, _ = affine_hyperplane_design(2, 32)
+    assert len(find_resolutions(design, limit=1)) == 1
+
+
+@pytest.mark.parametrize("node_budget, found", [(1000, 51), (10_000, 407)])
+def test_budget_exhaustion_keeps_partial_results(node_budget, found):
+    design, _ = sub_factorization_embedding(4)
+    with pytest.raises(SearchBudgetExceeded) as info:
+        find_resolutions(design, limit=10**6, node_budget=node_budget)
+    assert len(info.value.found) == found
+
+
+def test_searches_leave_no_reference_cycles(k8_subfac):
+    design, res = k8_subfac
+    gc.collect()
+    gc.disable()
+    try:
+        find_resolutions(design, limit=50)
+        assert gc.collect() == 0
+        prp_violations(design, res)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_nondividing_block_size_rejected():
