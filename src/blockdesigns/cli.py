@@ -15,14 +15,12 @@ import sys
 from .catalog import catalog_entry, catalog_names
 from .construct import (
     IndexingParams,
-    ThreeDesignCase,
     classify_three_design,
+    measure_params,
     predict_bibd_lambda,
     predict_ibd_params,
-    predicted_mu,
-    predicted_mu_w4,
+    predict_triple_coverage,
     shrikhande_raghavarao,
-    triple_coverage_by_alpha,
 )
 from .core import (
     Design,
@@ -171,25 +169,6 @@ def cmd_verify(args) -> int:
     return EXIT_FAIL if failures else EXIT_OK
 
 
-def _measured_master_params(design) -> DesignParams:
-    """Parameters at the strongest balanced strength (t = 1, 2 or 3)."""
-    params = verify_ibd(design)
-    pair = t_coverage_spectrum(design, 2)
-    if len(pair) != 1:
-        return params
-    lam2 = next(iter(pair))
-    if design.k >= 3:
-        triple = t_coverage_spectrum(design, 3)
-        if len(triple) == 1:
-            return DesignParams(
-                t=3, v=params.v, b=params.b, r=params.r, k=params.k,
-                lam=next(iter(triple)),
-            )
-    return DesignParams(
-        t=2, v=params.v, b=params.b, r=params.r, k=params.k, lam=lam2
-    )
-
-
 def cmd_construct(args) -> int:
     master, embedded = _load_design_or_resolution(args.master)
     if args.resolution is not None:
@@ -219,7 +198,7 @@ def cmd_construct(args) -> int:
     report: dict = {"command": "construct", "master": args.master,
                     "indexing": args.indexing, "resolution_source": source}
     lines = []
-    master_params = _measured_master_params(master)
+    master_params = measure_params(master)
     lines.append(
         f"master: {_params_text(master_params)} lambda={master_params.lam} "
         f"(t={master_params.t}, resolution {source}, "
@@ -232,25 +211,24 @@ def cmd_construct(args) -> int:
 
     try:
         indexing_params = IndexingParams.from_design(indexing)
-        lines.append(
-            f"indexing: w={indexing_params.w} b'={indexing_params.b_prime} "
-            f"r'={indexing_params.r_prime} k'={indexing_params.k_prime} "
-            f"lambda2'={indexing_params.lambda2_prime} "
-            f"lambda3'={indexing_params.lambda_prime}"
-        )
+        balanced = True
     except DesignError:
         basic = verify_ibd(indexing)
         indexing_params = IndexingParams(
             w=basic.v, b_prime=basic.b, r_prime=basic.r, k_prime=basic.k,
             lambda_prime=0, lambda2_prime=0,
         )
-        lines.append(
-            f"indexing: w={basic.v} b'={basic.b} r'={basic.r} k'={basic.k} "
-            "(not 2-balanced; coverage predictions skipped)"
+        balanced = False
+    lines.append(
+        f"indexing: w={indexing_params.w} b'={indexing_params.b_prime} "
+        f"r'={indexing_params.r_prime} k'={indexing_params.k_prime} "
+        + (
+            f"lambda2'={indexing_params.lambda2_prime} "
+            f"lambda3'={indexing_params.lambda_prime}"
+            if balanced
+            else "(not 2-balanced; coverage predictions skipped)"
         )
-        indexing_params_full = None
-    else:
-        indexing_params_full = indexing_params
+    )
     report["indexing_params"] = {
         "w": indexing_params.w, "b_prime": indexing_params.b_prime,
         "r_prime": indexing_params.r_prime, "k_prime": indexing_params.k_prime,
@@ -264,31 +242,18 @@ def cmd_construct(args) -> int:
     report["observed_params"] = list(observed.as_tuple())
     report["params_match"] = predicted.as_tuple() == observed.as_tuple()
 
-    if indexing_params_full is not None and master_params.t >= 2:
-        lam2 = predict_bibd_lambda(master_params, indexing_params_full)
+    if balanced and master_params.t >= 2:
+        lam2 = predict_bibd_lambda(master_params, indexing_params)
         lines.append(f"predicted pair coverage: {lam2}")
         report["predicted_pair_coverage"] = lam2
 
-        analysis = classify_three_design(master_params, indexing_params_full.k_prime)
+        analysis = classify_three_design(master_params, indexing_params.k_prime)
         lines.append(f"three-design case: {analysis.case.value}")
         report["three_design_case"] = analysis.case.value
         if analysis.note:
             lines.append(f"note: {analysis.note}")
             report["three_design_note"] = analysis.note
-        mu = None
-        if analysis.case is ThreeDesignCase.K_PRIME_HALF_W:
-            if indexing_params_full.w == 4:
-                mu = predicted_mu_w4(master_params)
-            else:
-                mu = predicted_mu(
-                    master_params, indexing_params_full.lambda_prime
-                )
-        elif analysis.case is ThreeDesignCase.MASTER_IS_3_DESIGN:
-            mu = triple_coverage_by_alpha(
-                master_params, indexing_params_full, master_params.lam
-            )
-        elif analysis.case is ThreeDesignCase.MASTER_BLOCK_SIZE_2:
-            mu = triple_coverage_by_alpha(master_params, indexing_params_full, 0)
+        mu = predict_triple_coverage(master_params, indexing_params)
         if mu is not None:
             lines.append(f"predicted triple coverage: {mu}")
             report["predicted_triple_coverage"] = mu

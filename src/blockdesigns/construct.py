@@ -39,8 +39,10 @@ __all__ = [
     "ThreeDesignCase",
     "classify_three_design",
     "inherited_resolution",
+    "measure_params",
     "predict_bibd_lambda",
     "predict_ibd_params",
+    "predict_triple_coverage",
     "predicted_mu",
     "predicted_mu_affine",
     "predicted_mu_w4",
@@ -96,25 +98,33 @@ class IndexingParams:
         The design must be 2-balanced, and 3-balanced as well unless its
         block size is 2 (where the triple coverage is identically 0).
         """
-        params = verify_ibd(design)
-        pair = t_coverage_spectrum(design, 2)
-        if len(pair) != 1:
+        params = measure_params(design)
+        if params.t < 2:
             raise DesignError("indexing design is not 2-balanced")
-        if params.k == 2:
-            lam3 = 0
-        else:
-            triple = t_coverage_spectrum(design, 3)
-            if len(triple) != 1:
-                raise DesignError("indexing design is not 3-balanced")
-            lam3 = next(iter(triple))
+        if params.k > 2 and params.t < 3:
+            raise DesignError("indexing design is not 3-balanced")
         return cls(
             w=params.v,
             b_prime=params.b,
             r_prime=params.r,
             k_prime=params.k,
-            lambda_prime=lam3,
-            lambda2_prime=next(iter(pair)),
+            lambda_prime=params.lam if params.t == 3 else 0,
+            lambda2_prime=_pair_coverage(params),
         )
+
+
+def measure_params(design: Design) -> DesignParams:
+    """Parameters at the strongest balanced strength t <= min(3, k)."""
+    params = verify_ibd(design)
+    for t in range(2, min(3, design.k) + 1):
+        spectrum = t_coverage_spectrum(design, t)
+        if len(spectrum) != 1:
+            break
+        params = DesignParams(
+            t=t, v=params.v, b=params.b, r=params.r, k=params.k,
+            lam=next(iter(spectrum)),
+        )
+    return params
 
 
 @dataclass(frozen=True)
@@ -169,13 +179,13 @@ def _master_w(master: DesignParams) -> int:
     return master.v // master.k
 
 
-def _master_pair_coverage(master: DesignParams) -> int:
-    """Pair coverage of a master declared as a t >= 2 design."""
-    if master.t < 2:
+def _pair_coverage(params: DesignParams) -> int:
+    """Pair coverage of a design declared as a t >= 2 design."""
+    if params.t < 2:
         raise DesignError("master must be declared a 2-design or stronger")
-    if master.t == 2:
-        return master.lam
-    lam2 = lambda_j(master, 2)
+    if params.t == 2:
+        return params.lam
+    lam2 = lambda_j(params, 2)
     if lam2.denominator != 1:
         raise NonIntegral(lam2, "master pair coverage")
     return int(lam2)
@@ -239,7 +249,7 @@ def predict_ibd_params(
 
 def predict_bibd_lambda(master: DesignParams, indexing: IndexingParams) -> int:
     """Pair coverage of the constructed design: lam*r' + (r-lam)*lam2'."""
-    lam = _master_pair_coverage(master)
+    lam = _pair_coverage(master)
     return lam * indexing.r_prime + (master.r - lam) * indexing.lambda2_prime
 
 
@@ -253,7 +263,7 @@ def triple_coverage_by_alpha(
     (classes where the triple sits in one block / split 2+1 / split
     1+1+1).  lam3' = 0 covers the pair-indexing case.
     """
-    lam = _master_pair_coverage(master)
+    lam = _pair_coverage(master)
     if not 0 <= alpha <= lam:
         raise DesignError(f"need 0 <= alpha <= {lam}, got {alpha}")
     return (
@@ -276,7 +286,7 @@ def classify_three_design(
     if k_prime < 2:
         raise DesignError(f"need k' >= 2, got {k_prime}")
     w = _master_w(master)
-    lam = _master_pair_coverage(master)
+    lam = _pair_coverage(master)
     if k_prime == 2:
         c1 = Fraction(3 * lam)
         c2 = Fraction(w - 4)
@@ -304,13 +314,30 @@ def classify_three_design(
     return ThreeDesignAnalysis(c1=c1, c2=c2, case=case, note=note)
 
 
+def predict_triple_coverage(
+    master: DesignParams, indexing: IndexingParams
+) -> int | None:
+    """Triple coverage of the constructed design, or None when the
+    construction does not yield a 3-design."""
+    case = classify_three_design(master, indexing.k_prime).case
+    if case is ThreeDesignCase.K_PRIME_HALF_W:
+        if indexing.w == 4:
+            return predicted_mu_w4(master)
+        return predicted_mu(master, indexing.lambda_prime)
+    if case is ThreeDesignCase.MASTER_IS_3_DESIGN:
+        return triple_coverage_by_alpha(master, indexing, master.lam)
+    if case is ThreeDesignCase.MASTER_BLOCK_SIZE_2:
+        return triple_coverage_by_alpha(master, indexing, 0)
+    return None
+
+
 def predicted_mu(master: DesignParams, lambda_prime: int) -> int:
     """Triple coverage lam'*(3*lam*w/(w-4) + r) for the half-class case
     with w > 4; exact, erroring on a non-integral result."""
     w = _master_w(master)
     if w <= 4 or w % 2:
         raise DesignError(f"need w = v/k even and > 4, got w={w}")
-    lam = _master_pair_coverage(master)
+    lam = _pair_coverage(master)
     value = lambda_prime * (Fraction(3 * lam * w, w - 4) + master.r)
     if value.denominator != 1:
         raise NonIntegral(value, "predicted triple coverage")
@@ -321,7 +348,7 @@ def predicted_mu_w4(master: DesignParams) -> int:
     """Triple coverage for pair indexing at w = 4: always 3*lambda."""
     if _master_w(master) != 4:
         raise DesignError(f"need w = v/k = 4, got w={_master_w(master)}")
-    return 3 * _master_pair_coverage(master)
+    return 3 * _pair_coverage(master)
 
 
 def predicted_mu_affine(q: int, m: int, lambda_prime: int) -> int:

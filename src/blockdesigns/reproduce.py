@@ -10,8 +10,7 @@ from .construct import (
     ConstructedDesign,
     IndexingParams,
     predict_ibd_params,
-    predicted_mu,
-    predicted_mu_w4,
+    predict_triple_coverage,
     shrikhande_raghavarao,
 )
 from .core import (
@@ -109,10 +108,7 @@ def reproduce_entry(name: str) -> EntryReport:
     )
     checks.append(CheckItem("simple", True, is_simple(built.design)))
 
-    if entry.w == 4:
-        formula = predicted_mu_w4(expected)
-    else:
-        formula = predicted_mu(expected, indexing_params.lambda_prime)
+    formula = predict_triple_coverage(expected, indexing_params)
     checks.append(CheckItem("coverage formula", entry.mu, formula))
     return report
 
