@@ -196,13 +196,18 @@ def design_from_dict(data: dict) -> Design:
         v = int(data["v"])
         k = int(data["k"])
         blocks = tuple(tuple(int(p) for p in block) for block in data["blocks"])
+        declared_b = int(data.get("b", len(blocks)))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad design object: {exc}") from exc
-    if "b" in data and int(data["b"]) != len(blocks):
+    if declared_b != len(blocks):
         raise FormatError(
             f"object declares b={data['b']} but has {len(blocks)} blocks"
         )
     labels = data.get("labels")
+    if labels and not (
+        isinstance(labels, list) and all(isinstance(x, str) for x in labels)
+    ):
+        raise FormatError(f"labels must be a list of strings, got {labels!r}")
     points = PointSet(v, tuple(labels) if labels else None)
     return Design(points=points, blocks=blocks, k=k)
 

@@ -62,11 +62,19 @@ def test_verify_expectation_failure(capsys, tri63):
 
 
 def test_verify_parse_error(capsys, tmp_path):
-    bad = tmp_path / "bad.design"
-    bad.write_text("not a design\n")
-    code, _, err = run(capsys, "verify", str(bad))
-    assert code == 2
-    assert "error" in err
+    cases = {
+        "bad.design": "not a design\n",
+        "bad_b.json": '{"v": 4, "k": 2, "b": "x", "blocks": [[0, 1]]}',
+        "labels_int.json": '{"v": 4, "k": 2, "labels": 5, "blocks": [[0, 1]]}',
+        "labels_nonstr.json":
+            '{"v": 4, "k": 2, "labels": [1, 2, 3, 4], "blocks": [[0, 1]]}',
+    }
+    for name, text in cases.items():
+        bad = tmp_path / name
+        bad.write_text(text)
+        code, _, err = run(capsys, "verify", str(bad))
+        assert code == 2, name
+        assert "error" in err
 
 
 def test_verify_missing_file(capsys):
