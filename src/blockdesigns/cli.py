@@ -370,7 +370,7 @@ def cmd_develop(args) -> int:
         f"developed: {_params_text(params)} classes={len(res.classes)}",
     ]
     if not args.out:
-        print(format_resolution(res), end="")
+        _print_design(design, res, args.json)
         return EXIT_OK
     save_resolution(res, args.out)
     lines.append(f"wrote: {args.out}")
@@ -402,6 +402,16 @@ def _gen_output(args):
     raise DesignError(f"unknown generator {args.kind!r}")  # pragma: no cover
 
 
+def _print_design(design, res, as_json: bool) -> None:
+    """Print the resolution, or the design when res is None, to stdout."""
+    if as_json:
+        data = resolution_to_dict(res) if res is not None else design_to_dict(design)
+        print(json.dumps(data, indent=2, sort_keys=True))
+    else:
+        text = format_resolution(res) if res is not None else format_design(design)
+        print(text, end="")
+
+
 def cmd_gen(args) -> int:
     design, res = _gen_output(args)
     if args.out:
@@ -414,12 +424,8 @@ def cmd_gen(args) -> int:
                               "out": args.out}, indent=2, sort_keys=True))
         else:
             print(f"wrote: {args.out}")
-    elif args.json:
-        data = resolution_to_dict(res) if res is not None else design_to_dict(design)
-        print(json.dumps(data, indent=2, sort_keys=True))
     else:
-        text = format_resolution(res) if res is not None else format_design(design)
-        print(text, end="")
+        _print_design(design, res, args.json)
     return EXIT_OK
 
 
