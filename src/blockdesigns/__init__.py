@@ -13,8 +13,10 @@ from .construct import (
     ThreeDesignCase,
     classify_three_design,
     inherited_resolution,
+    measure_params,
     predict_bibd_lambda,
     predict_ibd_params,
+    predict_triple_coverage,
     predicted_mu,
     predicted_mu_affine,
     predicted_mu_w4,

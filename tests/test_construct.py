@@ -13,8 +13,10 @@ from blockdesigns.construct import (
     ThreeDesignCase,
     classify_three_design,
     inherited_resolution,
+    measure_params,
     predict_bibd_lambda,
     predict_ibd_params,
+    predict_triple_coverage,
     predicted_mu,
     predicted_mu_affine,
     predicted_mu_w4,
@@ -350,6 +352,31 @@ def test_indexing_params_from_design():
     assert params == IDX_6_3
     pair = IndexingParams.from_design(trivial_design(4, 2))
     assert pair == IDX_4_2
+
+
+def test_measure_params_strongest_balanced_strength():
+    assert measure_params(trivial_design(6, 3)) == DesignParams(
+        t=3, v=6, b=20, r=10, k=3, lam=1
+    )
+    assert measure_params(trivial_design(4, 2)).t == 2  # t is capped at k
+    two_one_factors = make_design(
+        8, [(0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (1, 3), (4, 6), (5, 7)]
+    )
+    assert measure_params(two_one_factors).t == 1
+
+
+def test_predict_triple_coverage_by_case():
+    assert predict_triple_coverage(MASTER_24_6_5, IDX_4_2) == 15
+    assert predict_triple_coverage(MASTER_24_4_3, IDX_6_3) == 50
+    master_3 = DesignParams(t=3, v=16, b=140, r=35, k=4, lam=1)
+    idx_4_3 = IndexingParams.from_design(trivial_design(4, 3))
+    assert predict_triple_coverage(master_3, idx_4_3) == triple_coverage_by_alpha(
+        master_3, idx_4_3, 1
+    )
+    master_pairs = DesignParams(t=2, v=8, b=28, r=7, k=2, lam=1)
+    assert predict_triple_coverage(master_pairs, IDX_4_2) == 3
+    idx_6_4 = IndexingParams.from_design(trivial_design(6, 4))
+    assert predict_triple_coverage(MASTER_30_5_4, idx_6_4) is None
 
 
 def test_indexing_params_rejects_unbalanced():
