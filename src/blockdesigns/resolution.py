@@ -161,9 +161,9 @@ def _class_completions(chosen, cover, full, candidates, masks, used, budget):
     bit = ~cover & full
     bit &= -bit
     for i in candidates[bit.bit_length() - 1]:
-        mask = masks[i]
-        if used[i] or mask & cover or not mask & bit:
+        if used[i] or masks[i] & cover or not masks[i] & bit:
             continue
+        mask = masks[i]
         budget[0] -= 1
         if budget[0] < 0:
             raise SearchBudgetExceeded(0, [])
