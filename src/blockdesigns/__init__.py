@@ -30,6 +30,7 @@ from .core import (
     DesignError,
     DesignParams,
     DivisibilityViolation,
+    Incidence,
     IntersectionProfile,
     NonConstantReplication,
     PointSet,

@@ -211,23 +211,31 @@ def cmd_construct(args) -> int:
 
     try:
         indexing_params = IndexingParams.from_design(indexing)
-        balanced = True
+        balance = 3
     except DesignError:
-        basic = verify_ibd(indexing)
+        # Not 3-balanced (with k' > 2), or not even 2-balanced: keep what
+        # was measured and skip the predictions that need the rest.
+        basic = measure_params(indexing)
+        balance = basic.t
         indexing_params = IndexingParams(
             w=basic.v, b_prime=basic.b, r_prime=basic.r, k_prime=basic.k,
-            lambda_prime=0, lambda2_prime=0,
+            lambda_prime=0, lambda2_prime=basic.lam if balance == 2 else 0,
         )
-        balanced = False
-    lines.append(
-        f"indexing: w={indexing_params.w} b'={indexing_params.b_prime} "
-        f"r'={indexing_params.r_prime} k'={indexing_params.k_prime} "
-        + (
+    if balance == 3:
+        coverage = (
             f"lambda2'={indexing_params.lambda2_prime} "
             f"lambda3'={indexing_params.lambda_prime}"
-            if balanced
-            else "(not 2-balanced; coverage predictions skipped)"
         )
+    elif balance == 2:
+        coverage = (
+            f"lambda2'={indexing_params.lambda2_prime} "
+            "(not 3-balanced; triple-coverage prediction skipped)"
+        )
+    else:
+        coverage = "(not 2-balanced; coverage predictions skipped)"
+    lines.append(
+        f"indexing: w={indexing_params.w} b'={indexing_params.b_prime} "
+        f"r'={indexing_params.r_prime} k'={indexing_params.k_prime} {coverage}"
     )
     report["indexing_params"] = {
         "w": indexing_params.w, "b_prime": indexing_params.b_prime,
@@ -242,11 +250,12 @@ def cmd_construct(args) -> int:
     report["observed_params"] = list(observed.as_tuple())
     report["params_match"] = predicted.as_tuple() == observed.as_tuple()
 
-    if balanced and master_params.t >= 2:
+    if balance >= 2 and master_params.t >= 2:
         lam2 = predict_bibd_lambda(master_params, indexing_params)
         lines.append(f"predicted pair coverage: {lam2}")
         report["predicted_pair_coverage"] = lam2
 
+    if balance == 3 and master_params.t >= 2:
         analysis = classify_three_design(master_params, indexing_params.k_prime)
         lines.append(f"three-design case: {analysis.case.value}")
         report["three_design_case"] = analysis.case.value

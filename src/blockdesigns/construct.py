@@ -114,9 +114,16 @@ class IndexingParams:
 
 
 def measure_params(design: Design) -> DesignParams:
-    """Parameters at the strongest balanced strength t <= min(3, k)."""
+    """Parameters at the strongest balanced strength t <= min(3, k).
+
+    A (t-1)-design can be t-balanced only with coverage
+    lam * (k-t+1) / (v-t+1); when that is not an integer, the t-subsets
+    are not counted.
+    """
     params = verify_ibd(design)
     for t in range(2, min(3, design.k) + 1):
+        if params.lam * (params.k - t + 1) % (params.v - t + 1):
+            break
         spectrum = t_coverage_spectrum(design, t)
         if len(spectrum) != 1:
             break

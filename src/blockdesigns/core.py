@@ -3,17 +3,22 @@
 A design is a multiset of equal-size blocks over points 0..v-1.  Blocks are
 stored as strictly increasing tuples so that block equality is set equality
 and the block list can carry multiset semantics (duplicates allowed and
-significant).  All counting here is exact: spectra and replication counts
-use Python integers, derived coverage numbers use ``fractions.Fraction``,
-and the pairwise intersection histogram runs on packed 64-bit bitsets.
+significant).
+
+Every count here is exact.  Each design packs its incidence once into
+64-bit words (``Design.incidence``): one row per block over the points and
+one column per point over the blocks.  Replication counts and t-subset
+coverage spectra are popcounts of ANDed point columns, the pairwise
+intersection histogram is popcounts of ANDed block rows, and derived
+coverage numbers use ``fractions.Fraction``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +29,9 @@ __all__ = [
     "DesignError",
     "DesignParams",
     "DivisibilityViolation",
+    "Incidence",
     "IntersectionProfile",
+    "MAX_SPECTRUM_WORDS",
     "NonConstantReplication",
     "PointSet",
     "block_mask",
@@ -60,6 +67,21 @@ class DivisibilityViolation(DesignError):
 
 
 Block = tuple[int, ...]
+
+# Most words of ANDed columns that t_coverage_spectrum may count, C(v, t)
+# times the words per point column.  3-(256,128,63) at t=3 takes 22.1 M;
+# the AG(3,8) plane design at t=3 takes 222 M, about 3 s on a 2-core Xeon.
+MAX_SPECTRUM_WORDS = 1 << 28
+
+# Words of pairwise ANDs that one numpy call of t_coverage_spectrum holds
+# (128 KB).  Four times as many, no faster, left the process 0.5 MB larger
+# after a catalog pass.
+_SPECTRUM_CHUNK_WORDS = 1 << 14
+
+# Block rows that intersection_profile meets with all later rows at once.
+# Eight rows of the 7308-block catalog design hold about 1 MB of
+# temporaries; 64 rows, no faster, raised peak memory by about 9 MB.
+_PROFILE_CHUNK_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -113,6 +135,49 @@ class Design:
     @property
     def b(self) -> int:
         return len(self.blocks)
+
+    @cached_property
+    def incidence(self) -> Incidence:
+        """The packed incidence, built on first use and kept."""
+        return Incidence.of(self)
+
+
+def _pack_words(bits: np.ndarray) -> np.ndarray:
+    """Rows of booleans as read-only rows of uint64 words; bit j of a row
+    sits in word j // 64, and the padding bits of the last word are zero."""
+    nwords = (bits.shape[1] + 63) // 64
+    packed = np.zeros((bits.shape[0], nwords * 8), dtype=np.uint8)
+    packed[:, : (bits.shape[1] + 7) // 8] = np.packbits(
+        bits, axis=1, bitorder="little"
+    )
+    words = packed.view("<u8")
+    words.flags.writeable = False
+    return words
+
+
+@dataclass(frozen=True, eq=False)
+class Incidence:
+    """A design's block/point incidence packed into uint64 words.
+
+    rows[i] holds block i over the points (shape b x ceil(v/64)) and
+    columns[p] holds point p over the blocks (shape v x ceil(b/64)).
+    Both arrays are read-only: every verifier of the design shares them.
+    """
+
+    rows: np.ndarray
+    columns: np.ndarray
+
+    @classmethod
+    def of(cls, design: Design) -> Incidence:
+        b, v = len(design.blocks), design.points.size
+        members = np.fromiter(
+            itertools.chain.from_iterable(design.blocks),
+            dtype=np.intp,
+            count=b * design.k,
+        )
+        bits = np.zeros((b, v), dtype=bool)
+        bits[np.arange(b)[:, None], members.reshape(b, design.k)] = True
+        return cls(rows=_pack_words(bits), columns=_pack_words(bits.T))
 
 
 def make_design(v, blocks, labels=None, k=None) -> Design:
@@ -203,34 +268,71 @@ def verify_ibd(design: Design) -> DesignParams:
 
     Raises NonConstantReplication naming the first deviating point.
     """
-    v = design.points.size
-    counts = [0] * v
-    for block in design.blocks:
-        for p in block:
-            counts[p] += 1
-    r = counts[0]
-    for point, count in enumerate(counts):
-        if count != r:
-            raise NonConstantReplication(point=point, count=count, expected=r)
-    return DesignParams(t=1, v=v, b=len(design.blocks), r=r, k=design.k, lam=r)
+    counts = _popcounts(design.incidence.columns)
+    r = int(counts[0])
+    deviating = np.flatnonzero(counts != r)
+    if deviating.size:
+        point = int(deviating[0])
+        raise NonConstantReplication(point=point, count=int(counts[point]), expected=r)
+    return DesignParams(
+        t=1, v=design.points.size, b=len(design.blocks), r=r, k=design.k, lam=r
+    )
 
 
 def t_coverage_spectrum(design: Design, t: int) -> dict[int, int]:
     """Map coverage-count -> number of t-subsets with that coverage.
 
     Exhaustive over all C(v, t) t-subsets; the design is a t-design with
-    coverage lam exactly when the result is {lam: C(v, t)}.
+    coverage lam exactly when the result is {lam: C(v, t)}.  The coverage
+    of a t-subset is the popcount of the AND of its points' columns.
+    Raises DesignError before counting anything when C(v, t) times the
+    words per column exceeds MAX_SPECTRUM_WORDS.
     """
     if not 1 <= t <= design.k:
         raise DesignError(f"need 1 <= t <= k, got t={t} k={design.k}")
-    cover: Counter = Counter()
-    for block in design.blocks:
-        cover.update(itertools.combinations(block, t))
-    spectrum: Counter = Counter(cover.values())
-    uncovered = math.comb(design.points.size, t) - len(cover)
-    if uncovered:
-        spectrum[0] += uncovered
-    return dict(sorted(spectrum.items()))
+    v, b = design.points.size, len(design.blocks)
+    work = math.comb(v, t) * ((b + 63) // 64)
+    if work > MAX_SPECTRUM_WORDS:
+        raise DesignError(
+            f"the t={t} spectrum of a design with v={v} and b={b} would "
+            f"count {work} words, above the limit of {MAX_SPECTRUM_WORDS}"
+        )
+    columns = design.incidence.columns
+    hist = np.zeros(b + 1, dtype=np.int64)
+    if t == 1:
+        hist += np.bincount(_popcounts(columns), minlength=b + 1)
+    else:
+        first, second = np.triu_indices(v, 1)
+        pairs = (first, second, np.searchsorted(first, np.arange(v + 1)))
+        _add_coverages(hist, columns, pairs, None, 0, t - 2)
+    return {int(c): int(hist[c]) for c in np.flatnonzero(hist)}
+
+
+def _add_coverages(hist, columns, pairs, acc, lo, extra) -> None:
+    """Count into hist the coverage of every set of `extra` + 2 columns
+    from index lo on, each set ANDed with acc (None: no column taken yet).
+
+    pairs = (first, second, starts) lists the column pairs in lexicographic
+    order; the pairs whose first column is at least p begin at starts[p].
+    """
+    v = len(columns)
+    if extra:
+        for p in range(lo, v - 1 - extra):
+            taken = columns[p] if acc is None else acc & columns[p]
+            if taken.any():
+                _add_coverages(hist, columns, pairs, taken, p + 1, extra - 1)
+            else:
+                # No block holds these points, so every completion by
+                # extra + 1 of the v-1-p later points has coverage 0.
+                hist[0] += math.comb(v - 1 - p, extra + 1)
+        return
+    first, second, starts = pairs
+    step = max(1, _SPECTRUM_CHUNK_WORDS // max(1, columns.shape[1]))
+    for n in range(starts[lo], first.size, step):
+        meet = columns[first[n : n + step]] & columns[second[n : n + step]]
+        if acc is not None:
+            meet &= acc
+        hist += np.bincount(_popcounts(meet), minlength=hist.size)
 
 
 def lambda_j(params: DesignParams, j: int) -> Fraction:
@@ -254,9 +356,9 @@ def is_simple(design: Design) -> bool:
 
 def is_trivial(design: Design) -> bool:
     """True when the design consists of all C(v, k) k-subsets, once each."""
-    if len(set(design.blocks)) != len(design.blocks):
-        return False
-    return len(design.blocks) == math.comb(design.points.size, design.k)
+    return is_simple(design) and len(design.blocks) == math.comb(
+        design.points.size, design.k
+    )
 
 
 def block_mask(block: Block) -> int:
@@ -266,34 +368,34 @@ def block_mask(block: Block) -> int:
     return mask
 
 
-def _packed_masks(design: Design) -> np.ndarray:
-    """Blocks as rows of 64-bit words, low word first."""
-    nwords = (design.points.size + 63) // 64
-    word = (1 << 64) - 1
-    rows = []
-    for block in design.blocks:
-        mask = block_mask(block)
-        rows.append([(mask >> (64 * w)) & word for w in range(nwords)])
-    return np.array(rows, dtype=np.uint64).reshape(len(design.blocks), nwords)
+def _popcounts(words: np.ndarray) -> np.ndarray:
+    """Set bits per row of uint64 words (the last axis)."""
+    counts = np.bitwise_count(words)
+    if words.shape[-1] == 1:
+        return counts[..., 0]  # a sum over one word costs more than the popcount
+    return counts.sum(axis=-1, dtype=np.intp)
 
 
 def intersection_profile(design: Design) -> IntersectionProfile:
     """Exact pair counts by intersection size over all unordered pairs of
-    distinct block instances (duplicates each counted)."""
+    distinct block instances (duplicates each counted).
+
+    Blocks are taken _PROFILE_CHUNK_ROWS at a time: each chunk meets every
+    later block at once, and the pairs inside a chunk go in one call.
+    """
     k = design.k
-    b = len(design.blocks)
+    rows = design.incidence.rows
     counts = np.zeros(k + 1, dtype=np.int64)
-    if b >= 2:
-        masks = _packed_masks(design)
-        multiword = masks.shape[1] > 1
-        for i in range(b - 1):
-            meet = masks[i] & masks[i + 1 :]
-            sizes = np.bitwise_count(meet)
-            if multiword:
-                sizes = sizes.sum(axis=1, dtype=np.int64)
-            else:
-                sizes = sizes.reshape(-1)
-            counts += np.bincount(sizes, minlength=k + 1)
+    inner, outer = np.triu_indices(_PROFILE_CHUNK_ROWS, 1)
+    for lo in range(0, len(rows), _PROFILE_CHUNK_ROWS):
+        hi = lo + _PROFILE_CHUNK_ROWS
+        chunk = rows[lo:hi]
+        later = rows[hi:]
+        if len(chunk) < _PROFILE_CHUNK_ROWS:  # the last chunk may be short
+            inner, outer = np.triu_indices(len(chunk), 1)
+        counts += np.bincount(_popcounts(chunk[inner] & chunk[outer]), minlength=k + 1)
+        meet = chunk[:, None, :] & later[None, :, :]
+        counts += np.bincount(_popcounts(meet).ravel(), minlength=k + 1)
     return IntersectionProfile(tuple(int(c) for c in counts))
 
 

@@ -4,6 +4,7 @@ hyperplane designs, and cyclic development of a base parallel class."""
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .core import Block, Design, DesignError, PointSet
@@ -13,6 +14,7 @@ from .resolution import ParallelClass, Resolution
 __all__ = [
     "CyclicBaseSpec",
     "InvalidBaseClass",
+    "MAX_TRIVIAL_BLOCKS",
     "OddPointCount",
     "UnsupportedField",
     "affine_hyperplane_design",
@@ -36,10 +38,24 @@ class UnsupportedField(DesignError):
     pass
 
 
+# Most blocks trivial_design builds: C(22, 11) = 705,432 fits, C(24, 12) not.
+MAX_TRIVIAL_BLOCKS = 1 << 20
+
+
 def trivial_design(v: int, k: int) -> Design:
-    """All C(v, k) k-subsets of 0..v-1 in lexicographic order."""
+    """All C(v, k) k-subsets of 0..v-1 in lexicographic order.
+
+    Raises DesignError before building any block when C(v, k) exceeds
+    MAX_TRIVIAL_BLOCKS.
+    """
     if not 2 <= k < v:
         raise DesignError(f"need 2 <= k < v, got k={k} v={v}")
+    count = math.comb(v, k)
+    if count > MAX_TRIVIAL_BLOCKS:
+        raise DesignError(
+            f"the trivial design on v={v} with k={k} has {count} blocks, "
+            f"above the limit of {MAX_TRIVIAL_BLOCKS}"
+        )
     blocks = tuple(itertools.combinations(range(v), k))
     return Design(points=PointSet(v), blocks=blocks, k=k)
 

@@ -35,12 +35,16 @@ DEFAULT_NODE_BUDGET = 100_000_000
 
 
 class SearchBudgetExceeded(DesignError):
-    """Search node budget exhausted before the enumeration completed."""
+    """Search node budget exhausted before the enumeration completed.
 
-    def __init__(self, nodes: int, found):
+    `found` holds the results so far and `noun` names them in the message,
+    e.g. "resolution(s)" or "PRP violation(s)".
+    """
+
+    def __init__(self, nodes: int, found, noun: str):
         super().__init__(
             f"search budget of {nodes} nodes exhausted "
-            f"({len(found)} resolution(s) found so far)"
+            f"({len(found)} {noun} found so far)"
         )
         self.nodes = nodes
         self.found = list(found)
@@ -166,7 +170,7 @@ def _class_completions(chosen, cover, full, candidates, masks, used, budget):
         mask = masks[i]
         budget[0] -= 1
         if budget[0] < 0:
-            raise SearchBudgetExceeded(0, [])
+            raise SearchBudgetExceeded(0, [], "class completion(s)")
         used[i] = True
         chosen.append(i)
         yield from _class_completions(
@@ -205,7 +209,9 @@ def find_resolutions(
             design, limit, masks, by_point, [False] * b, [], [node_budget], found
         )
     except SearchBudgetExceeded:
-        raise SearchBudgetExceeded(node_budget, found.values()) from None
+        raise SearchBudgetExceeded(
+            node_budget, found.values(), "resolution(s)"
+        ) from None
     return list(found.values())
 
 
@@ -301,7 +307,7 @@ def is_alpha_prp(
     try:
         alphas = _replacement_alphas(design, class_a, class_b, [node_budget])
     except SearchBudgetExceeded:
-        raise SearchBudgetExceeded(node_budget, []) from None
+        raise SearchBudgetExceeded(node_budget, [], "PRP violation(s)") from None
     return alpha in alphas
 
 
@@ -334,7 +340,9 @@ def prp_violations(
                     design, res.classes[i], res.classes[j], budget
                 )
             except SearchBudgetExceeded:
-                raise SearchBudgetExceeded(node_budget, out) from None
+                raise SearchBudgetExceeded(
+                    node_budget, out, "PRP violation(s)"
+                ) from None
             for alpha in sorted(alphas & allowed):
                 out.append((i, j, alpha))
     return out

@@ -1,8 +1,10 @@
 import json
+import math
 
 import pytest
 
 from blockdesigns.cli import main
+from blockdesigns.core import t_coverage_spectrum
 from blockdesigns.formats import load_design, load_resolution, save_design
 from blockdesigns.generators import trivial_design
 
@@ -171,6 +173,26 @@ def test_construct_auto_resolve(capsys, tmp_path, idx42):
     assert "auto-resolved" in out
 
 
+def test_construct_indexing_pair_balanced_only(capsys, tmp_path):
+    # Fano plane 2-(7,3,1): lambda2' = 1 but triples are not balanced.
+    fano = tmp_path / "fano.design"
+    fano.write_text(
+        "design v=7 k=3 b=7\n0 1 2\n0 3 4\n0 5 6\n1 3 5\n1 4 6\n2 3 6\n2 4 5\n"
+    )
+    master = tmp_path / "ag27.res"
+    assert run(capsys, "gen", "affine", "2", "7", "--out", str(master))[0] == 0
+    out_path = tmp_path / "built.design"
+    code, out, _ = run(
+        capsys, "construct", str(master), str(fano), "--out", str(out_path)
+    )
+    assert code == 0
+    assert "lambda2'=1 (not 3-balanced; triple-coverage prediction skipped)" in out
+    assert "predicted pair coverage: 10" in out  # 1*3 + (8-1)*1
+    assert "three-design case" not in out
+    assert "predicted triple coverage" not in out
+    assert t_coverage_spectrum(load_design(out_path), 2) == {10: math.comb(49, 2)}
+
+
 def test_construct_requires_resolution(capsys, tmp_path, idx42):
     master = tmp_path / "k8.design"
     save_design(trivial_design(8, 2), master)
@@ -274,6 +296,19 @@ def test_gen_one_factorization(capsys, tmp_path):
     assert code == 0
     design, res = load_resolution(path)
     assert len(res.classes) == 5
+
+
+def test_oversized_counts_exit_2(capsys, tmp_path):
+    code, out, err = run(capsys, "gen", "trivial", "40", "20")
+    assert (code, out) == (2, "")
+    assert "above the limit" in err
+    big = tmp_path / "big.design"
+    big.write_text(
+        "design v=2000 k=1000 b=1\n" + " ".join(map(str, range(1000))) + "\n"
+    )
+    code, _, err = run(capsys, "verify", str(big), "--t", "3")
+    assert code == 2
+    assert "spectrum" in err and "above the limit" in err
 
 
 def test_gen_unknown_catalog(capsys):

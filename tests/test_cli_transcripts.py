@@ -35,6 +35,11 @@ FILES = {
         "class 0\n0 1\n2 3\n4 5\n6 7\n"
         "class 1\n0 2\n1 3\n4 6\n5 7\n"
     ),
+    # The Fano plane 2-(7,3,1): 2-balanced, not 3-balanced, k' = 3.
+    "fano.design": (
+        "design v=7 k=3 b=7\n"
+        "0 1 2\n0 3 4\n0 5 6\n1 3 5\n1 4 6\n2 3 6\n2 4 5\n"
+    ),
     "bad.design": "not a design\n",
     "bad.json": '{"v": 4, "k": 2}\n',
 }
@@ -137,6 +142,12 @@ COMMANDS = [
     ["reproduce", "3-(24,12,15)", "--json"],
     ["reproduce", "nope"],
     ["reproduce"],
+    # construct with an indexing design that is 2- but not 3-balanced
+    ["gen", "affine", "2", "7", "--out", "ag27.res"],
+    ["construct", "ag27.res", "fano.design", "--out", "fano_built.design"],
+    ["construct", "ag27.res", "fano.design", "--out", "fano_built.json",
+     "--json"],
+    ["verify", "fano_built.design", "--t", "2", "--t", "3"],
 ]
 
 

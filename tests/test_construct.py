@@ -363,6 +363,18 @@ def test_measure_params_strongest_balanced_strength():
         8, [(0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (1, 3), (4, 6), (5, 7)]
     )
     assert measure_params(two_one_factors).t == 1
+    # Consecutive triples mod 7: r = 3 makes 3 * 2 / 6 = 1 a whole pair
+    # coverage, but the counted pairs are covered 2, 1 or 0 times.
+    consecutive = make_design(7, [(i, (i + 1) % 7, (i + 2) % 7) for i in range(7)])
+    assert measure_params(consecutive).t == 1
+
+
+def test_measure_params_skips_a_strength_ruled_out_by_divisibility(ag28):
+    # AG(2,8) is a 2-(64,8,1) design; 1 * 6 / 62 is no whole triple
+    # coverage, so it cannot be 3-balanced, as the count confirms.
+    master, _ = ag28
+    assert measure_params(master) == DesignParams(t=2, v=64, b=72, r=9, k=8, lam=1)
+    assert len(t_coverage_spectrum(master, 3)) > 1
 
 
 def test_predict_triple_coverage_by_case():

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blockdesigns import core
 from blockdesigns.core import (
     Design,
     DesignError,
@@ -95,6 +97,29 @@ def test_verify_ibd_rejects_uneven_replication():
     assert info.value.expected == 3
 
 
+@pytest.mark.parametrize(
+    "extra, point, count, expected",
+    [
+        ([(5, 66), (66, 67)], 5, 3, 2),  # 66 deviates more but comes later
+        ([(66, 67), (68, 69)], 66, 3, 2),  # first deviation past one word
+        ([(0, 69)], 1, 2, 3),  # point 0 sets the baseline even when odd
+    ],
+)
+def test_verify_ibd_names_first_deviating_point(extra, point, count, expected):
+    # 70 points (two words per block) and 71 or 72 blocks (two words per
+    # point column, the second one mostly padding).
+    matching = [(p, p + 1) for p in range(0, 70, 2)]
+    d = make_design(70, matching * 2 + extra)
+    with pytest.raises(NonConstantReplication) as info:
+        verify_ibd(d)
+    assert (info.value.point, info.value.count, info.value.expected) == (
+        point, count, expected
+    )
+    counts = [naive_coverage(d.blocks, [p]) for p in range(70)]
+    assert counts[point] == count
+    assert all(c == counts[0] for c in counts[:point])
+
+
 # --- coverage spectra ------------------------------------------------------
 
 def test_spectrum_trivial_design():
@@ -125,6 +150,60 @@ def test_spectrum_counts_uncovered_subsets():
     d = make_design(6, [(0, 1, 2), (3, 4, 5)])
     spectrum = t_coverage_spectrum(d, 2)
     assert spectrum == {0: 9, 1: 6}
+
+
+def _random_design(seed, v, k, b, repeats):
+    """b blocks: b - repeats random k-subsets, then `repeats` copies."""
+    rng = random.Random(seed)
+    blocks = [rng.sample(range(v), k) for _ in range(b - repeats)]
+    blocks += rng.sample(blocks, repeats)
+    return make_design(v, blocks, k=k)
+
+
+# (v, k, b, repeats): b above 64 and not a multiple of it, so the point
+# columns carry padding bits; v above 64, so blocks take two words; every
+# design repeats blocks and leaves some t-subsets uncovered.
+PACKED_EDGE_DESIGNS = [(9, 4, 65, 3), (10, 4, 150, 6), (70, 3, 9, 2), (66, 2, 70, 4)]
+
+
+@pytest.mark.parametrize("v, k, b, repeats", PACKED_EDGE_DESIGNS)
+def test_spectrum_matches_naive_oracle_on_packed_edges(v, k, b, repeats):
+    d = _random_design(v * b, v, k, b, repeats)
+    assert not is_simple(d)
+    spectra = {t: t_coverage_spectrum(d, t) for t in range(1, k + 1)}
+    for t, spectrum in spectra.items():
+        assert spectrum == naive_spectrum(v, d.blocks, t), t
+    assert 0 in spectra[k]
+
+
+@pytest.mark.parametrize("v, k, b, repeats", PACKED_EDGE_DESIGNS[:2])
+def test_spectrum_matches_naive_oracle_in_small_chunks(monkeypatch, v, k, b, repeats):
+    # A few words per numpy call: every t >= 2 crosses chunk boundaries.
+    monkeypatch.setattr(core, "_SPECTRUM_CHUNK_WORDS", 5)
+    d = _random_design(v * b, v, k, b, repeats)
+    for t in range(1, k + 1):
+        assert t_coverage_spectrum(d, t) == naive_spectrum(v, d.blocks, t), t
+
+
+def test_spectrum_is_sorted_python_ints():
+    d = _random_design(5, 12, 5, 100, 4)
+    for t in range(1, 6):
+        spectrum = t_coverage_spectrum(d, t)
+        assert len(spectrum) > 1
+        assert all(type(c) is int and type(n) is int for c, n in spectrum.items())
+        assert list(spectrum) == sorted(spectrum)
+        assert json.loads(json.dumps(spectrum)) == {
+            str(c): n for c, n in spectrum.items()
+        }
+
+
+def test_spectrum_guard_raises_before_packing():
+    # C(2000, 3) = 1.33e9 subsets of one word each: far above the limit.
+    d = Design(PointSet(2000), (tuple(range(1000)),), 1000)
+    assert math.comb(2000, 3) > core.MAX_SPECTRUM_WORDS
+    with pytest.raises(DesignError, match="above the limit"):
+        t_coverage_spectrum(d, 3)
+    assert "incidence" not in vars(d)  # nothing was packed
 
 
 # --- lambda_j --------------------------------------------------------------
@@ -198,6 +277,19 @@ def test_profile_multiword_points():
     blocks = [tuple(range(i, i + 10)) for i in range(0, 60, 5)]
     d = make_design(70, blocks)
     assert list(intersection_profile(d).counts) == naive_profile(blocks)
+
+
+@pytest.mark.parametrize("v", [40, 100])  # one and two words per block
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_profile_matches_naive_oracle_at_chunk_edges(v, offset):
+    b = core._PROFILE_CHUNK_ROWS + offset
+    d = _random_design(b + v, v, 20, b, 3)
+    assert list(intersection_profile(d).counts) == naive_profile(d.blocks)
+
+
+def test_profile_matches_naive_oracle_over_several_chunks():
+    d = _random_design(1, 30, 9, 2 * core._PROFILE_CHUNK_ROWS + 5, 7)
+    assert list(intersection_profile(d).counts) == naive_profile(d.blocks)
 
 
 def test_profile_validation():

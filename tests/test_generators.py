@@ -4,8 +4,9 @@ import math
 import pytest
 
 from blockdesigns.catalog import UnknownEntry, catalog_entry, catalog_names
-from blockdesigns.core import is_simple, t_coverage_spectrum, verify_ibd
+from blockdesigns.core import DesignError, is_simple, t_coverage_spectrum, verify_ibd
 from blockdesigns.generators import (
+    MAX_TRIVIAL_BLOCKS,
     CyclicBaseSpec,
     InvalidBaseClass,
     OddPointCount,
@@ -39,6 +40,12 @@ def test_trivial_8_4_triple_coverage():
 def test_trivial_validation():
     with pytest.raises(Exception):
         trivial_design(4, 4)
+
+
+def test_trivial_guard_raises_before_building():
+    assert math.comb(40, 20) > MAX_TRIVIAL_BLOCKS  # 1.4e11 blocks
+    with pytest.raises(DesignError, match="above the limit"):
+        trivial_design(40, 20)
 
 
 # --- one-factorizations ------------------------------------------------------

@@ -174,7 +174,7 @@ def test_duplicate_blocks_collapse_to_one_resolution():
 
 def test_search_budget_raises():
     design = trivial_design(8, 2)
-    with pytest.raises(SearchBudgetExceeded):
+    with pytest.raises(SearchBudgetExceeded, match=r"\(0 resolution\(s\) found"):
         find_resolutions(design, limit=10_000, node_budget=20)
 
 
@@ -283,8 +283,10 @@ def test_prp_requires_valid_resolution():
 
 def test_prp_budget(k8_subfac):
     design, res = k8_subfac
-    with pytest.raises(SearchBudgetExceeded):
+    with pytest.raises(SearchBudgetExceeded, match=r"\(0 PRP violation\(s\) found"):
         prp_violations(design, res, node_budget=5)
+    with pytest.raises(SearchBudgetExceeded, match="PRP violation"):
+        is_alpha_prp(design, res.classes[0], res.classes[1], 1, node_budget=1)
 
 
 # --- a unique resolution leaves no room for replacements ----------------------
