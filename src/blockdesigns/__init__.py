@@ -30,7 +30,6 @@ from .core import (
     DesignError,
     DesignParams,
     DivisibilityViolation,
-    Incidence,
     IntersectionProfile,
     NonConstantReplication,
     PointSet,

@@ -209,18 +209,10 @@ def cmd_construct(args) -> int:
         "r": master_params.r, "k": master_params.k, "lambda": master_params.lam,
     }
 
-    try:
-        indexing_params = IndexingParams.from_design(indexing)
-        balance = 3
-    except DesignError:
-        # Not 3-balanced (with k' > 2), or not even 2-balanced: keep what
-        # was measured and skip the predictions that need the rest.
-        basic = measure_params(indexing)
-        balance = basic.t
-        indexing_params = IndexingParams(
-            w=basic.v, b_prime=basic.b, r_prime=basic.r, k_prime=basic.k,
-            lambda_prime=0, lambda2_prime=basic.lam if balance == 2 else 0,
-        )
+    measured = measure_params(indexing)
+    indexing_params = IndexingParams.from_params(measured)
+    # Blocks of size 2 cover no triple, so k' = 2 needs only 2-balance.
+    balance = 3 if measured.k == 2 and measured.t == 2 else measured.t
     if balance == 3:
         coverage = (
             f"lambda2'={indexing_params.lambda2_prime} "

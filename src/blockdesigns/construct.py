@@ -103,13 +103,19 @@ class IndexingParams:
             raise DesignError("indexing design is not 2-balanced")
         if params.k > 2 and params.t < 3:
             raise DesignError("indexing design is not 3-balanced")
+        return cls.from_params(params)
+
+    @classmethod
+    def from_params(cls, params: DesignParams) -> "IndexingParams":
+        """The parameters of an indexing design as measure_params found
+        them; a coverage above the measured strength is recorded as 0."""
         return cls(
             w=params.v,
             b_prime=params.b,
             r_prime=params.r,
             k_prime=params.k,
             lambda_prime=params.lam if params.t == 3 else 0,
-            lambda2_prime=_pair_coverage(params),
+            lambda2_prime=_pair_coverage(params) if params.t >= 2 else 0,
         )
 
 

@@ -5,10 +5,13 @@ stored as strictly increasing tuples so that block equality is set equality
 and the block list can carry multiset semantics (duplicates allowed and
 significant).
 
-Every count here is exact.  Each design packs its incidence once into
-64-bit words (``Design.incidence``): one row per block over the points and
-one column per point over the blocks.  Replication counts and t-subset
-coverage spectra are popcounts of ANDed point columns, the pairwise
+Every count here is exact.  Each design keeps its blocks once as a numpy
+array of points (``Design._members``) and, on first use, packs them into
+64-bit words, one row per block (``Design._rows``).  Replication counts are
+point counts over the blocks.  A t-subset coverage spectrum takes each
+point p in turn and packs the columns of the later points over the blocks
+through p only, so its cost follows the replication rather than the block
+count; coverages are popcounts of ANDed columns.  The pairwise
 intersection histogram is popcounts of ANDed block rows, and derived
 coverage numbers use ``fractions.Fraction``.
 """
@@ -29,7 +32,6 @@ __all__ = [
     "DesignError",
     "DesignParams",
     "DivisibilityViolation",
-    "Incidence",
     "IntersectionProfile",
     "MAX_SPECTRUM_WORDS",
     "NonConstantReplication",
@@ -68,20 +70,19 @@ class DivisibilityViolation(DesignError):
 
 Block = tuple[int, ...]
 
-# Most words of ANDed columns that t_coverage_spectrum may count, C(v, t)
-# times the words per point column.  3-(256,128,63) at t=3 takes 22.1 M;
-# the AG(3,8) plane design at t=3 takes 222 M, about 3 s on a 2-core Xeon.
+# Most words of ANDed columns that t_coverage_spectrum may count.  Before
+# packing anything it bounds them by summing, over the least point p of a
+# t-subset, C(u, t-1) times the words of a column over the r_p blocks
+# through p, where u = min(v-1-p, r_p(k-1)) is the most later points those
+# blocks can hold.  On a 2-core Xeon: 3-(256,128,63) at t=3 needs 11.1 M
+# (0.4 s), the AG(3,8) plane design 44.5 M (1.3 s), AG(2,32) 178 M (2.0 s).
 MAX_SPECTRUM_WORDS = 1 << 28
 
-# Words of pairwise ANDs that one numpy call of t_coverage_spectrum holds
-# (128 KB).  Four times as many, no faster, left the process 0.5 MB larger
-# after a catalog pass.
-_SPECTRUM_CHUNK_WORDS = 1 << 14
-
-# Block rows that intersection_profile meets with all later rows at once.
-# Eight rows of the 7308-block catalog design hold about 1 MB of
-# temporaries; 64 rows, no faster, raised peak memory by about 9 MB.
-_PROFILE_CHUNK_ROWS = 8
+# Words of ANDed rows that one numpy call holds (512 KB), and of packed
+# columns that one dense slice of booleans fills.  The 7308-block catalog
+# design meets 8 block rows with all later rows per call; 64 rows, no
+# faster, raised peak memory by about 9 MB.
+_CHUNK_WORDS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -137,47 +138,35 @@ class Design:
         return len(self.blocks)
 
     @cached_property
-    def incidence(self) -> Incidence:
-        """The packed incidence, built on first use and kept."""
-        return Incidence.of(self)
-
-
-def _pack_words(bits: np.ndarray) -> np.ndarray:
-    """Rows of booleans as read-only rows of uint64 words; bit j of a row
-    sits in word j // 64, and the padding bits of the last word are zero."""
-    nwords = (bits.shape[1] + 63) // 64
-    packed = np.zeros((bits.shape[0], nwords * 8), dtype=np.uint8)
-    packed[:, : (bits.shape[1] + 7) // 8] = np.packbits(
-        bits, axis=1, bitorder="little"
-    )
-    words = packed.view("<u8")
-    words.flags.writeable = False
-    return words
-
-
-@dataclass(frozen=True, eq=False)
-class Incidence:
-    """A design's block/point incidence packed into uint64 words.
-
-    rows[i] holds block i over the points (shape b x ceil(v/64)) and
-    columns[p] holds point p over the blocks (shape v x ceil(b/64)).
-    Both arrays are read-only: every verifier of the design shares them.
-    """
-
-    rows: np.ndarray
-    columns: np.ndarray
-
-    @classmethod
-    def of(cls, design: Design) -> Incidence:
-        b, v = len(design.blocks), design.points.size
+    def _members(self) -> np.ndarray:
+        """The blocks as a read-only b x k array of points, in the smallest
+        unsigned integer type that holds every point."""
         members = np.fromiter(
-            itertools.chain.from_iterable(design.blocks),
-            dtype=np.intp,
-            count=b * design.k,
-        )
-        bits = np.zeros((b, v), dtype=bool)
-        bits[np.arange(b)[:, None], members.reshape(b, design.k)] = True
-        return cls(rows=_pack_words(bits), columns=_pack_words(bits.T))
+            itertools.chain.from_iterable(self.blocks),
+            dtype=np.min_scalar_type(self.points.size - 1),
+            count=len(self.blocks) * self.k,
+        ).reshape(len(self.blocks), self.k)
+        members.flags.writeable = False
+        return members
+
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        """Block i as the bits of row i, in ceil(v/64) read-only uint64
+        words with zero padding bits, packed on first use."""
+        members = self._members
+        width = 64 * ((self.points.size + 63) // 64)
+        rows = np.empty((len(members), width // 64), dtype=np.uint64)
+        # Slices of about _CHUNK_WORDS packed words: 64 booleans each.
+        step = max(1, _CHUNK_WORDS // (width // 64))
+        for lo in range(0, len(members), step):
+            part = members[lo : lo + step]
+            bits = np.zeros((len(part), width), dtype=bool)
+            bits[np.arange(len(part))[:, None], part] = True
+            rows[lo : lo + step] = np.packbits(
+                bits, axis=1, bitorder="little"
+            ).view("<u8")
+        rows.flags.writeable = False
+        return rows
 
 
 def make_design(v, blocks, labels=None, k=None) -> Design:
@@ -268,7 +257,7 @@ def verify_ibd(design: Design) -> DesignParams:
 
     Raises NonConstantReplication naming the first deviating point.
     """
-    counts = _popcounts(design.incidence.columns)
+    counts = _replication(design)
     r = int(counts[0])
     deviating = np.flatnonzero(counts != r)
     if deviating.size:
@@ -279,60 +268,111 @@ def verify_ibd(design: Design) -> DesignParams:
     )
 
 
+def _replication(design: Design) -> np.ndarray:
+    """The number of blocks through each point."""
+    return np.bincount(design._members.ravel(), minlength=design.points.size)
+
+
 def t_coverage_spectrum(design: Design, t: int) -> dict[int, int]:
     """Map coverage-count -> number of t-subsets with that coverage.
 
     Exhaustive over all C(v, t) t-subsets; the design is a t-design with
-    coverage lam exactly when the result is {lam: C(v, t)}.  The coverage
-    of a t-subset is the popcount of the AND of its points' columns.
-    Raises DesignError before counting anything when C(v, t) times the
-    words per column exceeds MAX_SPECTRUM_WORDS.
+    coverage lam exactly when the result is {lam: C(v, t)}.  The subsets
+    with least point p are counted on the blocks through p: the coverage
+    of {p} plus a (t-1)-subset of later points is the popcount of the AND
+    of their columns over those blocks.  Raises DesignError before packing
+    anything when a bound on the words to count exceeds MAX_SPECTRUM_WORDS.
     """
-    if not 1 <= t <= design.k:
-        raise DesignError(f"need 1 <= t <= k, got t={t} k={design.k}")
+    k = design.k
+    if not 1 <= t <= k:
+        raise DesignError(f"need 1 <= t <= k, got t={t} k={k}")
     v, b = design.points.size, len(design.blocks)
-    work = math.comb(v, t) * ((b + 63) // 64)
+    replication = _replication(design)
+    work = sum(
+        math.comb(min(v - 1 - p, r * (k - 1)), t - 1) * ((r + 63) // 64)
+        for p, r in enumerate(replication.tolist())
+    )
     if work > MAX_SPECTRUM_WORDS:
         raise DesignError(
             f"the t={t} spectrum of a design with v={v} and b={b} would "
             f"count {work} words, above the limit of {MAX_SPECTRUM_WORDS}"
         )
-    columns = design.incidence.columns
+    # Counts of the covered t-subsets by coverage; the uncovered ones are
+    # what is left of C(v, t) (a Python int, which may exceed 64 bits).
     hist = np.zeros(b + 1, dtype=np.int64)
     if t == 1:
-        hist += np.bincount(_popcounts(columns), minlength=b + 1)
+        hist += np.bincount(replication, minlength=b + 1)
     else:
-        first, second = np.triu_indices(v, 1)
-        pairs = (first, second, np.searchsorted(first, np.arange(v + 1)))
-        _add_coverages(hist, columns, pairs, None, 0, t - 2)
-    return {int(c): int(hist[c]) for c in np.flatnonzero(hist)}
-
-
-def _add_coverages(hist, columns, pairs, acc, lo, extra) -> None:
-    """Count into hist the coverage of every set of `extra` + 2 columns
-    from index lo on, each set ANDed with acc (None: no column taken yet).
-
-    pairs = (first, second, starts) lists the column pairs in lexicographic
-    order; the pairs whose first column is at least p begin at starts[p].
-    """
-    v = len(columns)
-    if extra:
-        for p in range(lo, v - 1 - extra):
-            taken = columns[p] if acc is None else acc & columns[p]
-            if taken.any():
-                _add_coverages(hist, columns, pairs, taken, p + 1, extra - 1)
+        members = design._members
+        for p in np.flatnonzero(replication[: v - t + 1]).tolist():
+            blocks = members[np.flatnonzero(members.ravel() == p) // k]
+            if t == 2:
+                # The coverage of {p, q} is the number of these blocks
+                # holding q.
+                pairs = np.bincount(blocks.ravel(), minlength=v)[p + 1 :]
+                hist += np.bincount(pairs, minlength=hist.size)
             else:
-                # No block holds these points, so every completion by
-                # extra + 1 of the v-1-p later points has coverage 0.
-                hist[0] += math.comb(v - 1 - p, extra + 1)
+                _add_coverages(hist, _columns_after(blocks, p, v), t - 1)
+    spectrum = {int(c): int(hist[c]) for c in np.flatnonzero(hist[1:]) + 1}
+    uncovered = math.comb(v, t) - sum(spectrum.values())
+    return {0: uncovered, **spectrum} if uncovered else spectrum
+
+
+def _columns_after(blocks: np.ndarray, p: int, v: int) -> np.ndarray:
+    """The columns over `blocks` (rows of points) of the points after p
+    that lie in one of them, in uint64 words with zero padding bits.
+
+    The booleans are packed in slices of blocks worth about _CHUNK_WORDS
+    words (4 MB of booleans), or 64 blocks when the points alone fill more.
+    """
+    present = np.zeros(v, dtype=bool)
+    present[blocks] = True
+    present[: p + 1] = False
+    row = np.cumsum(present) - 1
+    count = int(row[-1]) + 1
+    row[: p + 1] = count  # points up to p go to a row that is dropped
+    width = 64 * ((len(blocks) + 63) // 64)
+    columns = np.empty((count, width // 64), dtype=np.uint64)
+    step = min(width, 64 * max(1, _CHUNK_WORDS // max(1, count)))
+    for lo in range(0, width, step):
+        hi = min(lo + step, width)
+        part = blocks[lo:hi]
+        bits = np.zeros((count + 1, hi - lo), dtype=bool)
+        bits[row[part], np.arange(len(part))[:, None]] = True
+        columns[:, lo // 64 : hi // 64] = np.packbits(
+            bits[:count], axis=1, bitorder="little"
+        ).view("<u8")
+    return columns
+
+
+def _add_coverages(hist, columns, t) -> None:
+    """Count into hist the coverage of every t >= 2 of the columns (the
+    count at coverage 0 is incomplete)."""
+    if t == 2:
+        _add_meets(hist, columns)
         return
-    first, second, starts = pairs
-    step = max(1, _SPECTRUM_CHUNK_WORDS // max(1, columns.shape[1]))
-    for n in range(starts[lo], first.size, step):
-        meet = columns[first[n : n + step]] & columns[second[n : n + step]]
-        if acc is not None:
-            meet &= acc
-        hist += np.bincount(_popcounts(meet), minlength=hist.size)
+    for q in range(len(columns) - t + 1):
+        # The later columns on the blocks through q; only the points that
+        # share one of those blocks can complete q to a covered subset.
+        later = columns[q + 1 :] & columns[q]
+        _add_coverages(hist, later[later.any(axis=1)], t - 1)
+
+
+def _add_meets(hist, rows) -> None:
+    """Count into hist the popcount of rows[i] & rows[j] over all i < j.
+
+    A slice of rows meets every later row in one call, about _CHUNK_WORDS
+    words, and the pairs inside the slice in another.
+    """
+    n, nwords = rows.shape
+    step = max(1, min(n, _CHUNK_WORDS // max(1, n * nwords)))
+    inner, outer = np.triu_indices(step, 1)
+    for lo in range(0, n, step):
+        chunk = rows[lo : lo + step]
+        if len(chunk) < step:  # the last slice may be short
+            inner, outer = np.triu_indices(len(chunk), 1)
+        for meet in (chunk[inner] & chunk[outer], chunk[:, None] & rows[lo + step :]):
+            hist += np.bincount(_popcounts(meet).ravel(), minlength=hist.size)
 
 
 def lambda_j(params: DesignParams, j: int) -> Fraction:
@@ -378,24 +418,10 @@ def _popcounts(words: np.ndarray) -> np.ndarray:
 
 def intersection_profile(design: Design) -> IntersectionProfile:
     """Exact pair counts by intersection size over all unordered pairs of
-    distinct block instances (duplicates each counted).
-
-    Blocks are taken _PROFILE_CHUNK_ROWS at a time: each chunk meets every
-    later block at once, and the pairs inside a chunk go in one call.
-    """
-    k = design.k
-    rows = design.incidence.rows
-    counts = np.zeros(k + 1, dtype=np.int64)
-    inner, outer = np.triu_indices(_PROFILE_CHUNK_ROWS, 1)
-    for lo in range(0, len(rows), _PROFILE_CHUNK_ROWS):
-        hi = lo + _PROFILE_CHUNK_ROWS
-        chunk = rows[lo:hi]
-        later = rows[hi:]
-        if len(chunk) < _PROFILE_CHUNK_ROWS:  # the last chunk may be short
-            inner, outer = np.triu_indices(len(chunk), 1)
-        counts += np.bincount(_popcounts(chunk[inner] & chunk[outer]), minlength=k + 1)
-        meet = chunk[:, None, :] & later[None, :, :]
-        counts += np.bincount(_popcounts(meet).ravel(), minlength=k + 1)
+    distinct block instances (duplicates each counted): popcounts of the
+    ANDed block rows."""
+    counts = np.zeros(design.k + 1, dtype=np.int64)
+    _add_meets(counts, design._rows)
     return IntersectionProfile(tuple(int(c) for c in counts))
 
 

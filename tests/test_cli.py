@@ -311,6 +311,15 @@ def test_oversized_counts_exit_2(capsys, tmp_path):
     assert "spectrum" in err and "above the limit" in err
 
 
+def test_verify_spectrum_of_one_block_on_many_points(capsys, tmp_path):
+    # C(23000, 2) pairs, but only the pair of the one block is covered.
+    sparse = tmp_path / "sparse.design"
+    sparse.write_text("design v=23000 k=2 b=1\n0 1\n")
+    code, out, _ = run(capsys, "verify", str(sparse), "--t", "2")
+    assert code == 0
+    assert f"coverage t=2: 0:{math.comb(23000, 2) - 1} 1:1" in out
+
+
 def test_gen_unknown_catalog(capsys):
     code, _, err = run(capsys, "gen", "catalog", "bogus")
     assert code == 2

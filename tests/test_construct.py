@@ -354,6 +354,25 @@ def test_indexing_params_from_design():
     assert pair == IDX_4_2
 
 
+def test_indexing_params_from_params_keeps_measured_coverages():
+    fano = make_design(7, [(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)])
+    measured = measure_params(fano)
+    assert measured.t == 2
+    assert IndexingParams.from_params(measured) == IndexingParams(
+        w=7, b_prime=7, r_prime=3, k_prime=3, lambda_prime=0, lambda2_prime=1
+    )
+    with pytest.raises(DesignError, match="not 3-balanced"):
+        IndexingParams.from_design(fano)
+    two_one_factors = make_design(
+        8, [(0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (1, 3), (4, 6), (5, 7)]
+    )
+    assert IndexingParams.from_params(
+        measure_params(two_one_factors)
+    ) == IndexingParams(
+        w=8, b_prime=8, r_prime=2, k_prime=2, lambda_prime=0, lambda2_prime=0
+    )
+
+
 def test_measure_params_strongest_balanced_strength():
     assert measure_params(trivial_design(6, 3)) == DesignParams(
         t=3, v=6, b=20, r=10, k=3, lam=1

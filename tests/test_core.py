@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -106,8 +107,7 @@ def test_verify_ibd_rejects_uneven_replication():
     ],
 )
 def test_verify_ibd_names_first_deviating_point(extra, point, count, expected):
-    # 70 points (two words per block) and 71 or 72 blocks (two words per
-    # point column, the second one mostly padding).
+    # 70 points (two words per block row) and 71 or 72 blocks.
     matching = [(p, p + 1) for p in range(0, 70, 2)]
     d = make_design(70, matching * 2 + extra)
     with pytest.raises(NonConstantReplication) as info:
@@ -176,10 +176,14 @@ def test_spectrum_matches_naive_oracle_on_packed_edges(v, k, b, repeats):
     assert 0 in spectra[k]
 
 
-@pytest.mark.parametrize("v, k, b, repeats", PACKED_EDGE_DESIGNS[:2])
+@pytest.mark.parametrize(
+    "v, k, b, repeats", PACKED_EDGE_DESIGNS[:2] + [(8, 4, 300, 5)]
+)
 def test_spectrum_matches_naive_oracle_in_small_chunks(monkeypatch, v, k, b, repeats):
-    # A few words per numpy call: every t >= 2 crosses chunk boundaries.
-    monkeypatch.setattr(core, "_SPECTRUM_CHUNK_WORDS", 5)
+    # A few words per numpy call: every t >= 2 crosses chunk boundaries, and
+    # the 300-block design (about 150 blocks through each point, three
+    # words per column) packs its columns in several slices.
+    monkeypatch.setattr(core, "_CHUNK_WORDS", 5)
     d = _random_design(v * b, v, k, b, repeats)
     for t in range(1, k + 1):
         assert t_coverage_spectrum(d, t) == naive_spectrum(v, d.blocks, t), t
@@ -198,12 +202,47 @@ def test_spectrum_is_sorted_python_ints():
 
 
 def test_spectrum_guard_raises_before_packing():
-    # C(2000, 3) = 1.33e9 subsets of one word each: far above the limit.
+    # One block of 1000 of 2000 points: each of its points p bounds its
+    # share by C(min(1999 - p, 999), 2) pairs of one word, 4.99e8 in all.
     d = Design(PointSet(2000), (tuple(range(1000)),), 1000)
-    assert math.comb(2000, 3) > core.MAX_SPECTRUM_WORDS
+    assert 1000 * math.comb(999, 2) > core.MAX_SPECTRUM_WORDS
     with pytest.raises(DesignError, match="above the limit"):
         t_coverage_spectrum(d, 3)
-    assert "incidence" not in vars(d)  # nothing was packed
+    assert "_rows" not in vars(d)  # nothing was packed
+
+
+def test_spectrum_of_one_block_on_many_points_is_small():
+    # C(23000, 2) = 2.6e8 pairs, but only the two block points carry any
+    # block, so the count and its memory stay small.
+    v = 23000
+    d = make_design(v, [(0, 1)])
+    tracemalloc.start()
+    try:
+        spectrum = t_coverage_spectrum(d, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spectrum == {0: math.comb(v, 2) - 1, 1: 1}
+    assert peak < 8 << 20
+    with pytest.raises(NonConstantReplication):
+        verify_ibd(d)
+    assert "_rows" not in vars(d)  # neither packs the block rows
+
+
+def test_spectrum_counts_past_64_bits():
+    # C(23000, 6) = 2.0e23 six-subsets, one of them covered.
+    d = make_design(23000, [(0, 5, 9, 100, 22000, 22999)])
+    assert t_coverage_spectrum(d, 6) == {0: math.comb(23000, 6) - 1, 1: 1}
+
+
+def test_spectrum_cost_follows_replication():
+    # 666 disjoint triples on 1998 points: C(1998, 3) * ceil(666 / 64) =
+    # 1.5e10 words over all blocks, but one block through each point.
+    v = 1998
+    d = make_design(v, [(p, p + 1, p + 2) for p in range(0, v, 3)])
+    assert math.comb(v, 3) * 11 > core.MAX_SPECTRUM_WORDS
+    assert t_coverage_spectrum(d, 3) == {0: math.comb(v, 3) - 666, 1: 666}
+    assert t_coverage_spectrum(d, 2) == {0: math.comb(v, 2) - v, 1: v}
 
 
 # --- lambda_j --------------------------------------------------------------
@@ -279,16 +318,23 @@ def test_profile_multiword_points():
     assert list(intersection_profile(d).counts) == naive_profile(blocks)
 
 
+# Block rows per numpy call when _CHUNK_WORDS is set to hold that many.
+PROFILE_CHUNK = 8
+
+
 @pytest.mark.parametrize("v", [40, 100])  # one and two words per block
 @pytest.mark.parametrize("offset", [-1, 0, 1])
-def test_profile_matches_naive_oracle_at_chunk_edges(v, offset):
-    b = core._PROFILE_CHUNK_ROWS + offset
+def test_profile_matches_naive_oracle_at_chunk_edges(monkeypatch, v, offset):
+    b = PROFILE_CHUNK + offset
+    monkeypatch.setattr(core, "_CHUNK_WORDS", PROFILE_CHUNK * b * ((v + 63) // 64))
     d = _random_design(b + v, v, 20, b, 3)
     assert list(intersection_profile(d).counts) == naive_profile(d.blocks)
 
 
-def test_profile_matches_naive_oracle_over_several_chunks():
-    d = _random_design(1, 30, 9, 2 * core._PROFILE_CHUNK_ROWS + 5, 7)
+def test_profile_matches_naive_oracle_over_several_chunks(monkeypatch):
+    b = 2 * PROFILE_CHUNK + 5
+    monkeypatch.setattr(core, "_CHUNK_WORDS", PROFILE_CHUNK * b)
+    d = _random_design(1, 30, 9, b, 7)
     assert list(intersection_profile(d).counts) == naive_profile(d.blocks)
 
 
