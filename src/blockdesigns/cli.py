@@ -39,6 +39,7 @@ from .formats import (
     format_design,
     format_resolution,
     load_design,
+    load_design_or_resolution,
     load_resolution,
     resolution_to_dict,
     save_design,
@@ -91,16 +92,8 @@ def _params_text(params: DesignParams) -> str:
     return f"v={params.v} b={params.b} r={params.r} k={params.k}"
 
 
-def _load_design_or_resolution(path):
-    """(design, resolution-or-None) from either file flavor."""
-    try:
-        return load_resolution(path)
-    except FormatError:
-        return load_design(path), None
-
-
 def cmd_verify(args) -> int:
-    design, _ = _load_design_or_resolution(args.file)
+    design, _ = load_design_or_resolution(args.file)
     report: dict = {"command": "verify", "file": args.file}
     lines = [f"file: {args.file}"]
     report["v"] = design.points.size
@@ -170,7 +163,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    master, embedded = _load_design_or_resolution(args.master)
+    master, embedded = load_design_or_resolution(args.master)
     if args.resolution is not None:
         res_design, master_res = load_resolution(args.resolution)
         if res_design != master:
@@ -192,7 +185,7 @@ def cmd_construct(args) -> int:
             "master file has no classes; pass --resolution or --auto-resolve"
         )
 
-    indexing, _ = _load_design_or_resolution(args.indexing)
+    indexing, _ = load_design_or_resolution(args.indexing)
     built = shrikhande_raghavarao(master_res, indexing)
 
     report: dict = {"command": "construct", "master": args.master,
@@ -288,7 +281,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_resolve(args) -> int:
-    design, _ = _load_design_or_resolution(args.file)
+    design, _ = load_design_or_resolution(args.file)
     report: dict = {"command": "resolve", "file": args.file, "limit": args.limit}
     lines = [f"file: {args.file}"]
     try:
@@ -431,7 +424,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    design, _ = _load_design_or_resolution(args.file)
+    design, _ = load_design_or_resolution(args.file)
     profile = intersection_profile(design)
     report: dict = {
         "command": "profile",

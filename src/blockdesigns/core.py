@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -126,7 +127,7 @@ class Design:
                 raise DesignError(f"block {block} has size {len(block)}, expected {self.k}")
             if block[0] < 0 or block[-1] >= v:
                 raise DesignError(f"block {block} has points outside 0..{v - 1}")
-            if any(block[i] >= block[i + 1] for i in range(len(block) - 1)):
+            if not all(map(operator.lt, block, block[1:])):
                 raise DesignError(f"block {block} is not strictly increasing")
 
     @property

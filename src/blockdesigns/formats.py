@@ -30,6 +30,7 @@ __all__ = [
     "format_design",
     "format_resolution",
     "load_design",
+    "load_design_or_resolution",
     "load_resolution",
     "parse_design",
     "parse_resolution",
@@ -169,16 +170,20 @@ def parse_design(text: str) -> Design:
     return design
 
 
-def parse_resolution(text: str) -> tuple[Design, Resolution]:
-    design, class_breaks = _parse_lines(text)
-    if class_breaks is None:
-        raise FormatError("file has no class lines; use parse_design")
+def _resolution_from_breaks(design: Design, class_breaks: list[int]) -> Resolution:
     breaks = class_breaks + [len(design.blocks)]
     classes = tuple(
         ParallelClass(tuple(range(breaks[i], breaks[i + 1])))
         for i in range(len(class_breaks))
     )
-    return design, Resolution(design, classes)
+    return Resolution(design, classes)
+
+
+def parse_resolution(text: str) -> tuple[Design, Resolution]:
+    design, class_breaks = _parse_lines(text)
+    if class_breaks is None:
+        raise FormatError("file has no class lines; use parse_design")
+    return design, _resolution_from_breaks(design, class_breaks)
 
 
 def design_to_dict(design: Design) -> dict:
@@ -218,16 +223,19 @@ def resolution_to_dict(res: Resolution) -> dict:
     return data
 
 
-def resolution_from_dict(data: dict) -> tuple[Design, Resolution]:
-    design = design_from_dict(data)
+def _classes_from_dict(data: dict) -> tuple[ParallelClass, ...]:
     try:
-        classes = tuple(
+        return tuple(
             ParallelClass(tuple(int(ref) for ref in cls))
             for cls in data["classes"]
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad resolution object: {exc}") from exc
-    return design, Resolution(design, classes)
+
+
+def resolution_from_dict(data: dict) -> tuple[Design, Resolution]:
+    design = design_from_dict(data)
+    return design, Resolution(design, _classes_from_dict(data))
 
 
 def _is_json_path(path) -> bool:
@@ -246,6 +254,26 @@ def load_resolution(path) -> tuple[Design, Resolution]:
     if _is_json_path(path):
         return resolution_from_dict(_load_json(text))
     return parse_resolution(text)
+
+
+def load_design_or_resolution(path) -> tuple[Design, Resolution | None]:
+    """(design, resolution) from one read and parse of a file of either
+    flavor.  The resolution is None when a text file has no class lines or
+    a JSON object has no well-formed "classes" list; errors in the design
+    itself raise as from load_design."""
+    text = Path(path).read_text()
+    if _is_json_path(path):
+        data = _load_json(text)
+        design = design_from_dict(data)
+        try:
+            classes = _classes_from_dict(data)
+        except FormatError:
+            return design, None
+        return design, Resolution(design, classes)
+    design, class_breaks = _parse_lines(text)
+    if class_breaks is None:
+        return design, None
+    return design, _resolution_from_breaks(design, class_breaks)
 
 
 def _load_json(text: str) -> dict:

@@ -4,17 +4,26 @@ Elements are coefficient tuples of length n over GF(p), constant term
 first.  The element of rank i (0 <= i < q) has the base-p digits of i as
 coefficients, least significant first, so ``FieldSpec.elements()`` lists
 the field in a stable order suitable for serialization.
+
+For vectorised arithmetic, ``FieldSpec.add_table`` and ``mul_table`` are
+read-only q x q numpy arrays indexed by rank: entry [i, j] is the rank of
+the sum or product of the elements of ranks i and j.  They are built once
+per field from ``add`` and ``mul`` and shared by equal specs.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "FieldElement",
     "FieldSpec",
     "GaloisError",
+    "MAX_TABLE_ORDER",
     "NotPrimePower",
     "ReducibleModulus",
     "field",
@@ -54,6 +63,9 @@ _BUILTIN_MODULI: dict[int, tuple[int, ...]] = {
     49: (3, 6, 1),
     64: (1, 1, 0, 1, 1, 0, 1),
 }
+
+# Largest order with rank tables: q^2 entries of at most one byte each.
+MAX_TABLE_ORDER = 256
 
 
 def _is_prime(p: int) -> bool:
@@ -230,6 +242,37 @@ class FieldSpec:
         """All q elements, ordered by rank (coefficient vectors in
         lexicographic order, constant term fastest)."""
         return [self.from_rank(i) for i in range(self.q)]
+
+    @property
+    def add_table(self) -> np.ndarray:
+        """q x q ranks of sums: [i, j] is rank(add(from_rank(i), from_rank(j)))."""
+        return _rank_tables(self)[0]
+
+    @property
+    def mul_table(self) -> np.ndarray:
+        """q x q ranks of products: [i, j] is rank(mul(from_rank(i), from_rank(j)))."""
+        return _rank_tables(self)[1]
+
+
+@functools.lru_cache(maxsize=32)
+def _rank_tables(spec: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (add, mul) rank tables of spec, built from its polynomial
+    arithmetic."""
+    q = spec.q
+    if q > MAX_TABLE_ORDER:
+        raise GaloisError(
+            f"GF({q}) is above the largest order with rank tables, {MAX_TABLE_ORDER}"
+        )
+    elems = spec.elements()
+    tables = []
+    for op in (spec.add, spec.mul):
+        table = np.array(
+            [[spec.rank(op(a, b)) for b in elems] for a in elems],
+            dtype=np.uint8,
+        )
+        table.flags.writeable = False
+        tables.append(table)
+    return tables[0], tables[1]
 
 
 def field(q: int, modulus: tuple[int, ...] | None = None) -> FieldSpec:

@@ -7,6 +7,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import Block, Design, DesignError, PointSet
 from .galois import GaloisError, field
 from .resolution import ParallelClass, Resolution
@@ -121,7 +123,14 @@ def affine_hyperplane_design(m: int, q: int) -> tuple[Design, Resolution]:
 
     Points are the q^m coordinate vectors over GF(q), indexed by rank with
     the first coordinate most significant.  Directions are normal vectors
-    normalized so the first nonzero coordinate is 1.
+    normalized so the first nonzero coordinate is 1, taken in point order;
+    the hyperplanes of a class are ordered by the rank of the dot product
+    with the normal.
+
+    The q^m x m array of coordinate ranks is built once; each direction's
+    dot products are reduced through the field's rank tables, and one
+    stable argsort splits the points into the q hyperplanes of q^(m-1)
+    points each, in increasing order.
     """
     if m < 2:
         raise DesignError(f"need dimension m >= 2, got {m}")
@@ -129,23 +138,20 @@ def affine_hyperplane_design(m: int, q: int) -> tuple[Design, Resolution]:
         spec = field(q)
     except GaloisError as exc:
         raise UnsupportedField(str(exc)) from exc
-    elems = spec.elements()
-    zero, one = spec.zero(), spec.one()
-    vectors = list(itertools.product(elems, repeat=m))
-    index = {vec: i for i, vec in enumerate(vectors)}
+    add, mul = spec.add_table, spec.mul_table
+    v = q**m
+    weights = q ** np.arange(m - 1, -1, -1)
+    coords = (np.arange(v)[:, None] // weights % q).astype(add.dtype)
+    # Rank 1 is the field's one: keep vectors whose first nonzero rank is 1.
+    first = coords[np.arange(v), (coords != 0).argmax(axis=1)]
     classes = []
-    for normal in vectors:
-        nonzero = [c for c in normal if c != zero]
-        if not nonzero or nonzero[0] != one:
-            continue
-        buckets: dict = {c: [] for c in elems}
-        for vec in vectors:
-            total = zero
-            for a, x in zip(normal, vec):
-                total = spec.add(total, spec.mul(a, x))
-            buckets[total].append(index[vec])
-        classes.append([tuple(bucket) for bucket in buckets.values()])
-    return _resolution_from_classes(PointSet(q**m), classes, q ** (m - 1))
+    for normal in coords[first == 1]:
+        total = mul[normal[0], coords[:, 0]]
+        for c in range(1, m):
+            total = add[total, mul[normal[c], coords[:, c]]]
+        planes = np.argsort(total, kind="stable").reshape(q, v // q)
+        classes.append([tuple(plane) for plane in planes.tolist()])
+    return _resolution_from_classes(PointSet(v), classes, q ** (m - 1))
 
 
 def cyclic_point_set(n: int, has_infinity: bool) -> PointSet:

@@ -257,6 +257,7 @@ def _replacement_alphas(
     design: Design,
     class_a: ParallelClass,
     class_b: ParallelClass,
+    block_masks,
     budget: list[int],
 ) -> set[int]:
     """All values of |S ∩ class_a| over parallel classes S built from the
@@ -265,12 +266,13 @@ def _replacement_alphas(
     Every such S leaves a complementary parallel class (each point is
     covered exactly twice by the two classes), so S ranges over all valid
     replacement pairs.  The intersection with class_a is counted on block
-    contents as a multiset.  `budget` is the node counter of
-    _class_completions, shared across calls.
+    contents as a multiset.  `block_masks[ref]` is the point mask of block
+    instance ref, for every ref of the two classes.  `budget` is the node
+    counter of _class_completions, shared across calls.
     """
     refs = list(class_a.block_refs) + list(class_b.block_refs)
     blocks = [design.blocks[ref] for ref in refs]
-    masks = [block_mask(block) for block in blocks]
+    masks = [block_masks[ref] for ref in refs]
     full = (1 << design.points.size) - 1
     a_content = Counter(design.blocks[ref] for ref in class_a.block_refs)
     every_block = [range(len(refs))] * design.points.size
@@ -304,8 +306,14 @@ def is_alpha_prp(
             raise DesignError(problem)
     if set(class_a.block_refs) & set(class_b.block_refs):
         raise DesignError("classes share a block instance")
+    masks = {
+        ref: block_mask(design.blocks[ref])
+        for ref in class_a.block_refs + class_b.block_refs
+    }
     try:
-        alphas = _replacement_alphas(design, class_a, class_b, [node_budget])
+        alphas = _replacement_alphas(
+            design, class_a, class_b, masks, [node_budget]
+        )
     except SearchBudgetExceeded:
         raise SearchBudgetExceeded(node_budget, [], "PRP violation(s)") from None
     return alpha in alphas
@@ -333,11 +341,12 @@ def prp_violations(
             raise BadAlpha(f"alpha must be in 1..{w - 1}, got {alpha}")
     out: list[tuple[int, int, int]] = []
     budget = [node_budget]
+    masks = [block_mask(block) for block in design.blocks]
     for i in range(len(res.classes)):
         for j in range(i + 1, len(res.classes)):
             try:
                 alphas = _replacement_alphas(
-                    design, res.classes[i], res.classes[j], budget
+                    design, res.classes[i], res.classes[j], masks, budget
                 )
             except SearchBudgetExceeded:
                 raise SearchBudgetExceeded(

@@ -117,3 +117,42 @@ def naive_prp_witness(blocks_a, blocks_b, alpha, v) -> bool:
         if overlap == alpha:
             return True
     return False
+
+
+def naive_affine_hyperplane_design(m, q):
+    """(blocks, class refs, k) of AG(m, q)'s hyperplanes by element-wise
+    field arithmetic.
+
+    Points are coordinate vectors in rank order (first coordinate most
+    significant), directions are the normal vectors whose first nonzero
+    coordinate is 1, and each direction's hyperplanes are listed by the
+    rank of their dot product.  Sums and products come from FieldSpec.add
+    and FieldSpec.mul on element tuples, looked up per pair; the dot
+    products of all points extend those of their coordinate prefixes.
+    """
+    from blockdesigns.galois import field
+
+    spec = field(q)
+    elems = spec.elements()
+    zero, one = spec.zero(), spec.one()
+    add = {(a, b): spec.add(a, b) for a in elems for b in elems}
+    mul = {(a, b): spec.mul(a, b) for a in elems for b in elems}
+    blocks = []
+    classes = []
+    for normal in itertools.product(elems, repeat=m):
+        nonzero = [c for c in normal if c != zero]
+        if not nonzero or nonzero[0] != one:
+            continue
+        dots = [zero]
+        for a in normal:
+            terms = [mul[a, x] for x in elems]
+            dots = [add[s, t] for s in dots for t in terms]
+        buckets = {c: [] for c in elems}
+        for index, dot in enumerate(dots):
+            buckets[dot].append(index)
+        refs = []
+        for bucket in buckets.values():
+            refs.append(len(blocks))
+            blocks.append(tuple(bucket))
+        classes.append(tuple(refs))
+    return tuple(blocks), tuple(classes), q ** (m - 1)

@@ -27,16 +27,22 @@ from blockdesigns.construct import (
 from blockdesigns.core import (
     DesignError,
     DesignParams,
+    intersection_profile,
     is_simple,
     make_design,
     t_coverage_spectrum,
     verify_ibd,
 )
-from blockdesigns.generators import cyclic_develop, trivial_design
+from blockdesigns.generators import (
+    affine_hyperplane_design,
+    cyclic_develop,
+    trivial_design,
+)
 from blockdesigns.resolution import (
     ParallelClass,
     Resolution,
     find_resolutions,
+    prp_violations,
     verify_resolution,
 )
 
@@ -87,6 +93,20 @@ def test_affine_construction_counts(ag28):
     assert len(built.design.blocks) == 9 * 70
     assert built.design.k == 32
     assert verify_ibd(built.design).as_tuple() == (64, 630, 315, 32)
+
+
+def test_affine_16_golden_3_256_128_63():
+    master, res = affine_hyperplane_design(2, 16)
+    indexing, _ = affine_hyperplane_design(4, 2)  # a 3-(16,8,3) design
+    built = shrikhande_raghavarao(res, indexing).design
+    assert len(built.blocks) == 510
+    assert is_simple(built)
+    assert t_coverage_spectrum(built, 3) == {63: 2_763_520}  # C(256, 3)
+    counts = intersection_profile(built).counts
+    assert counts[0] == 255 and counts[64] == 129_540
+    assert sum(counts) == counts[0] + counts[64]
+    assert prp_violations(master, res, alpha_filter={8}) == []
+    assert predicted_mu_affine(16, 2, 3) == 63
 
 
 def test_dimension_mismatch(ag23):

@@ -10,6 +10,7 @@ from blockdesigns.formats import (
     format_design,
     format_resolution,
     load_design,
+    load_design_or_resolution,
     load_resolution,
     parse_design,
     parse_resolution,
@@ -150,3 +151,26 @@ def test_save_load_by_suffix(tmp_path):
     save_resolution(res, res_json)
     assert load_resolution(res_text)[1] == res
     assert load_resolution(res_json)[1] == res
+
+
+def test_load_design_or_resolution_reads_either_flavor(tmp_path):
+    design = sample_design()
+    _, res = round_robin_one_factorization(4)
+    for suffix in (".txt", ".json"):
+        save_design(design, tmp_path / f"d{suffix}")
+        save_resolution(res, tmp_path / f"r{suffix}")
+        assert load_design_or_resolution(tmp_path / f"d{suffix}") == (design, None)
+        assert load_design_or_resolution(tmp_path / f"r{suffix}") == (res.design, res)
+
+    data = resolution_to_dict(res)
+    data["classes"] = 5  # malformed classes: read as a plain design
+    (tmp_path / "bad.json").write_text(json.dumps(data))
+    assert load_design_or_resolution(tmp_path / "bad.json") == (res.design, None)
+
+    data["b"] = 99  # a bad design raises as load_design does
+    (tmp_path / "bad.json").write_text(json.dumps(data))
+    with pytest.raises(FormatError, match="declares b=99"):
+        load_design_or_resolution(tmp_path / "bad.json")
+    (tmp_path / "bad.txt").write_text("design v=4 k=2 b=1\nclass 0\n0 1\n2 3\n")
+    with pytest.raises(FormatError, match="declares b=1"):
+        load_design_or_resolution(tmp_path / "bad.txt")

@@ -133,3 +133,26 @@ def test_unsupported_order_needs_modulus():
         field(17)
     spec = field(17, modulus=(0, 1))
     assert spec.q == 17
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [field(q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 49, 64)]
+    + [field(17, modulus=(0, 1))],
+    ids=lambda spec: f"GF({spec.q})",
+)
+def test_rank_tables_agree_with_polynomial_arithmetic(spec):
+    elems = spec.elements()
+    add, mul = spec.add_table, spec.mul_table
+    assert add.shape == mul.shape == (spec.q, spec.q)
+    assert not add.flags.writeable and not mul.flags.writeable
+    for i, a in enumerate(elems):
+        for j, b in enumerate(elems):
+            assert add[i, j] == spec.rank(spec.add(a, b))
+            assert mul[i, j] == spec.rank(spec.mul(a, b))
+
+
+def test_rank_tables_refuse_large_orders():
+    spec = field(257, modulus=(0, 1))
+    with pytest.raises(GaloisError, match="rank tables"):
+        spec.add_table

@@ -20,6 +20,8 @@ from blockdesigns.generators import (
 )
 from blockdesigns.resolution import prp_violations, verify_resolution
 
+from oracles import naive_affine_hyperplane_design
+
 
 # --- trivial designs ---------------------------------------------------------
 
@@ -144,6 +146,23 @@ def test_affine_cross_class_intersections(m, q):
             assert meet == 0
         else:
             assert meet == expected
+
+
+AFFINE_SIZES = [
+    (m, q)
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 49, 64)
+    for m in range(2, 11)
+    if q**m <= 1024
+]
+
+
+@pytest.mark.parametrize("m,q", AFFINE_SIZES)
+def test_affine_matches_elementwise_oracle(m, q):
+    design, res = affine_hyperplane_design(m, q)
+    blocks, class_refs, k = naive_affine_hyperplane_design(m, q)
+    assert design.blocks == blocks
+    assert tuple(cls.block_refs for cls in res.classes) == class_refs
+    assert design.k == k
 
 
 def test_affine_rejects_bad_field():
