@@ -146,6 +146,7 @@ def test_rank_tables_agree_with_polynomial_arithmetic(spec):
     add, mul = spec.add_table, spec.mul_table
     assert add.shape == mul.shape == (spec.q, spec.q)
     assert not add.flags.writeable and not mul.flags.writeable
+    assert FieldSpec(spec.p, spec.n, spec.modulus).mul_table is mul  # built once
     for i, a in enumerate(elems):
         for j, b in enumerate(elems):
             assert add[i, j] == spec.rank(spec.add(a, b))
