@@ -4,8 +4,10 @@ form on small inputs.  The commands run in order in one scratch directory
 (relative paths keep the output free of machine paths), so later commands
 read what earlier ones wrote.
 
-Regenerate the goldens with ``PYTHONPATH=src python tests/test_cli_transcripts.py``
-and review the diff: every changed byte is a change in behaviour.
+``PYTHONPATH=src python tests/test_cli_transcripts.py`` appends the records
+of commands the goldens lack.  It refuses, writing nothing, when an existing
+record would change or lose its command: every changed byte is a change in
+behaviour.  To re-record a command, delete its record by hand first.
 """
 
 import contextlib
@@ -40,6 +42,8 @@ FILES = {
         "design v=7 k=3 b=7\n"
         "0 1 2\n0 3 4\n0 5 6\n1 3 5\n1 4 6\n2 3 6\n2 4 5\n"
     ),
+    # A repeated block on points 0 and 1; points 2 and 3 lie in no block.
+    "repeated.design": "design v=4 k=2 b=2\n0 1\n0 1\n",
     "bad.design": "not a design\n",
     "bad.json": '{"v": 4, "k": 2}\n',
 }
@@ -148,6 +152,14 @@ COMMANDS = [
     ["construct", "ag27.res", "fano.design", "--out", "fano_built.json",
      "--json"],
     ["verify", "fano_built.design", "--t", "2", "--t", "3"],
+    # paths of the report builders that the records above leave out
+    ["verify", "repeated.design", "--t", "2", "--expect-simple"],
+    ["verify", "repeated.design", "--t", "2", "--expect-simple", "--json"],
+    ["verify", "t63.design", "--t", "2", "--t", "2"],
+    ["verify", "t63.design", "--t", "2", "--t", "2", "--json"],
+    ["profile", "built.design", "--expect", "1,2,3"],
+    ["prp", "k8.res", "--budget", "20"],
+    ["prp", "k8.res", "--budget", "20", "--json"],
 ]
 
 
@@ -214,10 +226,30 @@ def test_transcript_matches_golden(transcript, golden, index):
     assert transcript[index] == golden[index]
 
 
+def append_new_records(directory: Path) -> int:
+    """Record the commands the goldens lack; exit status 0, or 1 (nothing
+    written) when an existing record would change or has no command."""
+    golden = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else []
+    old = {tuple(record["argv"]): record for record in golden}
+    records = run_transcript(directory)
+    kept = {tuple(record["argv"]) for record in records}
+    changed = [
+        record["argv"] for record in records
+        if old.get(tuple(record["argv"]), record) != record
+    ] + [list(argv) for argv in old if argv not in kept]
+    if changed:
+        print("records would change or go; nothing written:", file=sys.stderr)
+        for argv in changed:
+            print(f"  {' '.join(argv)}", file=sys.stderr)
+        return 1
+    GOLDEN.write_text(json.dumps(records, indent=1, ensure_ascii=False) + "\n")
+    print(f"appended {len(records) - len(golden)} records to {GOLDEN.name}",
+          file=sys.stderr)
+    return 0
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as scratch:
-        records = run_transcript(Path(scratch))
-    GOLDEN.write_text(json.dumps(records, indent=1, ensure_ascii=False) + "\n")
-    print(f"wrote {len(records)} records to {GOLDEN}", file=sys.stderr)
+        sys.exit(append_new_records(Path(scratch)))
