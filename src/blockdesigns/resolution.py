@@ -266,22 +266,23 @@ def _replacement_alphas(
     Every such S leaves a complementary parallel class (each point is
     covered exactly twice by the two classes), so S ranges over all valid
     replacement pairs.  The intersection with class_a is counted on block
-    contents as a multiset.  `block_masks[ref]` is the point mask of block
-    instance ref, for every ref of the two classes.  `budget` is the node
-    counter of _class_completions, shared across calls.
+    contents as a multiset.  Neither S nor class_a repeats a block (their
+    blocks are disjoint), so that is the number of blocks of S whose
+    content is a block of class_a.  `block_masks[ref]` is the point mask
+    of block instance ref, for every ref of the two classes.  `budget` is
+    the node counter of _class_completions, shared across calls.
     """
     refs = list(class_a.block_refs) + list(class_b.block_refs)
-    blocks = [design.blocks[ref] for ref in refs]
     masks = [block_masks[ref] for ref in refs]
     full = (1 << design.points.size) - 1
-    a_content = Counter(design.blocks[ref] for ref in class_a.block_refs)
+    a_content = {design.blocks[ref] for ref in class_a.block_refs}
+    in_a = [design.blocks[ref] in a_content for ref in refs]
     every_block = [range(len(refs))] * design.points.size
     alphas: set[int] = set()
     for chosen in _class_completions(
         [], 0, full, every_block, masks, [False] * len(refs), budget
     ):
-        overlap = Counter(blocks[j] for j in chosen) & a_content
-        alphas.add(sum(overlap.values()))
+        alphas.add(sum(in_a[j] for j in chosen))
     return alphas
 
 

@@ -5,6 +5,7 @@ import pytest
 from blockdesigns.catalog import catalog_entry
 from blockdesigns.core import DesignError, make_design
 from blockdesigns.generators import (
+    CyclicBaseSpec,
     affine_hyperplane_design,
     cyclic_develop,
     sub_factorization_embedding,
@@ -256,6 +257,37 @@ def test_prp_violations_k8(k8_subfac):
         blocks_i = [design.blocks[r] for r in res.classes[i].block_refs]
         blocks_j = [design.blocks[r] for r in res.classes[j].block_refs]
         assert naive_prp_witness(blocks_i, blocks_j, alpha, design.points.size)
+
+
+def _doubled(design, res):
+    """Every block and every class twice: class i + len(res.classes) holds
+    the copies of class i's blocks, so the two share all their contents."""
+    b = len(design.blocks)
+    twice = make_design(design.points.size, design.blocks + design.blocks)
+    copies = tuple(
+        ParallelClass(tuple(ref + b for ref in cls.block_refs)) for cls in res.classes
+    )
+    return twice, Resolution(twice, res.classes + copies)
+
+
+@pytest.mark.parametrize("name", ["K_8 embedding doubled", "Z_4 development"])
+def test_prp_violations_match_oracle_on_shared_contents(name):
+    # Alpha counts block contents as a multiset, not block instances: a
+    # class and a copy of it admit only replacements with alpha = w.
+    if name == "Z_4 development":
+        base = CyclicBaseSpec(n=4, has_infinity=False, base_class=((0, 1), (2, 3)))
+        design, res = cyclic_develop(base)  # classes 0 and 2 are equal
+    else:
+        design, res = _doubled(*sub_factorization_embedding(2))
+    w = design.points.size // design.k
+    violations = set(prp_violations(design, res))
+    for i in range(len(res.classes)):
+        for j in range(i + 1, len(res.classes)):
+            blocks_i = [design.blocks[r] for r in res.classes[i].block_refs]
+            blocks_j = [design.blocks[r] for r in res.classes[j].block_refs]
+            for alpha in range(1, w):
+                expected = naive_prp_witness(blocks_i, blocks_j, alpha, w * design.k)
+                assert ((i, j, alpha) in violations) == expected, (i, j, alpha)
 
 
 def test_prp_alpha_filter(k8_subfac):
