@@ -12,6 +12,7 @@ from .construct import (
     ThreeDesignAnalysis,
     ThreeDesignCase,
     classify_three_design,
+    indexing_balance,
     inherited_resolution,
     measure_params,
     predict_bibd_lambda,

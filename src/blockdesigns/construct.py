@@ -38,6 +38,7 @@ __all__ = [
     "ThreeDesignAnalysis",
     "ThreeDesignCase",
     "classify_three_design",
+    "indexing_balance",
     "inherited_resolution",
     "measure_params",
     "predict_bibd_lambda",
@@ -99,9 +100,10 @@ class IndexingParams:
         block size is 2 (where the triple coverage is identically 0).
         """
         params = measure_params(design)
-        if params.t < 2:
+        balance = indexing_balance(params)
+        if balance < 2:
             raise DesignError("indexing design is not 2-balanced")
-        if params.k > 2 and params.t < 3:
+        if balance < 3:
             raise DesignError("indexing design is not 3-balanced")
         return cls.from_params(params)
 
@@ -117,6 +119,13 @@ class IndexingParams:
             lambda_prime=params.lam if params.t == 3 else 0,
             lambda2_prime=_pair_coverage(params) if params.t >= 2 else 0,
         )
+
+
+def indexing_balance(params: DesignParams) -> int:
+    """The strength an indexing design with measured `params` is balanced
+    at for the construction.  Blocks of size 2 cover no triple, so k' = 2
+    needs only 2-balance to count as 3-balanced."""
+    return 3 if params.k == 2 and params.t == 2 else params.t
 
 
 def measure_params(design: Design) -> DesignParams:

@@ -12,6 +12,7 @@ from blockdesigns.construct import (
     SimplicityVerdict,
     ThreeDesignCase,
     classify_three_design,
+    indexing_balance,
     inherited_resolution,
     measure_params,
     predict_bibd_lambda,
@@ -428,6 +429,23 @@ def test_predict_triple_coverage_by_case():
     assert predict_triple_coverage(master_pairs, IDX_4_2) == 3
     idx_6_4 = IndexingParams.from_design(trivial_design(6, 4))
     assert predict_triple_coverage(MASTER_30_5_4, idx_6_4) is None
+
+
+def test_indexing_balance_counts_pair_indexing_as_three_balanced():
+    fano = make_design(7, [(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)])
+    two_one_factors = make_design(
+        8, [(0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (1, 3), (4, 6), (5, 7)]
+    )
+    cases = [
+        (trivial_design(6, 3), 3),
+        (trivial_design(4, 2), 3),  # k' = 2 covers no triple
+        (fano, 2),
+        (two_one_factors, 1),
+    ]
+    for design, balance in cases:
+        assert indexing_balance(measure_params(design)) == balance
+    with pytest.raises(DesignError, match="not 2-balanced"):
+        IndexingParams.from_design(two_one_factors)
 
 
 def test_indexing_params_rejects_unbalanced():
