@@ -2,8 +2,10 @@
 
 Subcommands: verify, construct, resolve, prp, develop, gen, profile,
 reproduce.  Every command prints a deterministic report; ``--json``
-switches it to a structured document.  Exit codes: 0 success, 1 a property
-or expectation failed, 2 usage/parse error, 3 search budget exhausted.
+switches it to a structured document.  Each command builds one report
+that records each text line with its JSON fields.  Exit codes: 0 success,
+1 a property or expectation failed, 2 usage/parse error, 3 search budget
+exhausted.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from .catalog import catalog_entry, catalog_names
 from .construct import (
     IndexingParams,
     classify_three_design,
+    indexing_balance,
     measure_params,
     predict_bibd_lambda,
     predict_ibd_params,
@@ -76,12 +79,27 @@ def _jsonable(value):
     return value
 
 
-def _emit(report: dict, lines: list[str], as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(_jsonable(report), indent=2, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
+class _Report:
+    """One command's report: the fields ``--json`` prints and the text
+    lines printed without it, recorded together."""
+
+    def __init__(self, line: str | None = None, **fields):
+        self.fields: dict = {}
+        self.lines: list[str] = []
+        self.add(line, **fields)
+
+    def add(self, line: str | None = None, **fields) -> None:
+        """Record a text line (if any) and the JSON fields that go with it."""
+        if line is not None:
+            self.lines.append(line)
+        self.fields.update(fields)
+
+    def emit(self, as_json: bool) -> None:
+        if as_json:
+            print(json.dumps(_jsonable(self.fields), indent=2, sort_keys=True))
+        else:
+            for line in self.lines:
+                print(line)
 
 
 def _spectrum_text(spectrum: dict[int, int]) -> str:
@@ -92,57 +110,48 @@ def _params_text(params: DesignParams) -> str:
     return f"v={params.v} b={params.b} r={params.r} k={params.k}"
 
 
+def _yes(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
 def cmd_verify(args) -> int:
     design, _ = load_design_or_resolution(args.file)
-    report: dict = {"command": "verify", "file": args.file}
-    lines = [f"file: {args.file}"]
-    report["v"] = design.points.size
-    report["k"] = design.k
-    report["b"] = len(design.blocks)
-    lines.append(f"v: {design.points.size}  k: {design.k}  b: {len(design.blocks)}")
-
-    failures = []
+    v, b = design.points.size, len(design.blocks)
+    report = _Report(f"file: {args.file}", command="verify", file=args.file)
+    report.add(f"v: {v}  k: {design.k}  b: {b}", v=v, k=design.k, b=b)
     try:
         params = verify_ibd(design)
-        report["ibd"] = {"v": params.v, "b": params.b, "r": params.r, "k": params.k}
-        lines.append(f"ibd: {_params_text(params)}")
+        report.add(f"ibd: {_params_text(params)}", ibd={
+            "v": params.v, "b": params.b, "r": params.r, "k": params.k})
     except NonConstantReplication as exc:
         params = None
-        report["ibd"] = None
-        report["ibd_error"] = str(exc)
-        lines.append(f"ibd: FAIL ({exc})")
+        report.add(f"ibd: FAIL ({exc})", ibd=None, ibd_error=str(exc))
 
-    report["spectra"] = {}
+    spectra = {}
     for t in args.t or []:
-        spectrum = t_coverage_spectrum(design, t)
-        report["spectra"][t] = spectrum
-        lines.append(f"coverage t={t}: {_spectrum_text(spectrum)}")
+        spectra[t] = t_coverage_spectrum(design, t)
+        report.add(f"coverage t={t}: {_spectrum_text(spectra[t])}")
+    report.add(spectra=spectra)
 
     simple = is_simple(design)
     trivial = is_trivial(design)
-    report["simple"] = simple
-    report["trivial"] = trivial
-    lines.append(f"simple: {'yes' if simple else 'no'}")
-    lines.append(f"trivial: {'yes' if trivial else 'no'}")
+    report.add(f"simple: {_yes(simple)}", simple=simple)
+    report.add(f"trivial: {_yes(trivial)}", trivial=trivial)
+
+    expectations = []
 
     def expect(name: str, ok: bool, detail: str) -> None:
-        if not ok:
-            failures.append(name)
-        report.setdefault("expectations", []).append(
-            {"name": name, "ok": ok, "detail": detail}
-        )
-        lines.append(f"expect {name}: {'PASS' if ok else 'FAIL'} ({detail})")
+        expectations.append({"name": name, "ok": ok, "detail": detail})
+        report.add(f"expect {name}: {'PASS' if ok else 'FAIL'} ({detail})",
+                   expectations=expectations)
 
     if args.expect_lambda is not None:
         if not args.t or len(args.t) != 1:
             raise DesignError("--expect-lambda needs exactly one --t")
-        spectrum = report["spectra"][args.t[0]]
+        spectrum = spectra[args.t[0]]
         ok = list(spectrum) == [args.expect_lambda]
-        expect(
-            f"lambda={args.expect_lambda} (t={args.t[0]})",
-            ok,
-            _spectrum_text(spectrum),
-        )
+        expect(f"lambda={args.expect_lambda} (t={args.t[0]})", ok,
+               _spectrum_text(spectrum))
     if args.expect_simple:
         expect("simple", simple, "no repeated blocks" if simple else "repeated block")
     if args.expect_params:
@@ -157,9 +166,10 @@ def cmd_verify(args) -> int:
         observed = params.as_tuple() if params else None
         expect("params", observed == wanted, f"observed {observed}")
 
-    report["ok"] = not failures
-    _emit(report, lines, args.json)
-    return EXIT_FAIL if failures else EXIT_OK
+    ok = all(expectation["ok"] for expectation in expectations)
+    report.add(ok=ok)
+    report.emit(args.json)
+    return EXIT_OK if ok else EXIT_FAIL
 
 
 def cmd_construct(args) -> int:
@@ -167,9 +177,7 @@ def cmd_construct(args) -> int:
     if args.resolution is not None:
         res_design, master_res = load_resolution(args.resolution)
         if res_design != master:
-            raise DesignError(
-                "resolution file does not match the master design"
-            )
+            raise DesignError("resolution file does not match the master design")
         source = "file"
     elif embedded is not None:
         master_res = embedded
@@ -188,82 +196,71 @@ def cmd_construct(args) -> int:
     indexing, _ = load_design_or_resolution(args.indexing)
     built = shrikhande_raghavarao(master_res, indexing)
 
-    report: dict = {"command": "construct", "master": args.master,
-                    "indexing": args.indexing, "resolution_source": source}
-    lines = []
+    report = _Report(command="construct", master=args.master,
+                     indexing=args.indexing, resolution_source=source)
     master_params = measure_params(master)
-    lines.append(
+    report.add(
         f"master: {_params_text(master_params)} lambda={master_params.lam} "
         f"(t={master_params.t}, resolution {source}, "
-        f"{len(master_res.classes)} classes)"
+        f"{len(master_res.classes)} classes)",
+        master_params={"t": master_params.t, "v": master_params.v,
+                       "b": master_params.b, "r": master_params.r,
+                       "k": master_params.k, "lambda": master_params.lam},
     )
-    report["master_params"] = {
-        "t": master_params.t, "v": master_params.v, "b": master_params.b,
-        "r": master_params.r, "k": master_params.k, "lambda": master_params.lam,
-    }
 
     measured = measure_params(indexing)
     indexing_params = IndexingParams.from_params(measured)
-    # Blocks of size 2 cover no triple, so k' = 2 needs only 2-balance.
-    balance = 3 if measured.k == 2 and measured.t == 2 else measured.t
+    balance = indexing_balance(measured)
+    lambda2 = f"lambda2'={indexing_params.lambda2_prime}"
     if balance == 3:
-        coverage = (
-            f"lambda2'={indexing_params.lambda2_prime} "
-            f"lambda3'={indexing_params.lambda_prime}"
-        )
+        coverage = f"{lambda2} lambda3'={indexing_params.lambda_prime}"
     elif balance == 2:
-        coverage = (
-            f"lambda2'={indexing_params.lambda2_prime} "
-            "(not 3-balanced; triple-coverage prediction skipped)"
-        )
+        coverage = f"{lambda2} (not 3-balanced; triple-coverage prediction skipped)"
     else:
         coverage = "(not 2-balanced; coverage predictions skipped)"
-    lines.append(
+    report.add(
         f"indexing: w={indexing_params.w} b'={indexing_params.b_prime} "
-        f"r'={indexing_params.r_prime} k'={indexing_params.k_prime} {coverage}"
+        f"r'={indexing_params.r_prime} k'={indexing_params.k_prime} {coverage}",
+        indexing_params={
+            "w": indexing_params.w, "b_prime": indexing_params.b_prime,
+            "r_prime": indexing_params.r_prime,
+            "k_prime": indexing_params.k_prime,
+        },
     )
-    report["indexing_params"] = {
-        "w": indexing_params.w, "b_prime": indexing_params.b_prime,
-        "r_prime": indexing_params.r_prime, "k_prime": indexing_params.k_prime,
-    }
 
     predicted = predict_ibd_params(master_params, indexing_params)
     observed = verify_ibd(built.design)
-    lines.append(f"predicted: {_params_text(predicted)}")
-    lines.append(f"observed:  {_params_text(observed)}")
-    report["predicted_params"] = list(predicted.as_tuple())
-    report["observed_params"] = list(observed.as_tuple())
-    report["params_match"] = predicted.as_tuple() == observed.as_tuple()
+    report.add(f"predicted: {_params_text(predicted)}",
+               predicted_params=predicted.as_tuple())
+    report.add(f"observed:  {_params_text(observed)}",
+               observed_params=observed.as_tuple(),
+               params_match=predicted.as_tuple() == observed.as_tuple())
 
     if balance >= 2 and master_params.t >= 2:
         lam2 = predict_bibd_lambda(master_params, indexing_params)
-        lines.append(f"predicted pair coverage: {lam2}")
-        report["predicted_pair_coverage"] = lam2
+        report.add(f"predicted pair coverage: {lam2}", predicted_pair_coverage=lam2)
 
     if balance == 3 and master_params.t >= 2:
         analysis = classify_three_design(master_params, indexing_params.k_prime)
-        lines.append(f"three-design case: {analysis.case.value}")
-        report["three_design_case"] = analysis.case.value
+        report.add(f"three-design case: {analysis.case.value}",
+                   three_design_case=analysis.case.value)
         if analysis.note:
-            lines.append(f"note: {analysis.note}")
-            report["three_design_note"] = analysis.note
+            report.add(f"note: {analysis.note}", three_design_note=analysis.note)
         mu = predict_triple_coverage(master_params, indexing_params)
         if mu is not None:
-            lines.append(f"predicted triple coverage: {mu}")
-            report["predicted_triple_coverage"] = mu
+            report.add(f"predicted triple coverage: {mu}",
+                       predicted_triple_coverage=mu)
 
     simple = is_simple(built.design)
-    lines.append(f"constructed simple: {'yes' if simple else 'no'}")
-    report["constructed_simple"] = simple
+    report.add(f"constructed simple: {_yes(simple)}", constructed_simple=simple)
 
     if args.check_three:
         spectrum = t_coverage_spectrum(built.design, 3)
-        lines.append(f"observed coverage t=3: {_spectrum_text(spectrum)}")
-        report["observed_triple_spectrum"] = spectrum
+        report.add(f"observed coverage t=3: {_spectrum_text(spectrum)}",
+                   observed_triple_spectrum=spectrum)
 
     save_design(built.design, args.out)
-    lines.append(f"wrote: {args.out}")
-    report["out"] = args.out
+    report.add(f"wrote: {args.out}", out=args.out)
     if args.provenance:
         payload = {
             "blocks": len(built.design.blocks),
@@ -273,103 +270,85 @@ def cmd_construct(args) -> int:
         with open(args.provenance, "w") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
-        lines.append(f"wrote provenance: {args.provenance}")
-        report["provenance_out"] = args.provenance
+        report.add(f"wrote provenance: {args.provenance}",
+                   provenance_out=args.provenance)
 
-    _emit(report, lines, args.json)
+    report.emit(args.json)
     return EXIT_OK
 
 
 def cmd_resolve(args) -> int:
     design, _ = load_design_or_resolution(args.file)
-    report: dict = {"command": "resolve", "file": args.file, "limit": args.limit}
-    lines = [f"file: {args.file}"]
+    report = _Report(f"file: {args.file}", command="resolve", file=args.file,
+                     limit=args.limit)
     try:
         found = find_resolutions(design, limit=args.limit, node_budget=args.budget)
     except SearchBudgetExceeded as exc:
-        report["budget_exhausted"] = True
-        report["found"] = len(exc.found)
-        lines.append(f"search budget exhausted: {exc}")
-        _emit(report, lines, args.json)
+        report.add(f"search budget exhausted: {exc}", budget_exhausted=True,
+                   found=len(exc.found))
+        report.emit(args.json)
         return EXIT_BUDGET
-    report["found"] = len(found)
-    report["complete"] = len(found) < args.limit
-    lines.append(
+    complete = len(found) < args.limit
+    report.add(
         f"resolutions found: {len(found)}"
-        + (" (search complete)" if len(found) < args.limit else f" (limit {args.limit})")
+        + (" (search complete)" if complete else f" (limit {args.limit})"),
+        found=len(found), complete=complete,
     )
     if found and args.out:
         save_resolution(found[0], args.out)
-        lines.append(f"wrote: {args.out}")
-        report["out"] = args.out
-    _emit(report, lines, args.json)
+        report.add(f"wrote: {args.out}", out=args.out)
+    report.emit(args.json)
     return EXIT_OK
 
 
 def cmd_prp(args) -> int:
     design, res = load_resolution(args.file)
     w = design.points.size // design.k
-    report: dict = {"command": "prp", "file": args.file,
-                    "classes": len(res.classes), "w": w}
-    lines = [f"resolution: {len(res.classes)} classes, w={w}"]
+    report = _Report(f"resolution: {len(res.classes)} classes, w={w}",
+                     command="prp", file=args.file, classes=len(res.classes), w=w)
     alpha_filter = set(args.alpha) if args.alpha else None
-    label = (
-        ",".join(str(a) for a in sorted(alpha_filter))
-        if alpha_filter
-        else f"all 1..{w - 1}"
-    )
-    lines.append(f"alpha filter: {label}")
-    report["alpha_filter"] = sorted(alpha_filter) if alpha_filter else None
+    label = (",".join(str(a) for a in sorted(alpha_filter)) if alpha_filter
+             else f"all 1..{w - 1}")
+    report.add(f"alpha filter: {label}",
+               alpha_filter=sorted(alpha_filter) if alpha_filter else None)
+    code = EXIT_OK
     try:
         violations = prp_violations(
             design, res, alpha_filter=alpha_filter, node_budget=args.budget
         )
     except SearchBudgetExceeded as exc:
-        report["budget_exhausted"] = True
-        report["violations"] = [list(item) for item in exc.found]
-        lines.append(f"search budget exhausted: {exc}")
-        for i, j, alpha in exc.found:
-            lines.append(f"violation: classes {i} and {j} satisfy alpha={alpha}")
-        _emit(report, lines, args.json)
-        return EXIT_BUDGET
-    report["violations"] = [list(item) for item in violations]
-    if violations:
-        for i, j, alpha in violations:
-            lines.append(f"violation: classes {i} and {j} satisfy alpha={alpha}")
-    else:
+        report.add(f"search budget exhausted: {exc}", budget_exhausted=True)
+        violations, code = exc.found, EXIT_BUDGET
+    report.add(violations=violations)
+    for i, j, alpha in violations:
+        report.add(f"violation: classes {i} and {j} satisfy alpha={alpha}")
+    if not violations and code == EXIT_OK:
         tag = f"{label}-PRP-free" if alpha_filter else "PRP-free"
-        lines.append(f"violations: none ({tag})")
-    _emit(report, lines, args.json)
-    return EXIT_OK
+        report.add(f"violations: none ({tag})")
+    report.emit(args.json)
+    return code
 
 
 def cmd_develop(args) -> int:
     base_design = load_design(args.file)
     has_infinity = not args.no_infinity
     n = base_design.points.size - (1 if has_infinity else 0)
-    spec = CyclicBaseSpec(
-        n=n, has_infinity=has_infinity, base_class=base_design.blocks
-    )
-    design, res = cyclic_develop(spec)
-    params = verify_ibd(design)
-    report = {
-        "command": "develop", "file": args.file, "n": n,
-        "infinity": has_infinity,
-        "params": list(params.as_tuple()),
-        "classes": len(res.classes),
-    }
-    lines = [
-        f"base: n={n} infinity={'yes' if has_infinity else 'no'} "
-        f"blocks={len(base_design.blocks)} k={base_design.k}",
-        f"developed: {_params_text(params)} classes={len(res.classes)}",
-    ]
+    design, res = cyclic_develop(
+        CyclicBaseSpec(n=n, has_infinity=has_infinity, base_class=base_design.blocks))
     if not args.out:
         _print_design(design, res, args.json)
         return EXIT_OK
+    params = verify_ibd(design)
     save_resolution(res, args.out)
-    lines.append(f"wrote: {args.out}")
-    report["out"] = args.out
-    _emit(report, lines, args.json)
+    report = _Report(
+        f"base: n={n} infinity={_yes(has_infinity)} "
+        f"blocks={len(base_design.blocks)} k={base_design.k}",
+        command="develop", file=args.file, n=n, infinity=has_infinity,
+    )
+    report.add(f"developed: {_params_text(params)} classes={len(res.classes)}",
+               params=params.as_tuple(), classes=len(res.classes))
+    report.add(f"wrote: {args.out}", out=args.out)
+    report.emit(args.json)
     return EXIT_OK
 
 
@@ -408,51 +387,37 @@ def _print_design(design, res, as_json: bool) -> None:
 
 def cmd_gen(args) -> int:
     design, res = _gen_output(args)
-    if args.out:
-        if res is not None:
-            save_resolution(res, args.out)
-        else:
-            save_design(design, args.out)
-        if args.json:
-            print(json.dumps({"command": "gen", "kind": args.kind,
-                              "out": args.out}, indent=2, sort_keys=True))
-        else:
-            print(f"wrote: {args.out}")
-    else:
+    if not args.out:
         _print_design(design, res, args.json)
+        return EXIT_OK
+    if res is not None:
+        save_resolution(res, args.out)
+    else:
+        save_design(design, args.out)
+    _Report(f"wrote: {args.out}", command="gen", kind=args.kind,
+            out=args.out).emit(args.json)
     return EXIT_OK
 
 
 def cmd_profile(args) -> int:
     design, _ = load_design_or_resolution(args.file)
     profile = intersection_profile(design)
-    report: dict = {
-        "command": "profile",
-        "file": args.file,
-        "counts": list(profile.counts),
-        "pairs": profile.pair_count,
-        "simple": profile.simple,
-    }
-    lines = [
-        f"file: {args.file}",
-        "profile: " + " ".join(str(c) for c in profile.counts),
-        f"pairs: {profile.pair_count}",
-        f"simple: {'yes' if profile.simple else 'no'}",
-    ]
-    failed = False
+    report = _Report(f"file: {args.file}", command="profile", file=args.file)
+    report.add("profile: " + " ".join(str(c) for c in profile.counts),
+               counts=profile.counts)
+    report.add(f"pairs: {profile.pair_count}", pairs=profile.pair_count)
+    report.add(f"simple: {_yes(profile.simple)}", simple=profile.simple)
+    ok = True
     if args.expect:
         try:
             wanted = tuple(int(x) for x in args.expect.split(","))
         except ValueError:
             raise DesignError(f"--expect wants integers, got {args.expect!r}") from None
         ok = wanted == profile.counts
-        report["expect_ok"] = ok
-        lines.append(
-            f"expect: {'PASS' if ok else 'FAIL (expected ' + ' '.join(str(c) for c in wanted) + ')'}"
-        )
-        failed = not ok
-    _emit(report, lines, args.json)
-    return EXIT_FAIL if failed else EXIT_OK
+        verdict = "PASS" if ok else f"FAIL (expected {' '.join(map(str, wanted))})"
+        report.add(f"expect: {verdict}", expect_ok=ok)
+    report.emit(args.json)
+    return EXIT_OK if ok else EXIT_FAIL
 
 
 def cmd_reproduce(args) -> int:
@@ -462,35 +427,27 @@ def cmd_reproduce(args) -> int:
         names = args.names
     else:
         raise DesignError("pass entry names or --all")
+    report = _Report(command="reproduce")
     entries = []
-    lines = []
-    all_ok = True
     for name in names:
-        report = reproduce_entry(name)
-        entry_ok = report.ok
-        all_ok = all_ok and entry_ok
-        lines.append(f"entry {name}: {'PASS' if entry_ok else 'FAIL'}")
-        checks = []
-        for check in report.checks:
-            status = "PASS" if check.ok else "FAIL"
+        result = reproduce_entry(name)
+        report.add(f"entry {name}: {'PASS' if result.ok else 'FAIL'}")
+        for check in result.checks:
             detail = "" if check.ok else (
                 f" expected={check.expected!r} observed={check.observed!r}"
             )
-            lines.append(f"  {check.label}: {status}{detail}")
-            checks.append(
-                {
-                    "label": check.label,
-                    "ok": check.ok,
-                    "expected": _jsonable(check.expected),
-                    "observed": _jsonable(check.observed),
-                }
-            )
-        entries.append({"name": name, "ok": entry_ok, "checks": checks})
-    passed = sum(1 for e in entries if e["ok"])
-    lines.append(f"summary: {passed}/{len(entries)} entries reproduced")
-    report = {"command": "reproduce", "entries": entries, "ok": all_ok}
-    _emit(report, lines, args.json)
-    return EXIT_OK if all_ok else EXIT_FAIL
+            report.add(f"  {check.label}: {'PASS' if check.ok else 'FAIL'}{detail}")
+        entries.append({"name": name, "ok": result.ok, "checks": [
+            {"label": check.label, "ok": check.ok,
+             "expected": check.expected, "observed": check.observed}
+            for check in result.checks
+        ]})
+    passed = sum(entry["ok"] for entry in entries)
+    ok = passed == len(entries)
+    report.add(f"summary: {passed}/{len(entries)} entries reproduced",
+               entries=entries, ok=ok)
+    report.emit(args.json)
+    return EXIT_OK if ok else EXIT_FAIL
 
 
 def build_parser() -> argparse.ArgumentParser:
