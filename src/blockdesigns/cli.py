@@ -110,10 +110,6 @@ def _params_text(params: DesignParams) -> str:
     return f"v={params.v} b={params.b} r={params.r} k={params.k}"
 
 
-def _yes(flag: bool) -> str:
-    return "yes" if flag else "no"
-
-
 def cmd_verify(args) -> int:
     design, _ = load_design_or_resolution(args.file)
     v, b = design.points.size, len(design.blocks)
@@ -135,8 +131,8 @@ def cmd_verify(args) -> int:
 
     simple = is_simple(design)
     trivial = is_trivial(design)
-    report.add(f"simple: {_yes(simple)}", simple=simple)
-    report.add(f"trivial: {_yes(trivial)}", trivial=trivial)
+    report.add(f"simple: {'yes' if simple else 'no'}", simple=simple)
+    report.add(f"trivial: {'yes' if trivial else 'no'}", trivial=trivial)
 
     expectations = []
 
@@ -252,7 +248,8 @@ def cmd_construct(args) -> int:
                        predicted_triple_coverage=mu)
 
     simple = is_simple(built.design)
-    report.add(f"constructed simple: {_yes(simple)}", constructed_simple=simple)
+    report.add(f"constructed simple: {'yes' if simple else 'no'}",
+               constructed_simple=simple)
 
     if args.check_three:
         spectrum = t_coverage_spectrum(built.design, 3)
@@ -341,7 +338,7 @@ def cmd_develop(args) -> int:
     params = verify_ibd(design)
     save_resolution(res, args.out)
     report = _Report(
-        f"base: n={n} infinity={_yes(has_infinity)} "
+        f"base: n={n} infinity={'yes' if has_infinity else 'no'} "
         f"blocks={len(base_design.blocks)} k={base_design.k}",
         command="develop", file=args.file, n=n, infinity=has_infinity,
     )
@@ -406,7 +403,7 @@ def cmd_profile(args) -> int:
     report.add("profile: " + " ".join(str(c) for c in profile.counts),
                counts=profile.counts)
     report.add(f"pairs: {profile.pair_count}", pairs=profile.pair_count)
-    report.add(f"simple: {_yes(profile.simple)}", simple=profile.simple)
+    report.add(f"simple: {'yes' if profile.simple else 'no'}", simple=profile.simple)
     ok = True
     if args.expect:
         try:
