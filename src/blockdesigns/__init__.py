@@ -20,7 +20,6 @@ from .construct import (
     predict_triple_coverage,
     predicted_mu,
     predicted_mu_affine,
-    predicted_mu_w4,
     shrikhande_raghavarao,
     simplicity_verdict,
     triple_coverage_by_alpha,
@@ -65,8 +64,6 @@ from .resolution import (
     SearchBudgetExceeded,
     canonical_resolution,
     find_resolutions,
-    has_unique_resolution,
-    is_alpha_prp,
     prp_violations,
     verify_resolution,
 )

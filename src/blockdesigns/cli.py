@@ -123,8 +123,9 @@ def cmd_verify(args) -> int:
         params = None
         report.add(f"ibd: FAIL ({exc})", ibd=None, ibd_error=str(exc))
 
+    strengths = list(dict.fromkeys(args.t or []))  # each --t once, in order
     spectra = {}
-    for t in args.t or []:
+    for t in strengths:
         spectra[t] = t_coverage_spectrum(design, t)
         report.add(f"coverage t={t}: {_spectrum_text(spectra[t])}")
     report.add(spectra=spectra)
@@ -142,11 +143,11 @@ def cmd_verify(args) -> int:
                    expectations=expectations)
 
     if args.expect_lambda is not None:
-        if not args.t or len(args.t) != 1:
+        if len(strengths) != 1:
             raise DesignError("--expect-lambda needs exactly one --t")
-        spectrum = spectra[args.t[0]]
+        spectrum = spectra[strengths[0]]
         ok = list(spectrum) == [args.expect_lambda]
-        expect(f"lambda={args.expect_lambda} (t={args.t[0]})", ok,
+        expect(f"lambda={args.expect_lambda} (t={strengths[0]})", ok,
                _spectrum_text(spectrum))
     if args.expect_simple:
         expect("simple", simple, "no repeated blocks" if simple else "repeated block")

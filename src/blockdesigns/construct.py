@@ -46,7 +46,6 @@ __all__ = [
     "predict_triple_coverage",
     "predicted_mu",
     "predicted_mu_affine",
-    "predicted_mu_w4",
     "shrikhande_raghavarao",
     "simplicity_verdict",
     "triple_coverage_by_alpha",
@@ -180,8 +179,8 @@ class SimplicityVerdict(Enum):
 class ThreeDesignAnalysis:
     """Triple coverage of the constructed design as c1 + alpha*c2, where
     alpha is the master coverage of the triple.  For k' > 2 the
-    coefficients are per unit of indexing triple coverage; for k' = 2 the
-    degenerate rule gives c1 = 3*lambda, c2 = w - 4 directly."""
+    coefficients are per unit of indexing triple coverage; for k' = 2,
+    c1 = 3*lambda and c2 = w - 4 are per unit of indexing pair coverage."""
 
     c1: Fraction
     c2: Fraction
@@ -340,17 +339,13 @@ def predict_triple_coverage(
     master: DesignParams, indexing: IndexingParams
 ) -> int | None:
     """Triple coverage of the constructed design, or None when the
-    construction does not yield a 3-design."""
-    case = classify_three_design(master, indexing.k_prime).case
-    if case is ThreeDesignCase.K_PRIME_HALF_W:
-        if indexing.w == 4:
-            return predicted_mu_w4(master)
-        return predicted_mu(master, indexing.lambda_prime)
-    if case is ThreeDesignCase.MASTER_IS_3_DESIGN:
-        return triple_coverage_by_alpha(master, indexing, master.lam)
-    if case is ThreeDesignCase.MASTER_BLOCK_SIZE_2:
-        return triple_coverage_by_alpha(master, indexing, 0)
-    return None
+    construction does not yield a 3-design.  Every master triple lies in
+    master.lam blocks when the master is a 3-design; otherwise the alpha
+    coefficient vanishes or alpha is 0, so alpha = 0 gives the coverage."""
+    if not classify_three_design(master, indexing.k_prime).is_three_design:
+        return None
+    alpha = master.lam if master.t >= 3 else 0
+    return triple_coverage_by_alpha(master, indexing, alpha)
 
 
 def predicted_mu(master: DesignParams, lambda_prime: int) -> int:
@@ -364,13 +359,6 @@ def predicted_mu(master: DesignParams, lambda_prime: int) -> int:
     if value.denominator != 1:
         raise NonIntegral(value, "predicted triple coverage")
     return int(value)
-
-
-def predicted_mu_w4(master: DesignParams) -> int:
-    """Triple coverage for pair indexing at w = 4: always 3*lambda."""
-    if _master_w(master) != 4:
-        raise DesignError(f"need w = v/k = 4, got w={_master_w(master)}")
-    return 3 * _pair_coverage(master)
 
 
 def predicted_mu_affine(q: int, m: int, lambda_prime: int) -> int:

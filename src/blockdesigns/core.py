@@ -7,7 +7,8 @@ significant).
 
 Every count here is exact.  Each design keeps its blocks once as a numpy
 array of points (``Design._members``) and, on first use, packs them into
-64-bit words, one row per block (``Design._rows``).  Replication counts are
+64-bit words, one row per block (``Design._rows``); the searches read them
+as Python-int bit masks (``Design._masks``).  Replication counts are
 point counts over the blocks.  A t-subset coverage spectrum takes each
 point p in turn and packs the columns of the later points over the blocks
 through p only, so its cost follows the replication rather than the block
@@ -37,7 +38,6 @@ __all__ = [
     "MAX_SPECTRUM_WORDS",
     "NonConstantReplication",
     "PointSet",
-    "block_mask",
     "intersection_profile",
     "is_simple",
     "is_trivial",
@@ -168,6 +168,18 @@ class Design:
             ).view("<u8")
         rows.flags.writeable = False
         return rows
+
+    @cached_property
+    def _masks(self) -> tuple[int, ...]:
+        """Block i as the Python int with bit p set for each of its points
+        p: the form the resolution and PRP searches combine."""
+        masks = []
+        for block in self.blocks:
+            mask = 0
+            for p in block:
+                mask |= 1 << p
+            masks.append(mask)
+        return tuple(masks)
 
 
 def make_design(v, blocks, labels=None, k=None) -> Design:
@@ -400,13 +412,6 @@ def is_trivial(design: Design) -> bool:
     return is_simple(design) and len(design.blocks) == math.comb(
         design.points.size, design.k
     )
-
-
-def block_mask(block: Block) -> int:
-    mask = 0
-    for p in block:
-        mask |= 1 << p
-    return mask
 
 
 def _popcounts(words: np.ndarray) -> np.ndarray:

@@ -124,7 +124,7 @@ def _parse_lines(text: str):
         elif tokens[0] == "class":
             if header is None:
                 raise FormatError(f"line {lineno}: class before design header")
-            if len(tokens) != 2 or not tokens[1].isdigit():
+            if len(tokens) != 2 or not (tokens[1].isascii() and tokens[1].isdigit()):
                 raise FormatError(f"line {lineno}: expected 'class <index>'")
             if int(tokens[1]) != expected_class:
                 raise FormatError(
@@ -196,13 +196,21 @@ def design_to_dict(design: Design) -> dict:
     }
 
 
+def _integer(value) -> int:
+    """value when it is an int; bools, floats (which int() would truncate)
+    and strings raise TypeError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
 def design_from_dict(data: dict) -> Design:
     try:
-        v = int(data["v"])
-        k = int(data["k"])
-        blocks = tuple(tuple(int(p) for p in block) for block in data["blocks"])
-        declared_b = int(data.get("b", len(blocks)))
-    except (KeyError, TypeError, ValueError) as exc:
+        v = _integer(data["v"])
+        k = _integer(data["k"])
+        blocks = tuple(tuple(_integer(p) for p in block) for block in data["blocks"])
+        declared_b = _integer(data.get("b", len(blocks)))
+    except (KeyError, TypeError) as exc:
         raise FormatError(f"bad design object: {exc}") from exc
     if declared_b != len(blocks):
         raise FormatError(
@@ -226,10 +234,10 @@ def resolution_to_dict(res: Resolution) -> dict:
 def _classes_from_dict(data: dict) -> tuple[ParallelClass, ...]:
     try:
         return tuple(
-            ParallelClass(tuple(int(ref) for ref in cls))
+            ParallelClass(tuple(_integer(ref) for ref in cls))
             for cls in data["classes"]
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise FormatError(f"bad resolution object: {exc}") from exc
 
 
@@ -242,15 +250,22 @@ def _is_json_path(path) -> bool:
     return Path(path).suffix.lower() == ".json"
 
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not text: {exc}") from None
+
+
 def load_design(path) -> Design:
-    text = Path(path).read_text()
+    text = _read_text(path)
     if _is_json_path(path):
         return design_from_dict(_load_json(text))
     return parse_design(text)
 
 
 def load_resolution(path) -> tuple[Design, Resolution]:
-    text = Path(path).read_text()
+    text = _read_text(path)
     if _is_json_path(path):
         return resolution_from_dict(_load_json(text))
     return parse_resolution(text)
@@ -261,7 +276,7 @@ def load_design_or_resolution(path) -> tuple[Design, Resolution | None]:
     flavor.  The resolution is None when a text file has no class lines or
     a JSON object has no well-formed "classes" list; errors in the design
     itself raise as from load_design."""
-    text = Path(path).read_text()
+    text = _read_text(path)
     if _is_json_path(path):
         data = _load_json(text)
         design = design_from_dict(data)

@@ -5,10 +5,11 @@ first.  The element of rank i (0 <= i < q) has the base-p digits of i as
 coefficients, least significant first, so ``FieldSpec.elements()`` lists
 the field in a stable order suitable for serialization.
 
-For vectorised arithmetic, ``FieldSpec.add_table`` and ``mul_table`` are
-read-only q x q numpy arrays indexed by rank: entry [i, j] is the rank of
-the sum or product of the elements of ranks i and j.  They are built once
-per field from ``add`` and ``mul`` and shared by equal specs.
+Field arithmetic is read from ``FieldSpec.add_table`` and ``mul_table``:
+read-only q x q numpy arrays indexed by rank, where entry [i, j] is the
+rank of the sum or product of the elements of ranks i and j.  They are
+built once per field from the polynomial ``add`` and ``mul`` on element
+tuples and shared by equal specs.
 """
 
 from __future__ import annotations
@@ -164,31 +165,10 @@ class FieldSpec:
         if len(a) != self.n or any(not 0 <= c < self.p for c in a):
             raise GaloisError(f"{a!r} is not an element of GF({self.q})")
 
-    def zero(self) -> FieldElement:
-        return (0,) * self.n
-
-    def one(self) -> FieldElement:
-        return (1,) + (0,) * (self.n - 1)
-
-    def element(self, coeffs) -> FieldElement:
-        """Reduce an iterable of integer coefficients (degree < n) mod p."""
-        cs = [c % self.p for c in coeffs]
-        if len(cs) > self.n:
-            raise GaloisError(f"too many coefficients for degree-{self.n} residues")
-        cs.extend([0] * (self.n - len(cs)))
-        return tuple(cs)
-
     def add(self, a: FieldElement, b: FieldElement) -> FieldElement:
         self._check(a)
         self._check(b)
         return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def neg(self, a: FieldElement) -> FieldElement:
-        self._check(a)
-        return tuple((-x) % self.p for x in a)
-
-    def sub(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        return self.add(a, self.neg(b))
 
     def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
         self._check(a)
@@ -205,25 +185,6 @@ class FieldSpec:
                 for j in range(n + 1):
                     conv[i - n + j] = (conv[i - n + j] - c * self.modulus[j]) % p
         return tuple(conv[:n])
-
-    def pow(self, a: FieldElement, e: int) -> FieldElement:
-        self._check(a)
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        result = self.one()
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
-
-    def inv(self, a: FieldElement) -> FieldElement:
-        self._check(a)
-        if a == self.zero():
-            raise ZeroDivisionError(f"zero has no inverse in GF({self.q})")
-        return self.pow(a, self.q - 2)
 
     def rank(self, a: FieldElement) -> int:
         self._check(a)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .core import Design, DesignError, block_mask
+from .core import Design, DesignError
 
 __all__ = [
     "BadAlpha",
@@ -25,8 +25,6 @@ __all__ = [
     "SearchBudgetExceeded",
     "canonical_resolution",
     "find_resolutions",
-    "has_unique_resolution",
-    "is_alpha_prp",
     "prp_violations",
     "verify_resolution",
 ]
@@ -103,7 +101,7 @@ def _class_check(design: Design, refs: tuple[int, ...]) -> str | None:
         return f"class has {len(refs)} blocks, expected {w}"
     cover = 0
     for ref in refs:
-        mask = block_mask(design.blocks[ref])
+        mask = design._masks[ref]
         if cover & mask:
             return f"blocks in class {refs} are not pairwise disjoint"
         cover |= mask
@@ -198,7 +196,7 @@ def find_resolutions(
     w = v // k
     if b == 0 or b % w:
         return []
-    masks = [block_mask(block) for block in design.blocks]
+    masks = design._masks
     by_point: list[list[int]] = [[] for _ in range(v)]
     for i, block in enumerate(design.blocks):
         for p in block:
@@ -246,18 +244,10 @@ def _complete_resolution(
     return False
 
 
-def has_unique_resolution(
-    design: Design, node_budget: int = DEFAULT_NODE_BUDGET
-) -> bool:
-    """True when the completed search finds exactly one resolution."""
-    return len(find_resolutions(design, limit=2, node_budget=node_budget)) == 1
-
-
 def _replacement_alphas(
     design: Design,
     class_a: ParallelClass,
     class_b: ParallelClass,
-    block_masks,
     budget: list[int],
 ) -> set[int]:
     """All values of |S ∩ class_a| over parallel classes S built from the
@@ -268,12 +258,11 @@ def _replacement_alphas(
     replacement pairs.  The intersection with class_a is counted on block
     contents as a multiset.  Neither S nor class_a repeats a block (their
     blocks are disjoint), so that is the number of blocks of S whose
-    content is a block of class_a.  `block_masks[ref]` is the point mask
-    of block instance ref, for every ref of the two classes.  `budget` is
-    the node counter of _class_completions, shared across calls.
+    content is a block of class_a.  `budget` is the node counter of
+    _class_completions, shared across calls.
     """
     refs = list(class_a.block_refs) + list(class_b.block_refs)
-    masks = [block_masks[ref] for ref in refs]
+    masks = [design._masks[ref] for ref in refs]
     full = (1 << design.points.size) - 1
     a_content = {design.blocks[ref] for ref in class_a.block_refs}
     in_a = [design.blocks[ref] in a_content for ref in refs]
@@ -284,40 +273,6 @@ def _replacement_alphas(
     ):
         alphas.add(sum(in_a[j] for j in chosen))
     return alphas
-
-
-def is_alpha_prp(
-    design: Design,
-    class_a: ParallelClass,
-    class_b: ParallelClass,
-    alpha: int,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> bool:
-    """True when class_a and class_b admit a replacement pair of parallel
-    classes overlapping class_a in exactly alpha blocks."""
-    v, k = design.points.size, design.k
-    if v % k:
-        raise DesignError(f"block size {k} does not divide {v}")
-    w = v // k
-    if not 1 <= alpha <= w - 1:
-        raise BadAlpha(f"alpha must be in 1..{w - 1}, got {alpha}")
-    for cls in (class_a, class_b):
-        problem = _class_check(design, cls.block_refs)
-        if problem:
-            raise DesignError(problem)
-    if set(class_a.block_refs) & set(class_b.block_refs):
-        raise DesignError("classes share a block instance")
-    masks = {
-        ref: block_mask(design.blocks[ref])
-        for ref in class_a.block_refs + class_b.block_refs
-    }
-    try:
-        alphas = _replacement_alphas(
-            design, class_a, class_b, masks, [node_budget]
-        )
-    except SearchBudgetExceeded:
-        raise SearchBudgetExceeded(node_budget, [], "PRP violation(s)") from None
-    return alpha in alphas
 
 
 def prp_violations(
@@ -342,12 +297,11 @@ def prp_violations(
             raise BadAlpha(f"alpha must be in 1..{w - 1}, got {alpha}")
     out: list[tuple[int, int, int]] = []
     budget = [node_budget]
-    masks = [block_mask(block) for block in design.blocks]
     for i in range(len(res.classes)):
         for j in range(i + 1, len(res.classes)):
             try:
                 alphas = _replacement_alphas(
-                    design, res.classes[i], res.classes[j], masks, budget
+                    design, res.classes[i], res.classes[j], budget
                 )
             except SearchBudgetExceeded:
                 raise SearchBudgetExceeded(

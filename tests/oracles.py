@@ -134,7 +134,7 @@ def naive_affine_hyperplane_design(m, q):
 
     spec = field(q)
     elems = spec.elements()
-    zero, one = spec.zero(), spec.one()
+    zero, one = spec.from_rank(0), spec.from_rank(1)
     add = {(a, b): spec.add(a, b) for a in elems for b in elems}
     mul = {(a, b): spec.mul(a, b) for a in elems for b in elems}
     blocks = []

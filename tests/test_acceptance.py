@@ -30,7 +30,6 @@ from blockdesigns.core import (
 from blockdesigns.generators import trivial_design
 from blockdesigns.resolution import (
     find_resolutions,
-    has_unique_resolution,
     prp_violations,
 )
 
@@ -196,7 +195,7 @@ def test_criterion_7_unique_resolutions_prp_free(ag23, ag32, trivial_4_2):
         assert len(res42) == 1
         corpus.append((trivial_4_2, res42[0]))
         for design, res in corpus:
-            assert has_unique_resolution(design)
+            assert len(find_resolutions(design, limit=2)) == 1
             assert prp_violations(design, res) == []
 
 

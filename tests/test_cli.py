@@ -4,7 +4,7 @@ import math
 import pytest
 
 from blockdesigns.cli import main
-from blockdesigns.core import t_coverage_spectrum
+from blockdesigns.core import make_design, t_coverage_spectrum
 from blockdesigns.formats import load_design, load_resolution, save_design
 from blockdesigns.generators import trivial_design
 
@@ -70,13 +70,20 @@ def test_verify_parse_error(capsys, tmp_path):
         "labels_int.json": '{"v": 4, "k": 2, "labels": 5, "blocks": [[0, 1]]}',
         "labels_nonstr.json":
             '{"v": 4, "k": 2, "labels": [1, 2, 3, 4], "blocks": [[0, 1]]}',
+        "float_point.json": '{"v": 4, "k": 2, "blocks": [[0, 1.9]]}',
+        "infinite_v.json": '{"v": Infinity, "k": 2, "blocks": [[0, 1]]}',
+        "superscript_index.res": "design v=4 k=2 b=2\nclass \u00b2\n0 1\n2 3\n",
+        # verify reads malformed classes as a plain design; prp needs them.
+        "float_classes.json":
+            '{"v": 4, "k": 2, "blocks": [[0, 1], [2, 3]], "classes": [[0.7, 1.2]]}',
     }
     for name, text in cases.items():
         bad = tmp_path / name
         bad.write_text(text)
-        code, _, err = run(capsys, "verify", str(bad))
+        command = "prp" if name == "float_classes.json" else "verify"
+        code, _, err = run(capsys, command, str(bad))
         assert code == 2, name
-        assert "error" in err
+        assert err.startswith("error:"), name
 
 
 def test_verify_missing_file(capsys):
@@ -191,6 +198,18 @@ def test_construct_indexing_pair_balanced_only(capsys, tmp_path):
     assert "three-design case" not in out
     assert "predicted triple coverage" not in out
     assert t_coverage_spectrum(load_design(out_path), 2) == {10: math.comb(49, 2)}
+
+
+def test_construct_doubled_pair_indexing(capsys, tmp_path, master_24):
+    # trivial(4,2) listed twice has lambda2' = 2, so every triple is
+    # covered 2 * 3 * lambda = 30 times.
+    doubled = tmp_path / "doubled.design"
+    save_design(make_design(4, trivial_design(4, 2).blocks * 2), doubled)
+    code, out, _ = run(capsys, "construct", master_24, str(doubled),
+                       "--out", str(tmp_path / "built.design"), "--check-three")
+    assert code == 0
+    assert "predicted triple coverage: 30\n" in out
+    assert f"observed coverage t=3: 30:{math.comb(24, 3)}\n" in out
 
 
 def test_construct_requires_resolution(capsys, tmp_path, idx42):

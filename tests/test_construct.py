@@ -20,7 +20,6 @@ from blockdesigns.construct import (
     predict_triple_coverage,
     predicted_mu,
     predicted_mu_affine,
-    predicted_mu_w4,
     shrikhande_raghavarao,
     simplicity_verdict,
     triple_coverage_by_alpha,
@@ -178,7 +177,6 @@ def test_triple_coverage_alpha_independent_when_balanced():
 def test_triple_coverage_pair_indexing_constant():
     for alpha in range(6):
         assert triple_coverage_by_alpha(MASTER_24_6_5, IDX_4_2, alpha) == 15
-    assert 15 == predicted_mu_w4(MASTER_24_6_5)
 
 
 def test_triple_coverage_alpha_equals_lambda():
@@ -273,14 +271,6 @@ def test_predicted_mu_non_integral():
     master = DesignParams(t=2, v=24, b=276, r=23, k=2, lam=1)
     with pytest.raises(NonIntegral):
         predicted_mu(master, 1)
-
-
-def test_predicted_mu_w4_values():
-    assert predicted_mu_w4(MASTER_24_6_5) == 15
-    assert predicted_mu_w4(DesignParams(t=2, v=32, b=124, r=31, k=8, lam=7)) == 21
-    assert predicted_mu_w4(DesignParams(t=2, v=36, b=140, r=35, k=9, lam=8)) == 24
-    with pytest.raises(DesignError):
-        predicted_mu_w4(MASTER_30_5_4)
 
 
 def test_predicted_mu_affine_values():
@@ -418,7 +408,16 @@ def test_measure_params_skips_a_strength_ruled_out_by_divisibility(ag28):
 
 
 def test_predict_triple_coverage_by_case():
+    # Pair indexing at w = 4: 3*lambda per unit of lambda2'.
     assert predict_triple_coverage(MASTER_24_6_5, IDX_4_2) == 15
+    master_32_8_7 = DesignParams(t=2, v=32, b=124, r=31, k=8, lam=7)
+    assert predict_triple_coverage(master_32_8_7, IDX_4_2) == 21
+    master_36_9_8 = DesignParams(t=2, v=36, b=140, r=35, k=9, lam=8)
+    assert predict_triple_coverage(master_36_9_8, IDX_4_2) == 24
+    doubled_4_2 = make_design(4, trivial_design(4, 2).blocks * 2)
+    idx_doubled = IndexingParams.from_design(doubled_4_2)
+    assert idx_doubled.lambda2_prime == 2
+    assert predict_triple_coverage(MASTER_24_6_5, idx_doubled) == 30
     assert predict_triple_coverage(MASTER_24_4_3, IDX_6_3) == 50
     master_3 = DesignParams(t=3, v=16, b=140, r=35, k=4, lam=1)
     idx_4_3 = IndexingParams.from_design(trivial_design(4, 3))

@@ -1,8 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from blockdesigns.core import Design, PointSet, make_design
+from blockdesigns.core import Design, DesignError, PointSet, make_design
 from blockdesigns.formats import (
     FormatError,
     design_from_dict,
@@ -21,7 +23,7 @@ from blockdesigns.formats import (
 )
 from blockdesigns.generators import cyclic_develop, round_robin_one_factorization
 from blockdesigns.catalog import catalog_entry
-from blockdesigns.resolution import verify_resolution
+from blockdesigns.resolution import ParallelClass, Resolution, verify_resolution
 
 
 def sample_design():
@@ -174,3 +176,135 @@ def test_load_design_or_resolution_reads_either_flavor(tmp_path):
     (tmp_path / "bad.txt").write_text("design v=4 k=2 b=1\nclass 0\n0 1\n2 3\n")
     with pytest.raises(FormatError, match="declares b=1"):
         load_design_or_resolution(tmp_path / "bad.txt")
+
+
+def test_values_must_be_integers():
+    # int() would truncate a float, overflow on Infinity and accept a bool;
+    # str.isdigit() accepts a superscript digit that int() refuses.
+    data = design_to_dict(sample_design())
+    for key, value in [("v", float("inf")), ("k", 2.0), ("b", True)]:
+        with pytest.raises(FormatError, match="not an integer"):
+            design_from_dict({**data, key: value})
+    with pytest.raises(FormatError, match="not an integer"):
+        design_from_dict({**data, "blocks": [[0, 1.9]]})
+    with pytest.raises(FormatError, match="not an integer"):
+        resolution_from_dict({**data, "classes": [[0.7, 1.2]]})
+    with pytest.raises(FormatError, match="expected 'class <index>'"):
+        parse_resolution("design v=4 k=2 b=2\nclass \u00b2\n0 1\n2 3\n")
+
+
+# --- properties ---------------------------------------------------------------
+
+# Fixed and bounded so that the suite stays deterministic and quick.
+PROPERTY_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
+
+# Labels the text format can hold: no whitespace, control characters or '#'.
+LABELS = st.text(
+    st.characters(blacklist_categories=("Z", "C"), blacklist_characters="#"),
+    min_size=1, max_size=3,
+)
+
+
+@st.composite
+def designs(draw):
+    """Small designs, some labelled, with repeated blocks likely."""
+    v = draw(st.integers(3, 7))
+    k = draw(st.integers(2, v - 1))
+    pool = draw(st.lists(st.sets(st.integers(0, v - 1), min_size=k, max_size=k),
+                         min_size=1, max_size=3))
+    blocks = draw(st.lists(st.sampled_from(pool), max_size=8))
+    labels = draw(st.none() | st.lists(LABELS, min_size=v, max_size=v, unique=True))
+    return make_design(v, blocks, labels=labels, k=k)
+
+
+@st.composite
+def resolutions(draw):
+    """Resolutions as the text format writes them: consecutive runs of the
+    block list, at least one class, empty classes allowed."""
+    design = draw(designs())
+    b = len(design.blocks)
+    cuts = sorted(draw(st.lists(st.integers(0, b), max_size=4)))
+    bounds = [0] + cuts + [b]
+    classes = tuple(
+        ParallelClass(tuple(range(lo, hi))) for lo, hi in zip(bounds, bounds[1:])
+    )
+    return Resolution(design, classes)
+
+
+def _via_json(data):
+    return json.loads(json.dumps(data))
+
+
+@PROPERTY_SETTINGS
+@given(designs())
+def test_design_round_trips(design):
+    assert parse_design(format_design(design)) == design
+    assert design_from_dict(_via_json(design_to_dict(design))) == design
+
+
+@PROPERTY_SETTINGS
+@given(resolutions())
+def test_resolution_round_trips(res):
+    assert parse_resolution(format_resolution(res)) == (res.design, res)
+    assert resolution_from_dict(_via_json(resolution_to_dict(res))) == (res.design, res)
+
+
+# Inputs near the grammar reach past the header checks more often than
+# arbitrary ones.  Numbers stay small: a labelled header with a huge v
+# allocates v labels.
+SMALL = st.integers(-1, 6)
+HEADER = st.builds("design v={} k={} b={}".format, SMALL, SMALL, SMALL)
+LINES = st.one_of(
+    st.text(max_size=12),
+    st.builds("{}={}".format, st.sampled_from("vkbx"), SMALL).map("design ".__add__),
+    st.builds("label {} {}".format, SMALL, LABELS),
+    st.builds("class {}".format, SMALL | st.text(max_size=2)),
+    st.lists(SMALL.map(str), min_size=1, max_size=4).map(" ".join),
+)
+TEXTS = st.text() | st.builds(
+    lambda head, rest: "\n".join([head, *rest]),
+    HEADER, st.lists(LINES, max_size=8),
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+SMALL_LISTS = st.lists(st.lists(SMALL, max_size=4), max_size=4)
+JSON_OBJECTS = st.fixed_dictionaries(
+    {"v": SMALL | JSON_VALUES, "k": SMALL | JSON_VALUES,
+     "blocks": SMALL_LISTS | JSON_VALUES},
+    optional={"b": SMALL | JSON_VALUES, "labels": st.lists(LABELS) | JSON_VALUES,
+              "classes": SMALL_LISTS | JSON_VALUES},
+)
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def _loads_or_refuses(path):
+    try:
+        design, res = load_design_or_resolution(path)
+    except (FormatError, DesignError):
+        return
+    assert isinstance(design, Design)
+    assert res is None or res.design is design
+
+
+@PROPERTY_SETTINGS
+@given(st.binary() | TEXTS.map(str.encode))
+def test_text_input_loads_or_raises_format_errors(scratch, data):
+    path = scratch / "fuzz.design"
+    path.write_bytes(data)
+    _loads_or_refuses(path)
+
+
+@PROPERTY_SETTINGS
+@given(JSON_VALUES | JSON_OBJECTS)
+def test_json_input_loads_or_raises_format_errors(scratch, value):
+    path = scratch / "fuzz.json"
+    path.write_text(json.dumps(value), encoding="utf-8")
+    _loads_or_refuses(path)

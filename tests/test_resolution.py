@@ -18,8 +18,6 @@ from blockdesigns.resolution import (
     SearchBudgetExceeded,
     canonical_resolution,
     find_resolutions,
-    has_unique_resolution,
-    is_alpha_prp,
     prp_violations,
     verify_resolution,
 )
@@ -96,20 +94,19 @@ def test_k4_trivial_design_has_unique_resolution():
     found = find_resolutions(design, limit=10)
     assert len(found) == 1
     assert verify_resolution(design, found[0])
-    assert has_unique_resolution(design)
+    assert len(find_resolutions(design, limit=2)) == 1
 
 
 def test_ag23_unique_resolution(ag23):
     design, _ = ag23
     found = find_resolutions(design, limit=10)
     assert len(found) == 1
-    assert has_unique_resolution(design)
+    assert len(find_resolutions(design, limit=2)) == 1
 
 
 def test_non_resolvable_design_yields_nothing():
     design = make_design(6, NON_RESOLVABLE_632)
     assert find_resolutions(design, limit=5) == []
-    assert not has_unique_resolution(design)
 
 
 def test_trivial_6_3_resolution_is_forced():
@@ -118,14 +115,13 @@ def test_trivial_6_3_resolution_is_forced():
     design = trivial_design(6, 3)
     found = find_resolutions(design, limit=10)
     assert len(found) == 1
-    assert has_unique_resolution(design)
+    assert len(find_resolutions(design, limit=2)) == 1
 
 
 def test_k6_has_six_one_factorizations():
     design = trivial_design(6, 2)
     found = find_resolutions(design, limit=50)
     assert len(found) == 6
-    assert not has_unique_resolution(design)
 
 
 @pytest.mark.parametrize(
@@ -222,29 +218,36 @@ def test_canonicalization_idempotent(ag23):
 
 # --- PRP ---------------------------------------------------------------------
 
+def _oracle_alphas(design, res, i, j):
+    """The alphas naive_prp_witness finds for classes i and j."""
+    blocks_i = [design.blocks[r] for r in res.classes[i].block_refs]
+    blocks_j = [design.blocks[r] for r in res.classes[j].block_refs]
+    w = design.points.size // design.k
+    return {
+        alpha for alpha in range(1, w)
+        if naive_prp_witness(blocks_i, blocks_j, alpha, design.points.size)
+    }
+
+
 def test_k8_mixed_classes_satisfy_2_prp(k8_subfac):
     design, res = k8_subfac
-    assert is_alpha_prp(design, res.classes[0], res.classes[1], 2)
-    assert not is_alpha_prp(design, res.classes[0], res.classes[1], 3)
-
-
-def test_ag23_classes_admit_no_replacement(ag23):
-    design, res = ag23
-    for alpha in (1, 2):
-        assert not is_alpha_prp(design, res.classes[0], res.classes[1], alpha)
+    alphas = {alpha for i, j, alpha in prp_violations(design, res) if (i, j) == (0, 1)}
+    assert 2 in alphas and 3 not in alphas
+    assert alphas == _oracle_alphas(design, res, 0, 1)
 
 
 def test_alpha_range_enforced():
     design, res = k4_resolution()
     with pytest.raises(BadAlpha):
-        is_alpha_prp(design, res.classes[0], res.classes[1], 2)  # w = 2
+        prp_violations(design, res, alpha_filter={2})  # w = 2
     with pytest.raises(BadAlpha):
-        is_alpha_prp(design, res.classes[0], res.classes[1], 0)
+        prp_violations(design, res, alpha_filter={0})
 
 
 def test_prp_violations_ag23_empty(ag23):
     design, res = ag23
     assert prp_violations(design, res) == []
+    assert _oracle_alphas(design, res, 0, 1) == set()
 
 
 def test_prp_violations_k8(k8_subfac):
@@ -318,7 +321,7 @@ def test_prp_budget(k8_subfac):
     with pytest.raises(SearchBudgetExceeded, match=r"\(0 PRP violation\(s\) found"):
         prp_violations(design, res, node_budget=5)
     with pytest.raises(SearchBudgetExceeded, match="PRP violation"):
-        is_alpha_prp(design, res.classes[0], res.classes[1], 1, node_budget=1)
+        prp_violations(design, res, alpha_filter={1}, node_budget=1)
 
 
 # --- a unique resolution leaves no room for replacements ----------------------
@@ -328,5 +331,5 @@ def test_unique_resolution_designs_are_prp_free(ag23, ag32):
     design = trivial_design(4, 2)
     corpus.append((design, find_resolutions(design, limit=2)[0]))
     for design, res in corpus:
-        assert has_unique_resolution(design)
+        assert len(find_resolutions(design, limit=2)) == 1
         assert prp_violations(design, res) == []
