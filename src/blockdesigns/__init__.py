@@ -55,7 +55,7 @@ from .generators import (
     sub_factorization_embedding,
     trivial_design,
 )
-from .reproduce import EntryReport, reproduce_all, reproduce_entry
+from .reproduce import EntryReport, reproduce_entry
 from .resolution import (
     BadAlpha,
     CheckResult,

@@ -38,13 +38,10 @@ from .core import (
 )
 from .formats import (
     FormatError,
-    design_to_dict,
-    format_design,
-    format_resolution,
+    dumps,
     load_design,
     load_design_or_resolution,
     load_resolution,
-    resolution_to_dict,
     save_design,
     save_resolution,
 )
@@ -334,7 +331,7 @@ def cmd_develop(args) -> int:
     design, res = cyclic_develop(
         CyclicBaseSpec(n=n, has_infinity=has_infinity, base_class=base_design.blocks))
     if not args.out:
-        _print_design(design, res, args.json)
+        print(dumps(design, res, args.json), end="")
         return EXIT_OK
     params = verify_ibd(design)
     save_resolution(res, args.out)
@@ -373,20 +370,10 @@ def _gen_output(args):
     raise DesignError(f"unknown generator {args.kind!r}")  # pragma: no cover
 
 
-def _print_design(design, res, as_json: bool) -> None:
-    """Print the resolution, or the design when res is None, to stdout."""
-    if as_json:
-        data = resolution_to_dict(res) if res is not None else design_to_dict(design)
-        print(json.dumps(data, indent=2, sort_keys=True))
-    else:
-        text = format_resolution(res) if res is not None else format_design(design)
-        print(text, end="")
-
-
 def cmd_gen(args) -> int:
     design, res = _gen_output(args)
     if not args.out:
-        _print_design(design, res, args.json)
+        print(dumps(design, res, args.json), end="")
         return EXIT_OK
     if res is not None:
         save_resolution(res, args.out)

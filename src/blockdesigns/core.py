@@ -35,6 +35,7 @@ __all__ = [
     "DesignParams",
     "DivisibilityViolation",
     "IntersectionProfile",
+    "MAX_POINTS",
     "MAX_SPECTRUM_WORDS",
     "NonConstantReplication",
     "PointSet",
@@ -71,6 +72,11 @@ class DivisibilityViolation(DesignError):
 
 Block = tuple[int, ...]
 
+# Most points a PointSet may have, checked before anything of size v is
+# built.  At this bound `verify` on one block peaks at 17 MB (111 MB with
+# a label line: v labels and the set that checks them); a block row is 128 KB.
+MAX_POINTS = 1 << 20
+
 # Most words of ANDed columns that t_coverage_spectrum may count.  Before
 # packing anything it bounds them by summing, over the least point p of a
 # t-subset, C(u, t-1) times the words of a column over the r_p blocks
@@ -101,6 +107,10 @@ class PointSet:
     def __post_init__(self) -> None:
         if self.size < 2:
             raise DesignError(f"point set needs at least 2 points, got {self.size}")
+        if self.size > MAX_POINTS:
+            raise DesignError(
+                f"point set of {self.size} points is above the limit of {MAX_POINTS}"
+            )
         if self.labels is not None:
             if len(self.labels) != self.size:
                 raise DesignError(
@@ -129,14 +139,6 @@ class Design:
                 raise DesignError(f"block {block} has points outside 0..{v - 1}")
             if not all(map(operator.lt, block, block[1:])):
                 raise DesignError(f"block {block} is not strictly increasing")
-
-    @property
-    def v(self) -> int:
-        return self.points.size
-
-    @property
-    def b(self) -> int:
-        return len(self.blocks)
 
     @cached_property
     def _members(self) -> np.ndarray:

@@ -11,8 +11,12 @@ Design files::
 One block per line as ascending 0-based point indices.  Resolution files
 add ``class <i>`` separator lines; the blocks that follow a separator
 belong to that class, and the design's block order is the file order.
-``#`` starts a comment anywhere on a line.  The JSON form carries the same
-content as a key/value tree.
+``#`` starts a comment anywhere on a line, and every number is ASCII
+digits.  The JSON form carries the same content as a key/value tree; a
+``"classes"`` key that is present must hold a resolution.  Paths ending
+in ``.json`` are JSON and all others text: ``_read`` makes that choice
+for every loader, ``dumps`` for every writer.  No file may declare more
+than ``core.MAX_POINTS`` points.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ __all__ = [
     "FormatError",
     "design_from_dict",
     "design_to_dict",
+    "dumps",
     "format_design",
     "format_resolution",
     "load_design",
@@ -45,40 +50,45 @@ class FormatError(ValueError):
     pass
 
 
-def _label_line(index: int, label: str) -> str:
-    if not label or any(ch.isspace() for ch in label) or "#" in label:
-        raise FormatError(
-            f"label {label!r} cannot be written to the text format"
-        )
-    return f"label {index} {label}"
+def dumps(design: Design, res: Resolution | None, as_json: bool) -> str:
+    """The file text, JSON or not, of the resolution, or of the design when
+    res is None."""
+    if as_json:
+        data = resolution_to_dict(res) if res is not None else design_to_dict(design)
+        return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    # A plain design is one run of all its blocks, with no class line.
+    runs = ([cls.block_refs for cls in res.classes] if res is not None
+            else [range(len(design.blocks))])
+    lines = [f"design v={design.points.size} k={design.k} b={sum(map(len, runs))}"]
+    for i, label in enumerate(design.points.labels or ()):
+        if not label or any(ch.isspace() for ch in label) or "#" in label:
+            raise FormatError(f"label {label!r} cannot be written to the text format")
+        lines.append(f"label {i} {label}")
+    for ci, refs in enumerate(runs):
+        if res is not None:
+            lines.append(f"class {ci}")
+        lines.extend(" ".join([str(p) for p in design.blocks[ref]]) for ref in refs)
+    return "\n".join(lines) + "\n"
 
 
 def format_design(design: Design) -> str:
-    lines = [f"design v={design.points.size} k={design.k} b={len(design.blocks)}"]
-    if design.points.labels is not None:
-        for i, label in enumerate(design.points.labels):
-            lines.append(_label_line(i, label))
-    for block in design.blocks:
-        lines.append(" ".join(str(p) for p in block))
-    return "\n".join(lines) + "\n"
+    return dumps(design, None, as_json=False)
 
 
 def format_resolution(res: Resolution) -> str:
-    design = res.design
-    b = sum(len(cls.block_refs) for cls in res.classes)
-    lines = [f"design v={design.points.size} k={design.k} b={b}"]
-    if design.points.labels is not None:
-        for i, label in enumerate(design.points.labels):
-            lines.append(_label_line(i, label))
-    for ci, cls in enumerate(res.classes):
-        lines.append(f"class {ci}")
-        for ref in cls.block_refs:
-            lines.append(" ".join(str(p) for p in design.blocks[ref]))
-    return "\n".join(lines) + "\n"
+    return dumps(res.design, res, as_json=False)
+
+
+def _int(token: str) -> int:
+    """int(token) for ASCII digits only (int() alone also takes '1_0', '+4'
+    and '٣'); ValueError otherwise, as from int() past 4300 digits."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"{token!r} is not ASCII digits")
+    return int(token)
 
 
 def _parse_lines(text: str):
-    """(design, classes-or-None) from format text."""
+    """(design, resolution-or-None) from format text."""
     header = None
     labels: dict[int, str] = {}
     blocks: list[tuple[int, ...]] = []
@@ -98,7 +108,7 @@ def _parse_lines(text: str):
                     raise FormatError(f"line {lineno}: bad header field {token!r}")
                 key, _, value = token.partition("=")
                 try:
-                    fields[key] = int(value)
+                    fields[key] = _int(value)
                 except ValueError:
                     raise FormatError(
                         f"line {lineno}: header field {token!r} is not an integer"
@@ -115,7 +125,7 @@ def _parse_lines(text: str):
             if len(tokens) != 3:
                 raise FormatError(f"line {lineno}: expected 'label <index> <name>'")
             try:
-                index = int(tokens[1])
+                index = _int(tokens[1])
             except ValueError:
                 raise FormatError(f"line {lineno}: bad label index {tokens[1]!r}") from None
             if not 0 <= index < header["v"]:
@@ -124,9 +134,11 @@ def _parse_lines(text: str):
         elif tokens[0] == "class":
             if header is None:
                 raise FormatError(f"line {lineno}: class before design header")
-            if len(tokens) != 2 or not (tokens[1].isascii() and tokens[1].isdigit()):
-                raise FormatError(f"line {lineno}: expected 'class <index>'")
-            if int(tokens[1]) != expected_class:
+            try:
+                (index,) = map(_int, tokens[1:])  # one index, else ValueError
+            except ValueError:
+                raise FormatError(f"line {lineno}: expected 'class <index>'") from None
+            if index != expected_class:
                 raise FormatError(
                     f"line {lineno}: expected class {expected_class}, got {tokens[1]}"
                 )
@@ -140,50 +152,42 @@ def _parse_lines(text: str):
             if header is None:
                 raise FormatError(f"line {lineno}: block before design header")
             try:
-                members = tuple(int(token) for token in tokens)
+                # One check per line: the tokens hold no whitespace.
+                if not (line.isascii() and "".join(tokens).isdigit()):
+                    raise ValueError(line)
+                blocks.append(tuple(map(int, tokens)))
             except ValueError:
                 raise FormatError(f"line {lineno}: bad block line {line!r}") from None
-            blocks.append(members)
     if header is None:
         raise FormatError("no design header found")
     if len(blocks) != header["b"]:
         raise FormatError(
             f"header declares b={header['b']} but file has {len(blocks)} blocks"
         )
-    label_tuple = None
+    points = PointSet(header["v"])  # bounds v before v labels are built
     if labels:
-        label_tuple = tuple(
-            labels.get(i, str(i)) for i in range(header["v"])
-        )
-    design = Design(
-        points=PointSet(header["v"], label_tuple),
-        blocks=tuple(blocks),
-        k=header["k"],
-    )
-    return design, class_breaks or None
+        points = PointSet(points.size, tuple(
+            labels.get(i, str(i)) for i in range(points.size)))
+    design = Design(points=points, blocks=tuple(blocks), k=header["k"])
+    if not class_breaks:
+        return design, None
+    bounds = class_breaks + [len(blocks)]
+    return design, Resolution(design, tuple(
+        ParallelClass(tuple(range(lo, hi))) for lo, hi in zip(bounds, bounds[1:])))
 
 
 def parse_design(text: str) -> Design:
-    design, class_breaks = _parse_lines(text)
-    if class_breaks is not None:
+    design, res = _parse_lines(text)
+    if res is not None:
         raise FormatError("file contains class lines; use parse_resolution")
     return design
 
 
-def _resolution_from_breaks(design: Design, class_breaks: list[int]) -> Resolution:
-    breaks = class_breaks + [len(design.blocks)]
-    classes = tuple(
-        ParallelClass(tuple(range(breaks[i], breaks[i + 1])))
-        for i in range(len(class_breaks))
-    )
-    return Resolution(design, classes)
-
-
 def parse_resolution(text: str) -> tuple[Design, Resolution]:
-    design, class_breaks = _parse_lines(text)
-    if class_breaks is None:
+    design, res = _parse_lines(text)
+    if res is None:
         raise FormatError("file has no class lines; use parse_design")
-    return design, _resolution_from_breaks(design, class_breaks)
+    return design, res
 
 
 def design_to_dict(design: Design) -> dict:
@@ -231,86 +235,62 @@ def resolution_to_dict(res: Resolution) -> dict:
     return data
 
 
-def _classes_from_dict(data: dict) -> tuple[ParallelClass, ...]:
+def resolution_from_dict(data: dict) -> tuple[Design, Resolution]:
+    design = design_from_dict(data)
     try:
-        return tuple(
+        classes = tuple(
             ParallelClass(tuple(_integer(ref) for ref in cls))
             for cls in data["classes"]
         )
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bad resolution object: {exc}") from exc
+    return design, Resolution(design, classes)
 
 
-def resolution_from_dict(data: dict) -> tuple[Design, Resolution]:
-    design = design_from_dict(data)
-    return design, Resolution(design, _classes_from_dict(data))
+def _from_dict(data) -> tuple[Design, Resolution | None]:
+    """(design, resolution-or-None); a "classes" key must hold a resolution."""
+    if isinstance(data, dict) and "classes" in data:
+        return resolution_from_dict(data)
+    return design_from_dict(data), None
 
 
 def _is_json_path(path) -> bool:
     return Path(path).suffix.lower() == ".json"
 
 
-def _read_text(path) -> str:
+def _read(path, parse_text, from_dict):
+    """parse_text(text), or from_dict(value) when path ends in .json, from
+    one read of the file."""
     try:
-        return Path(path).read_text()
+        text = Path(path).read_text()
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path} is not text: {exc}") from None
+    if not _is_json_path(path):
+        return parse_text(text)
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"bad JSON: {exc}") from exc
+    return from_dict(data)
 
 
 def load_design(path) -> Design:
-    text = _read_text(path)
-    if _is_json_path(path):
-        return design_from_dict(_load_json(text))
-    return parse_design(text)
+    return _read(path, parse_design, lambda data: _from_dict(data)[0])
 
 
 def load_resolution(path) -> tuple[Design, Resolution]:
-    text = _read_text(path)
-    if _is_json_path(path):
-        return resolution_from_dict(_load_json(text))
-    return parse_resolution(text)
+    return _read(path, parse_resolution, resolution_from_dict)
 
 
 def load_design_or_resolution(path) -> tuple[Design, Resolution | None]:
     """(design, resolution) from one read and parse of a file of either
-    flavor.  The resolution is None when a text file has no class lines or
-    a JSON object has no well-formed "classes" list; errors in the design
-    itself raise as from load_design."""
-    text = _read_text(path)
-    if _is_json_path(path):
-        data = _load_json(text)
-        design = design_from_dict(data)
-        try:
-            classes = _classes_from_dict(data)
-        except FormatError:
-            return design, None
-        return design, Resolution(design, classes)
-    design, class_breaks = _parse_lines(text)
-    if class_breaks is None:
-        return design, None
-    return design, _resolution_from_breaks(design, class_breaks)
-
-
-def _load_json(text: str) -> dict:
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"bad JSON: {exc}") from exc
+    flavor; the resolution is None when the file has no classes."""
+    return _read(path, _parse_lines, _from_dict)
 
 
 def save_design(design: Design, path) -> None:
-    if _is_json_path(path):
-        Path(path).write_text(
-            json.dumps(design_to_dict(design), indent=2, sort_keys=True) + "\n"
-        )
-    else:
-        Path(path).write_text(format_design(design))
+    Path(path).write_text(dumps(design, None, _is_json_path(path)))
 
 
 def save_resolution(res: Resolution, path) -> None:
-    if _is_json_path(path):
-        Path(path).write_text(
-            json.dumps(resolution_to_dict(res), indent=2, sort_keys=True) + "\n"
-        )
-    else:
-        Path(path).write_text(format_resolution(res))
+    Path(path).write_text(dumps(res.design, res, _is_json_path(path)))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .catalog import CatalogEntry, catalog_entry, catalog_names
+from .catalog import CatalogEntry, catalog_entry
 from .construct import (
     ConstructedDesign,
     IndexingParams,
@@ -23,7 +23,7 @@ from .core import (
 from .generators import cyclic_develop, trivial_design
 from .resolution import Resolution
 
-__all__ = ["CheckItem", "EntryReport", "reproduce_all", "reproduce_entry"]
+__all__ = ["CheckItem", "EntryReport", "reproduce_entry"]
 
 
 @dataclass(frozen=True)
@@ -44,10 +44,6 @@ class EntryReport:
     master_res: Resolution
     constructed: ConstructedDesign
     checks: list[CheckItem] = field(default_factory=list)
-
-    @property
-    def name(self) -> str:
-        return self.entry.name
 
     @property
     def ok(self) -> bool:
@@ -111,7 +107,3 @@ def reproduce_entry(name: str) -> EntryReport:
     formula = predict_triple_coverage(expected, indexing_params)
     checks.append(CheckItem("coverage formula", entry.mu, formula))
     return report
-
-
-def reproduce_all() -> list[EntryReport]:
-    return [reproduce_entry(name) for name in catalog_names()]

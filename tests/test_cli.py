@@ -1,10 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import blockdesigns
 from blockdesigns.cli import main
-from blockdesigns.core import make_design, t_coverage_spectrum
+from blockdesigns.core import MAX_POINTS, make_design, t_coverage_spectrum
 from blockdesigns.formats import load_design, load_resolution, save_design
 from blockdesigns.generators import trivial_design
 
@@ -73,17 +79,42 @@ def test_verify_parse_error(capsys, tmp_path):
         "float_point.json": '{"v": 4, "k": 2, "blocks": [[0, 1.9]]}',
         "infinite_v.json": '{"v": Infinity, "k": 2, "blocks": [[0, 1]]}',
         "superscript_index.res": "design v=4 k=2 b=2\nclass \u00b2\n0 1\n2 3\n",
-        # verify reads malformed classes as a plain design; prp needs them.
         "float_classes.json":
             '{"v": 4, "k": 2, "blocks": [[0, 1], [2, 3]], "classes": [[0.7, 1.2]]}',
+        "str_classes.json":
+            '{"v": 4, "k": 2, "blocks": [[0, 1], [2, 3]], "classes": [["x"], [1]]}',
     }
     for name, text in cases.items():
         bad = tmp_path / name
         bad.write_text(text)
-        command = "prp" if name == "float_classes.json" else "verify"
-        code, _, err = run(capsys, command, str(bad))
-        assert code == 2, name
-        assert err.startswith("error:"), name
+        for command in ("verify", "prp"):
+            code, _, err = run(capsys, command, str(bad))
+            assert code == 2, (name, command)
+            assert err.startswith("error:"), (name, command)
+
+
+def test_points_above_the_limit_exit_2(capsys, tmp_path):
+    # Without the bound each of these allocates megabytes or more in
+    # proportion to v (the label tuple, replication counts, block rows).
+    v = 4 * MAX_POINTS
+    files = {
+        "big.design": f"design v={v} k=2 b=1\n0 1\n",
+        "big_labelled.design": f"design v={v} k=2 b=1\nlabel 0 a\n0 1\n",
+        "big.json": json.dumps({"v": v, "k": 2, "blocks": [[0, 1]]}),
+    }
+    tracemalloc.start()
+    try:
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+            for command in ("verify", "profile"):
+                code, out, err = run(capsys, command, str(tmp_path / name))
+                assert (code, out) == (2, ""), (name, command)
+                assert err == (f"error: point set of {v} points is above "
+                               f"the limit of {MAX_POINTS}\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_verify_missing_file(capsys):
@@ -307,6 +338,23 @@ def test_gen_stdout(capsys):
     code, out, _ = run(capsys, "gen", "trivial", "4", "2")
     assert code == 0
     assert out.startswith("design v=4 k=2 b=6")
+
+
+def test_module_entry_point(tmp_path):
+    src = str(Path(blockdesigns.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-m", "blockdesigns", "gen", "trivial", "4", "2"],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("design v=4 k=2 b=6\n")
+    done = subprocess.run(
+        [sys.executable, "-m", "blockdesigns", "verify", "missing.design"],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error:")
 
 
 def test_gen_one_factorization(capsys, tmp_path):

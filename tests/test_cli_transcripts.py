@@ -46,6 +46,8 @@ FILES = {
     "repeated.design": "design v=4 k=2 b=2\n0 1\n0 1\n",
     "bad.design": "not a design\n",
     "bad.json": '{"v": 4, "k": 2}\n',
+    # Two blocks that share point 0: no parallel class exists.
+    "nores.design": "design v=4 k=2 b=2\n0 1\n0 2\n",
 }
 
 COMMANDS = [
@@ -160,6 +162,13 @@ COMMANDS = [
     ["profile", "built.design", "--expect", "1,2,3"],
     ["prp", "k8.res", "--budget", "20"],
     ["prp", "k8.res", "--budget", "20", "--json"],
+    # error exits of verify and construct
+    ["verify", "t63.design", "--t", "2", "--t", "3", "--expect-lambda", "1"],
+    ["verify", "t63.design", "--expect-params", "1,2,3"],
+    ["construct", "nores.design", "t42.design", "--auto-resolve",
+     "--out", "x.design"],
+    ["construct", "t82.design", "t42.design", "--auto-resolve", "--budget", "1",
+     "--out", "x.design"],
 ]
 
 

@@ -76,10 +76,14 @@ design v=4 k=2 b=2   # trailing comment
 
 
 def test_header_required_first():
-    with pytest.raises(FormatError):
-        parse_design("0 1\ndesign v=4 k=2 b=1\n")
-    with pytest.raises(FormatError):
-        parse_design("")
+    for text, message in [
+        ("0 1\ndesign v=4 k=2 b=1\n", "block before design header"),
+        ("label 0 a\ndesign v=4 k=2 b=1\n0 1\n", "label before design header"),
+        ("class 0\ndesign v=4 k=2 b=1\n0 1\n", "class before design header"),
+        ("", "no design header found"),
+    ]:
+        with pytest.raises(FormatError, match=message):
+            parse_design(text)
 
 
 def test_block_count_must_match_header():
@@ -88,12 +92,17 @@ def test_block_count_must_match_header():
 
 
 def test_bad_tokens():
-    with pytest.raises(FormatError):
-        parse_design("design v=4 k=2\n0 1\n")  # missing b
-    with pytest.raises(FormatError):
-        parse_design("design v=4 k=2 b=1\n0 x\n")
-    with pytest.raises(FormatError):
-        parse_design("design v=4 k=2 b=1\nlabel 9 z\n0 1\n")
+    for text, message in [
+        ("design v=4 k=2\n0 1\n", "header missing"),
+        ("design v=4 k=2 b=1\n0 x\n", "bad block line"),
+        ("design v=4 k=2 b=1\nlabel 9 z\n0 1\n", "label index 9 out of range"),
+        ("design v=4 k=2 b\n0 1\n", "bad header field 'b'"),
+        ("design v=x k=2 b=1\n0 1\n", "header field 'v=x' is not an integer"),
+        ("design v=4 k=2 b=1\nlabel 0\n0 1\n", "expected 'label <index> <name>'"),
+        ("design v=4 k=2 b=1\nlabel x a\n0 1\n", "bad label index 'x'"),
+    ]:
+        with pytest.raises(FormatError, match=message):
+            parse_design(text)
 
 
 def test_class_lines_must_be_sequential():
@@ -154,6 +163,12 @@ def test_save_load_by_suffix(tmp_path):
     assert load_resolution(res_text)[1] == res
     assert load_resolution(res_json)[1] == res
 
+    spaced = make_design(4, [(0, 1)], labels=["a b", "c", "d", "e"])
+    with pytest.raises(FormatError, match="cannot be written to the text format"):
+        save_design(spaced, tmp_path / "spaced.design")
+    save_design(spaced, json_path)
+    assert load_design(json_path) == spaced
+
 
 def test_load_design_or_resolution_reads_either_flavor(tmp_path):
     design = sample_design()
@@ -165,9 +180,16 @@ def test_load_design_or_resolution_reads_either_flavor(tmp_path):
         assert load_design_or_resolution(tmp_path / f"r{suffix}") == (res.design, res)
 
     data = resolution_to_dict(res)
-    data["classes"] = 5  # malformed classes: read as a plain design
+    data["classes"] = 5  # malformed classes are an error in every loader
     (tmp_path / "bad.json").write_text(json.dumps(data))
-    assert load_design_or_resolution(tmp_path / "bad.json") == (res.design, None)
+    for load in (load_design, load_resolution, load_design_or_resolution):
+        with pytest.raises(FormatError, match="bad resolution object"):
+            load(tmp_path / "bad.json")
+
+    (tmp_path / "bad.json").write_text("{")
+    for load in (load_design, load_resolution, load_design_or_resolution):
+        with pytest.raises(FormatError, match="bad JSON"):
+            load(tmp_path / "bad.json")
 
     data["b"] = 99  # a bad design raises as load_design does
     (tmp_path / "bad.json").write_text(json.dumps(data))
@@ -191,6 +213,19 @@ def test_values_must_be_integers():
         resolution_from_dict({**data, "classes": [[0.7, 1.2]]})
     with pytest.raises(FormatError, match="expected 'class <index>'"):
         parse_resolution("design v=4 k=2 b=2\nclass \u00b2\n0 1\n2 3\n")
+    # In text, int() alone would take an underscore, a sign or an Arabic-Indic
+    # digit, and would raise a bare ValueError past 4300 digits.
+    for token in ["1_0", "+4", "\u0663", "-1", "0" * 5000]:
+        for text, message in [
+            (f"design v={token} k=2 b=1\n0 1\n", "is not an integer"),
+            (f"design v=4 k=2 b=1\nlabel {token} a\n0 1\n", "bad label index"),
+            (f"design v=4 k=2 b=1\n0 {token}\n", "bad block line"),
+            (f"design v=4 k=2 b=1\nclass {token}\n0 1\n", "expected 'class <index>'"),
+        ]:
+            with pytest.raises(FormatError, match=message):
+                parse_resolution(text)
+    with pytest.raises(FormatError, match="bad block line"):
+        parse_design("design v=10 k=2 b=1\n\u0663 +4\n")
 
 
 # --- properties ---------------------------------------------------------------
