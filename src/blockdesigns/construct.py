@@ -14,10 +14,13 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+import numpy as np
+
 from .core import (
     Design,
     DesignError,
     DesignParams,
+    is_automorphism,
     lambda_j,
     t_coverage_spectrum,
     verify_ibd,
@@ -220,7 +223,8 @@ def shrikhande_raghavarao(
 
     Indexing point j names the j-th block of every class in the stored
     class order.  Output blocks are ordered by (class index, indexing
-    block index) and duplicates are preserved.
+    block index) and duplicates are preserved.  The constructed design
+    carries the master automorphisms that `_kept_automorphisms` keeps.
     """
     master = master_res.design
     check = verify_resolution(master, master_res)
@@ -246,8 +250,67 @@ def shrikhande_raghavarao(
         points=master.points,
         blocks=tuple(blocks),
         k=master.k * indexing.k,
+        automorphisms=_kept_automorphisms(master_res, indexing),
     )
     return ConstructedDesign(constructed, tuple(provenance), indexing)
+
+
+def _kept_automorphisms(master_res: Resolution, indexing: Design) -> tuple:
+    """The master automorphisms g that are automorphisms of the union
+    construction as well.
+
+    g is kept when it maps the multiset of master classes onto itself and
+    the position permutation it induces on each class (the j-th block of
+    class i goes to the sigma_i(j)-th block of its image class) is an
+    automorphism of the indexing design.  g then maps the union of class
+    i at the positions of an indexing block C onto the union of the image
+    class at sigma_i(C).  Raises DesignError when a master automorphism
+    does not check out.
+    """
+    master = master_res.design
+    # The master's orbits are only needed here to check its automorphisms.
+    if master._symmetry is None or not master_res.classes:
+        return ()
+    v = master.points.size
+    refs = np.array([cls.block_refs for cls in master_res.classes])
+    classes = master._members[refs]  # class, position, point
+    count, w = refs.shape
+    position = np.empty((count, v), dtype=np.intp)
+    position[np.arange(count)[:, None, None], classes] = np.arange(w)[:, None]
+    by_partition: dict[bytes, list[int]] = {}
+    for i, key in enumerate(_partitions(classes, v)):
+        by_partition.setdefault(key, []).append(i)
+    respected: dict[bytes, bool] = {}
+
+    def respects(sigma) -> bool:
+        key = sigma.tobytes()
+        if key not in respected:
+            respected[key] = is_automorphism(indexing, sigma)
+        return respected[key]
+
+    kept = []
+    for gen in master.automorphisms:
+        image = np.asarray(gen).astype(classes.dtype)[classes]
+        unmatched = {key: list(ids) for key, ids in by_partition.items()}
+        targets = []
+        for key in _partitions(image, v):
+            if not unmatched.get(key):
+                break
+            targets.append(unmatched[key].pop())
+        else:
+            sigmas = position[np.array(targets)[:, None], image[:, :, 0]]
+            if all(respects(sigma) for sigma in sigmas):
+                kept.append(gen)
+    return tuple(kept)
+
+
+def _partitions(classes: np.ndarray, v: int) -> list[bytes]:
+    """Each class of blocks (class, position, point) as a partition of
+    0..v-1: the bytes of every point's least block mate."""
+    count = len(classes)
+    least = np.empty((count, v), dtype=classes.dtype)
+    least[np.arange(count)[:, None, None], classes] = classes.min(axis=2)[..., None]
+    return [row.tobytes() for row in least]
 
 
 def predict_ibd_params(

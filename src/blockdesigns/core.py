@@ -15,6 +15,15 @@ through p only, so its cost follows the replication rather than the block
 count; coverages are popcounts of ANDed columns.  The pairwise
 intersection histogram is popcounts of ANDed block rows, and derived
 coverage numbers use ``fractions.Fraction``.
+
+A design may carry point permutations that map its blocks onto themselves
+(``Design.automorphisms``; the generators and the union construction
+supply them, design files never do).  They are checked exactly on first
+use (``Design._symmetry``), and a false one raises DesignError.  The
+spectrum then counts only the t-subsets through one point of each point
+orbit, and the profile only the meets of one block of each block orbit,
+weighted by the orbit sizes (Kramer and Mesner, "t-designs on
+hypergraphs", Discrete Math. 15, 1976); both divide out exactly.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 
@@ -40,6 +49,7 @@ __all__ = [
     "NonConstantReplication",
     "PointSet",
     "intersection_profile",
+    "is_automorphism",
     "is_simple",
     "is_trivial",
     "lambda_j",
@@ -83,6 +93,9 @@ MAX_POINTS = 1 << 20
 # through p, where u = min(v-1-p, r_p(k-1)) is the most later points those
 # blocks can hold.  On a 2-core Xeon: 3-(256,128,63) at t=3 needs 11.1 M
 # (0.4 s), the AG(3,8) plane design 44.5 M (1.3 s), AG(2,32) 178 M (2.0 s).
+# Counted once per point orbit, the sum runs over one point p of each
+# orbit with u = min(v-1, r_p(k-1)): 3-(1024,512,255) built from AG(2,32)
+# needs 8.4 M words (0.1 s) instead of 2.85 G.
 MAX_SPECTRUM_WORDS = 1 << 28
 
 # Words of ANDed rows that one numpy call holds (512 KB), and of packed
@@ -121,12 +134,30 @@ class PointSet:
 
 
 @dataclass(frozen=True)
+class _Orbits:
+    """The orbits of a permutation group on 0..n-1: the least element of
+    each orbit, ascending, and the orbit sizes."""
+
+    reps: np.ndarray
+    sizes: np.ndarray
+
+
+@dataclass(frozen=True)
 class Design:
-    """A block multiset over a point set; every block has size k."""
+    """A block multiset over a point set; every block has size k.
+
+    `automorphisms` holds point permutations, each as the tuple of images
+    of 0..v-1, that map the blocks onto themselves.  They are a claim that
+    `_symmetry` checks on first use; the verifiers then count once per
+    orbit.  They take no part in equality or hashing.
+    """
 
     points: PointSet
     blocks: tuple[Block, ...]
     k: int
+    automorphisms: tuple[tuple[int, ...], ...] = field(
+        default=(), compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         v = self.points.size
@@ -182,6 +213,103 @@ class Design:
                 mask |= 1 << p
             masks.append(mask)
         return tuple(masks)
+
+    @cached_property
+    def _symmetry(self) -> tuple[_Orbits, _Orbits] | None:
+        """The point and block orbits of the group the automorphisms
+        generate, or None when there are none.
+
+        Raises DesignError when a generator is not a permutation of
+        0..v-1 or does not map the block multiset onto itself.
+        """
+        if not self.automorphisms:
+            return None
+        v = self.points.size
+        members = self._members
+        order = _row_order(members)
+        listed = members[order]
+        point_perms, block_perms = [], []
+        for i, gen in enumerate(self.automorphisms):
+            perm = _as_permutation(gen, v)
+            if perm is None:
+                raise DesignError(
+                    f"automorphism {i} is not a permutation of 0..{v - 1}"
+                )
+            blocks = _block_permutation(members, perm, order, listed)
+            if blocks is None:
+                raise DesignError(
+                    f"automorphism {i} does not map the blocks onto themselves"
+                )
+            point_perms.append(perm)
+            block_perms.append(blocks)
+        return _orbits(point_perms, v), _orbits(block_perms, len(self.blocks))
+
+
+def _as_permutation(gen, v: int) -> np.ndarray | None:
+    """gen as an integer array when it is a permutation of 0..v-1."""
+    perm = np.asarray(gen)
+    if perm.shape != (v,) or perm.dtype.kind not in "iu":
+        return None
+    if perm.min() < 0 or perm.max() >= v:
+        return None
+    hit = np.zeros(v, dtype=bool)
+    hit[perm] = True
+    return perm if hit.all() else None
+
+
+def _row_order(rows: np.ndarray) -> np.ndarray:
+    """The indices of the rows in an order that depends only on their
+    contents: lexicographic on each row's bytes, zero-padded and read as
+    64-bit words.  Two arrays hold the same rows as a multiset exactly when
+    they are equal in this order."""
+    b, width = len(rows), rows.shape[1] * rows.itemsize
+    padded = np.zeros((b, -(-width // 8) * 8), dtype=np.uint8)
+    padded[:, :width] = rows.view(np.uint8).reshape(b, width)
+    return np.lexsort(padded.view(np.uint64).T)
+
+
+def _block_permutation(members, perm, order, listed) -> np.ndarray | None:
+    """The block permutation i -> j with perm(block i) = block j, or None
+    when perm does not map the blocks (the rows of members; `listed` holds
+    them in their _row_order `order`) onto themselves as a multiset."""
+    image = np.take(perm.astype(members.dtype), members)
+    image.sort(axis=1)
+    image_order = _row_order(image)
+    if not np.array_equal(image[image_order], listed):
+        return None
+    blocks = np.empty(len(members), dtype=np.intp)
+    blocks[image_order] = order
+    return blocks
+
+
+def _orbits(perms, n: int) -> _Orbits:
+    """The orbits on 0..n-1 of the group the permutations generate, by
+    min-label propagation: each element takes the least label among its
+    images and preimages, and then its label's label, until no label
+    changes."""
+    label = np.arange(n)
+    while True:
+        new = label.copy()
+        for perm in perms:
+            np.minimum(new, new[perm], out=new)
+            new[perm] = np.minimum(new[perm], new)
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    reps = np.flatnonzero(label == np.arange(n))
+    return _Orbits(reps, np.bincount(label)[reps])
+
+
+def is_automorphism(design: Design, perm) -> bool:
+    """True when perm, the images of 0..v-1, is a permutation that maps
+    the blocks of design onto themselves as a multiset."""
+    perm = _as_permutation(perm, design.points.size)
+    if perm is None:
+        return False
+    members = design._members
+    order = _row_order(members)
+    return _block_permutation(members, perm, order, members[order]) is not None
 
 
 def make_design(v, blocks, labels=None, k=None) -> Design:
@@ -295,17 +423,27 @@ def t_coverage_spectrum(design: Design, t: int) -> dict[int, int]:
     coverage lam exactly when the result is {lam: C(v, t)}.  The subsets
     with least point p are counted on the blocks through p: the coverage
     of {p} plus a (t-1)-subset of later points is the popcount of the AND
-    of their columns over those blocks.  Raises DesignError before packing
-    anything when a bound on the words to count exceeds MAX_SPECTRUM_WORDS.
+    of their columns over those blocks.
+
+    When the design carries automorphisms and t >= 2, only the subsets
+    through one point x of each point orbit P are counted, as hist_x; the
+    coverage is constant on orbits, so hist = sum over P of |P| hist_x / t.
+    Raises DesignError before packing anything when a bound on the words
+    to count exceeds MAX_SPECTRUM_WORDS.
     """
     k = design.k
     if not 1 <= t <= k:
         raise DesignError(f"need 1 <= t <= k, got t={t} k={k}")
     v, b = design.points.size, len(design.blocks)
     replication = _replication(design)
+    symmetry = design._symmetry if t >= 2 else None
+    if symmetry is None:
+        later = [(v - 1 - p, r) for p, r in enumerate(replication.tolist())]
+    else:
+        points = symmetry[0]
+        later = [(v - 1, r) for r in replication[points.reps].tolist()]
     work = sum(
-        math.comb(min(v - 1 - p, r * (k - 1)), t - 1) * ((r + 63) // 64)
-        for p, r in enumerate(replication.tolist())
+        math.comb(min(u, r * (k - 1)), t - 1) * ((r + 63) // 64) for u, r in later
     )
     if work > MAX_SPECTRUM_WORDS:
         raise DesignError(
@@ -314,38 +452,57 @@ def t_coverage_spectrum(design: Design, t: int) -> dict[int, int]:
         )
     # Counts of the covered t-subsets by coverage; the uncovered ones are
     # what is left of C(v, t) (a Python int, which may exceed 64 bits).
+    # Bin 0 collects pairs of uncovered points and is never read.
     hist = np.zeros(b + 1, dtype=np.int64)
     if t == 1:
         hist += np.bincount(replication, minlength=b + 1)
-    else:
-        members = design._members
+    elif symmetry is None:
         for p in np.flatnonzero(replication[: v - t + 1]).tolist():
-            blocks = members[np.flatnonzero(members.ravel() == p) // k]
-            if t == 2:
-                # The coverage of {p, q} is the number of these blocks
-                # holding q.
-                pairs = np.bincount(blocks.ravel(), minlength=v)[p + 1 :]
-                hist += np.bincount(pairs, minlength=hist.size)
-            else:
-                _add_coverages(hist, _columns_after(blocks, p, v), t - 1)
+            _add_through(hist, design._members, v, p, slice(0, p + 1), t)
+    else:
+        for x, size in zip(points.reps.tolist(), points.sizes.tolist()):
+            through = np.zeros_like(hist)
+            _add_through(through, design._members, v, x, slice(x, x + 1), t)
+            hist += size * through
+        # Each covered t-subset is counted once through each of its points.
+        if (hist[1:] % t).any():
+            raise DesignError(
+                f"the orbit counts of the t={t} spectrum are not divisible by t"
+            )
+        hist //= t
     spectrum = {int(c): int(hist[c]) for c in np.flatnonzero(hist[1:]) + 1}
     uncovered = math.comb(v, t) - sum(spectrum.values())
     return {0: uncovered, **spectrum} if uncovered else spectrum
 
 
-def _columns_after(blocks: np.ndarray, p: int, v: int) -> np.ndarray:
-    """The columns over `blocks` (rows of points) of the points after p
-    that lie in one of them, in uint64 words with zero padding bits.
+def _add_through(hist, members, v, p, dropped: slice, t) -> None:
+    """Count into hist (from coverage 1) the t >= 2 subsets made of p and
+    t-1 points outside `dropped` (which holds p), on the blocks through p."""
+    k = members.shape[1]
+    blocks = members[np.flatnonzero(members.ravel() == p) // k]
+    if t == 2:
+        # The coverage of {p, q} is the number of these blocks holding q.
+        pairs = np.bincount(blocks.ravel(), minlength=v)
+        pairs[dropped] = 0
+        hist += np.bincount(pairs, minlength=hist.size)
+    else:
+        _add_coverages(hist, _columns(blocks, v, dropped), t - 1)
+
+
+def _columns(blocks: np.ndarray, v: int, dropped: slice) -> np.ndarray:
+    """The columns over `blocks` (rows of points) of the points outside
+    `dropped` that lie in one of them, in uint64 words with zero padding
+    bits.
 
     The booleans are packed in slices of blocks worth about _CHUNK_WORDS
     words (4 MB of booleans), or 64 blocks when the points alone fill more.
     """
     present = np.zeros(v, dtype=bool)
     present[blocks] = True
-    present[: p + 1] = False
+    present[dropped] = False
     row = np.cumsum(present) - 1
     count = int(row[-1]) + 1
-    row[: p + 1] = count  # points up to p go to a row that is dropped
+    row[dropped] = count  # dropped points go to a row that is dropped
     width = 64 * ((len(blocks) + 63) // 64)
     columns = np.empty((count, width // 64), dtype=np.uint64)
     step = min(width, 64 * max(1, _CHUNK_WORDS // max(1, count)))
@@ -427,10 +584,35 @@ def _popcounts(words: np.ndarray) -> np.ndarray:
 def intersection_profile(design: Design) -> IntersectionProfile:
     """Exact pair counts by intersection size over all unordered pairs of
     distinct block instances (duplicates each counted): popcounts of the
-    ANDed block rows."""
-    counts = np.zeros(design.k + 1, dtype=np.int64)
-    _add_meets(counts, design._rows)
-    return IntersectionProfile(tuple(int(c) for c in counts))
+    ANDed block rows.
+
+    When the design carries automorphisms, only one block of each block
+    orbit O meets every block; a block's meets are constant on its orbit,
+    so each pair is counted twice in the sum over O of |O| times those
+    meets, less the b meets of a block with itself.
+    """
+    k = design.k
+    counts = np.zeros(k + 1, dtype=np.int64)
+    symmetry = design._symmetry
+    if symmetry is None:
+        _add_meets(counts, design._rows)
+        return IntersectionProfile(tuple(int(c) for c in counts))
+    rows, blocks = design._rows, symmetry[1]
+    n, nwords = rows.shape
+    # Slices of representatives whose meets with all rows fill about
+    # _CHUNK_WORDS words; meets of the i-th go to bins i(k+1) .. i(k+1)+k.
+    step = max(1, _CHUNK_WORDS // (n * nwords))
+    for lo in range(0, len(blocks.reps), step):
+        reps = blocks.reps[lo : lo + step]
+        meets = _popcounts(rows[reps, None] & rows) + np.arange(
+            0, len(reps) * (k + 1), k + 1
+        )[:, None]
+        per_rep = np.bincount(meets.ravel(), minlength=len(reps) * (k + 1))
+        counts += blocks.sizes[lo : lo + step] @ per_rep.reshape(len(reps), k + 1)
+    counts[k] -= n
+    if (counts % 2).any():
+        raise DesignError("the orbit counts of the intersection profile are odd")
+    return IntersectionProfile(tuple(int(c) // 2 for c in counts))
 
 
 def nontriviality_bound_holds(v: int, k: int) -> bool:

@@ -9,14 +9,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Block, Design, DesignError, PointSet
+from .core import MAX_POINTS, Block, Design, DesignError, PointSet
 from .galois import GaloisError, field
 from .resolution import ParallelClass, Resolution
 
 __all__ = [
     "CyclicBaseSpec",
     "InvalidBaseClass",
-    "MAX_TRIVIAL_BLOCKS",
+    "MAX_INCIDENCES",
     "OddPointCount",
     "UnsupportedField",
     "affine_hyperplane_design",
@@ -40,30 +40,45 @@ class UnsupportedField(DesignError):
     pass
 
 
-# Most blocks trivial_design builds: C(22, 11) = 705,432 fits, C(24, 12) not.
-MAX_TRIVIAL_BLOCKS = 1 << 20
+# Most point-block incidences b*k a generator builds, checked with v <=
+# MAX_POINTS before any block exists.  As tuples of Python ints a design
+# takes up to about 60 bytes per incidence, 0.5 GB at this bound; the
+# trivial design C(22, 11) holds 7,759,752 incidences, C(24, 12) 32 M.
+MAX_INCIDENCES = 1 << 23
+
+
+def _check_size(what: str, v: int, b: int, k: int) -> None:
+    """Raise DesignError when a design of b blocks of size k on v points
+    is above MAX_POINTS or MAX_INCIDENCES."""
+    if v > MAX_POINTS:
+        raise DesignError(
+            f"{what} has {v} points, above the limit of {MAX_POINTS}"
+        )
+    if b * k > MAX_INCIDENCES:
+        raise DesignError(
+            f"{what} has {b} blocks of {k} points, {b * k} incidences, "
+            f"above the limit of {MAX_INCIDENCES}"
+        )
 
 
 def trivial_design(v: int, k: int) -> Design:
     """All C(v, k) k-subsets of 0..v-1 in lexicographic order.
 
-    Raises DesignError before building any block when C(v, k) exceeds
-    MAX_TRIVIAL_BLOCKS.
+    Raises DesignError before building any block when the design is
+    above the size limits of _check_size.
     """
     if not 2 <= k < v:
         raise DesignError(f"need 2 <= k < v, got k={k} v={v}")
-    count = math.comb(v, k)
-    if count > MAX_TRIVIAL_BLOCKS:
-        raise DesignError(
-            f"the trivial design on v={v} with k={k} has {count} blocks, "
-            f"above the limit of {MAX_TRIVIAL_BLOCKS}"
-        )
+    _check_size(f"the trivial design on v={v} with k={k}", v, math.comb(v, k), k)
     blocks = tuple(itertools.combinations(range(v), k))
     return Design(points=PointSet(v), blocks=blocks, k=k)
 
 
-def _resolution_from_classes(points: PointSet, class_blocks, k: int):
-    """Assemble a design plus resolution from per-class block lists."""
+def _resolution_from_classes(
+    points: PointSet, class_blocks, k: int, automorphisms=()
+):
+    """Assemble a design plus resolution from per-class block lists; the
+    design carries the given automorphisms."""
     blocks: list[Block] = []
     classes = []
     for cls in class_blocks:
@@ -72,7 +87,9 @@ def _resolution_from_classes(points: PointSet, class_blocks, k: int):
             refs.append(len(blocks))
             blocks.append(block)
         classes.append(ParallelClass(tuple(refs)))
-    design = Design(points=points, blocks=tuple(blocks), k=k)
+    design = Design(
+        points=points, blocks=tuple(blocks), k=k, automorphisms=automorphisms
+    )
     return design, Resolution(design, tuple(classes))
 
 
@@ -81,6 +98,7 @@ def round_robin_one_factorization(v: int) -> tuple[Design, Resolution]:
     rest rotate; round t pairs the fixed point with t."""
     if v < 4 or v % 2:
         raise OddPointCount(f"one-factorization needs an even v >= 4, got {v}")
+    _check_size(f"the one-factorization of K_{v}", v, v * (v - 1) // 2, 2)
     m = v - 1
     classes = []
     for t in range(m):
@@ -102,6 +120,7 @@ def sub_factorization_embedding(n: int) -> tuple[Design, Resolution]:
     """
     if n < 2:
         raise DesignError(f"need n >= 2, got {n}")
+    _check_size(f"the one-factorization of K_{4 * n}", 4 * n, 2 * n * (4 * n - 1), 2)
     half = 2 * n
     _, low_res = round_robin_one_factorization(half)
     low = low_res.design
@@ -125,7 +144,10 @@ def affine_hyperplane_design(m: int, q: int) -> tuple[Design, Resolution]:
     the first coordinate most significant.  Directions are normal vectors
     normalized so the first nonzero coordinate is 1, taken in point order;
     the hyperplanes of a class are ordered by the rank of the dot product
-    with the normal.
+    with the normal.  The design carries as automorphisms the translations
+    of one coordinate by an element of rank p^j of GF(q) = GF(p^n): m*n
+    generators of the translation group, which maps every hyperplane to a
+    parallel one.
 
     The q^m x m array of coordinate ranks is built once; each direction's
     dot products are reduced through the field's rank tables, and one
@@ -134,12 +156,20 @@ def affine_hyperplane_design(m: int, q: int) -> tuple[Design, Resolution]:
     """
     if m < 2:
         raise DesignError(f"need dimension m >= 2, got {m}")
+    if m > MAX_POINTS.bit_length() and q >= 2:  # q^m is not computed
+        raise DesignError(
+            f"AG({m}, {q}) has {q}^{m} points, above the limit of {MAX_POINTS}"
+        )
+    v = q**m
+    # q hyperplanes of q^(m-1) points for each of 1 + q + ... + q^(m-1)
+    # directions.
+    directions = sum(q**i for i in range(m))
+    _check_size(f"AG({m}, {q})", v, q * directions, q ** (m - 1))
     try:
         spec = field(q)
     except GaloisError as exc:
         raise UnsupportedField(str(exc)) from exc
     add, mul = spec.add_table, spec.mul_table
-    v = q**m
     weights = q ** np.arange(m - 1, -1, -1)
     coords = (np.arange(v)[:, None] // weights % q).astype(add.dtype)
     # Rank 1 is the field's one: keep vectors whose first nonzero rank is 1.
@@ -151,7 +181,16 @@ def affine_hyperplane_design(m: int, q: int) -> tuple[Design, Resolution]:
             total = add[total, mul[normal[c], coords[:, c]]]
         planes = np.argsort(total, kind="stable").reshape(q, v // q)
         classes.append([tuple(plane) for plane in planes.tolist()])
-    return _resolution_from_classes(PointSet(v), classes, q ** (m - 1))
+    translations = []
+    for c in range(m):
+        old = coords[:, c].astype(np.intp)
+        for j in range(spec.n):
+            new = add[coords[:, c], spec.p**j].astype(np.intp)
+            image = np.arange(v) + (new - old) * weights[c]
+            translations.append(tuple(image.tolist()))
+    return _resolution_from_classes(
+        PointSet(v), classes, q ** (m - 1), tuple(translations)
+    )
 
 
 def cyclic_point_set(n: int, has_infinity: bool) -> PointSet:
@@ -207,8 +246,11 @@ class CyclicBaseSpec:
 
 def cyclic_develop(spec: CyclicBaseSpec) -> tuple[Design, Resolution]:
     """Develop the base class through Z_n: translate t maps x < n to
-    (x+t) mod n and fixes the point n.  Classes are the n translates."""
+    (x+t) mod n and fixes the point n.  Classes are the n translates, and
+    the design carries the translate x -> x+1 as its automorphism."""
     n = spec.n
+    _check_size(f"the development of a base class through Z_{n}", spec.v,
+                n * len(spec.base_class), spec.k)
     classes = []
     for t in range(n):
         translated = []
@@ -217,4 +259,5 @@ def cyclic_develop(spec: CyclicBaseSpec) -> tuple[Design, Resolution]:
             translated.append(tuple(members))
         classes.append(translated)
     points = cyclic_point_set(n, spec.has_infinity)
-    return _resolution_from_classes(points, classes, spec.k)
+    shift = tuple(range(1, n)) + (0,) + ((n,) if spec.has_infinity else ())
+    return _resolution_from_classes(points, classes, spec.k, (shift,))

@@ -169,6 +169,9 @@ COMMANDS = [
      "--out", "x.design"],
     ["construct", "t82.design", "t42.design", "--auto-resolve", "--budget", "1",
      "--out", "x.design"],
+    # generators refuse designs above the size limits before building them
+    ["gen", "one-factorization", "20000"],
+    ["gen", "affine", "4", "64"],
 ]
 
 

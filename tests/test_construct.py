@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -46,7 +47,7 @@ from blockdesigns.resolution import (
     verify_resolution,
 )
 
-from oracles import naive_coverage
+from oracles import naive_coverage, naive_profile, naive_spectrum
 
 MASTER_24_6_5 = DesignParams(t=2, v=24, b=92, r=23, k=6, lam=5)
 MASTER_30_5_4 = DesignParams(t=2, v=30, b=174, r=29, k=5, lam=4)
@@ -459,3 +460,87 @@ def test_indexing_params_validation():
         IndexingParams(
             w=4, b_prime=5, r_prime=3, k_prime=2, lambda_prime=0, lambda2_prime=1
         )
+
+
+# --- orbit counting on constructed designs ----------------------------------
+
+def _plain(design):
+    """The same blocks without automorphisms: the count of every pair and
+    t-subset one by one."""
+    return dataclasses.replace(design, automorphisms=())
+
+
+def _assert_orbit_counts_match_plain(design):
+    assert design.automorphisms
+    plain = _plain(design)
+    for t in (2, 3):
+        assert t_coverage_spectrum(design, t) == t_coverage_spectrum(plain, t)
+    assert intersection_profile(design) == intersection_profile(plain)
+
+
+def test_orbit_counts_match_plain_counts_on_the_catalog(repro):
+    for report in repro.values():
+        _assert_orbit_counts_match_plain(report.master)
+        _assert_orbit_counts_match_plain(report.constructed.design)
+
+
+@pytest.mark.parametrize(
+    "m, q, indexing",
+    [
+        (2, 8, lambda: trivial_design(8, 4)),
+        (3, 4, lambda: trivial_design(4, 2)),
+        (2, 16, lambda: affine_hyperplane_design(4, 2)[0]),
+    ],
+    ids=["AG(2,8)xtrivial(8,4)", "AG(3,4)xtrivial(4,2)", "AG(2,16)xAG(4,2)"],
+)
+def test_orbit_counts_match_plain_counts_on_affine_constructions(m, q, indexing):
+    _, res = affine_hyperplane_design(m, q)
+    built = shrikhande_raghavarao(res, indexing()).design
+    assert len(built.automorphisms) == len(res.design.automorphisms)
+    _assert_orbit_counts_match_plain(built)
+
+
+def test_catalog_construction_counts_on_the_orbits_of_z29(repro):
+    design = repro["3-(30,15,819)"].constructed.design
+    assert design.automorphisms == (tuple(range(1, 29)) + (0, 29),)
+    points, blocks = design._symmetry
+    assert points.reps.tolist() == [0, 29] and points.sizes.tolist() == [29, 1]
+    assert len(blocks.reps) == 252 and blocks.sizes.sum() == 7308
+
+
+def test_construction_drops_an_automorphism_the_indexing_design_breaks(ag23):
+    _, res = ag23
+    # Both translations of AG(2,3) shift the positions of some class, which
+    # maps the indexing block {0, 1} to {1, 2} or {0, 2}.
+    lone = make_design(3, [(0, 1)])
+    built = shrikhande_raghavarao(res, lone).design
+    assert res.design.automorphisms and built.automorphisms == ()
+    kept = shrikhande_raghavarao(res, trivial_design(3, 2)).design
+    assert kept.automorphisms == res.design.automorphisms
+    blocks = kept.blocks
+    assert t_coverage_spectrum(kept, 3) == naive_spectrum(9, blocks, 3)
+    assert list(intersection_profile(kept).counts) == naive_profile(blocks)
+
+
+def test_construction_refuses_a_false_master_automorphism(ag23):
+    master, res = ag23
+    swap = (1, 0) + tuple(range(2, 9))  # swaps two points of a line
+    claimed = dataclasses.replace(master, automorphisms=(swap,))
+    relabelled = Resolution(claimed, res.classes)
+    with pytest.raises(DesignError, match="automorphism 0"):
+        shrikhande_raghavarao(relabelled, trivial_design(3, 2))
+
+
+def test_affine_32_golden_3_1024_512_255():
+    """AG(2,32) with AG(5,2) indexing: the plain t=3 spectrum is refused by
+    MAX_SPECTRUM_WORDS, and the orbits of the 1024 translations count it."""
+    _, res = affine_hyperplane_design(2, 32)
+    indexing, _ = affine_hyperplane_design(5, 2)  # a 3-(32,16,7) design
+    built = shrikhande_raghavarao(res, indexing).design
+    assert len(built.blocks) == 2046 and len(built.automorphisms) == 10
+    with pytest.raises(DesignError, match="above the limit"):
+        t_coverage_spectrum(_plain(built), 3)
+    mu = predicted_mu_affine(32, 2, 7)
+    assert t_coverage_spectrum(built, 3) == {mu: 178_433_024} == {255: math.comb(1024, 3)}
+    counts = intersection_profile(built).counts
+    assert {i: c for i, c in enumerate(counts) if c} == {0: 1023, 256: 2_091_012}

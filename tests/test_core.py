@@ -5,7 +5,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blockdesigns import core
@@ -18,6 +18,7 @@ from blockdesigns.core import (
     NonConstantReplication,
     PointSet,
     intersection_profile,
+    is_automorphism,
     is_simple,
     is_trivial,
     lambda_j,
@@ -26,7 +27,7 @@ from blockdesigns.core import (
     t_coverage_spectrum,
     verify_ibd,
 )
-from blockdesigns.generators import cyclic_develop, trivial_design
+from blockdesigns.generators import CyclicBaseSpec, cyclic_develop, trivial_design
 from blockdesigns.catalog import catalog_entry
 
 from oracles import naive_coverage, naive_profile, naive_spectrum
@@ -370,6 +371,108 @@ def test_simple_iff_no_full_intersections(design):
     profile = intersection_profile(design)
     assert is_simple(design) == (profile.counts[design.k] == 0)
     assert profile.simple == is_simple(design)
+
+
+# --- counting once per orbit of the automorphisms ---------------------------
+
+def _translate(block, t, n):
+    """Block translated by t in Z_n; the point n (if any) stays fixed."""
+    return tuple(sorted((x + t) % n if x < n else x for x in block))
+
+
+@st.composite
+def developed_designs(draw):
+    """A random base class on Z_n (plus a fixed point), developed through
+    Z_n, then given a repeated block orbit or a duplicated development;
+    the translate x -> x+1 is an automorphism of each."""
+    n = draw(st.integers(min_value=3, max_value=11))
+    infinity = draw(st.booleans())
+    v = n + infinity
+    k = draw(st.sampled_from([k for k in range(2, v) if v % k == 0] or [0]))
+    assume(k)
+    points = draw(st.permutations(range(v)))
+    base = CyclicBaseSpec(n, infinity, tuple(
+        tuple(sorted(points[i : i + k])) for i in range(0, v, k)
+    ))
+    blocks = list(cyclic_develop(base)[0].blocks)
+    if draw(st.booleans()):
+        blocks += blocks  # every class twice
+    else:
+        # One more orbit: a base block again, or any k points; a block with
+        # a short orbit, such as {0, n/2}, comes out several times.
+        extra = draw(st.one_of(
+            st.sampled_from(base.base_class),
+            st.lists(st.integers(0, v - 1), min_size=k, max_size=k,
+                     unique=True),
+        ))
+        blocks += [_translate(extra, t, n) for t in range(n)]
+    shift = tuple(range(1, n)) + (0,) + ((n,) if infinity else ())
+    return Design(PointSet(v), tuple(blocks), k, automorphisms=(shift,))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(developed_designs())
+def test_orbit_counts_match_naive_oracles(design):
+    v, blocks = design.points.size, design.blocks
+    for t in range(1, min(3, design.k) + 1):
+        assert t_coverage_spectrum(design, t) == naive_spectrum(v, blocks, t)
+    assert list(intersection_profile(design).counts) == naive_profile(blocks)
+
+
+def test_orbits_of_a_developed_design():
+    design = cyclic_develop(catalog_entry("3-(24,12,15)").base)[0]
+    points, blocks = design._symmetry
+    assert points.reps.tolist() == [0, 23] and points.sizes.tolist() == [23, 1]
+    assert blocks.reps.tolist() == [0, 1, 2, 3]
+    assert blocks.sizes.tolist() == [23] * 4
+
+
+def test_automorphisms_take_no_part_in_equality():
+    design = make_design(4, [(0, 1), (2, 3)])
+    claimed = Design(design.points, design.blocks, 2,
+                     automorphisms=((1, 0, 3, 2),))
+    assert claimed == design and hash(claimed) == hash(design)
+    assert design._symmetry is None
+
+
+FALSE_AUTOMORPHISMS = {
+    "not a permutation": ((0, 0, 1, 2, 3, 4, 5),),
+    "wrong length": ((1, 2, 0),),
+    "not an automorphism": ((1, 0, 2, 3, 4, 5, 6),),
+    "one false of two": ((6, 0, 1, 2, 3, 4, 5), (1, 0, 2, 3, 4, 5, 6)),
+}
+
+
+@pytest.mark.parametrize("claim", FALSE_AUTOMORPHISMS.values(),
+                         ids=FALSE_AUTOMORPHISMS)
+@pytest.mark.parametrize(
+    "verifier",
+    [lambda d: t_coverage_spectrum(d, 2), lambda d: t_coverage_spectrum(d, 3),
+     intersection_profile],
+    ids=["spectrum t=2", "spectrum t=3", "profile"],
+)
+def test_false_automorphisms_are_refused(claim, verifier):
+    # The Fano plane: x -> x+1 mod 7 on the lines {0,1,3} + t is an
+    # automorphism, the transposition (0 1) is not.
+    lines = [_translate((0, 1, 3), t, 7) for t in range(7)]
+    fano = make_design(7, lines)
+    assert is_automorphism(fano, (1, 2, 3, 4, 5, 6, 0))
+    assert not any(is_automorphism(fano, gen) for gen in claim[-1:])
+    claimed = Design(fano.points, fano.blocks, 3, automorphisms=claim)
+    with pytest.raises(DesignError, match="automorphism"):
+        verifier(claimed)
+    with pytest.raises(DesignError, match="automorphism"):  # never cached
+        verifier(claimed)
+
+
+def test_is_automorphism_refuses_non_integer_images():
+    design = make_design(4, [(0, 1), (2, 3)])
+    assert is_automorphism(design, (1, 0, 3, 2))
+    assert is_automorphism(design, (2, 3, 0, 1))
+    assert not is_automorphism(design, (1, 2, 0, 3))
+    assert not is_automorphism(design, (1.0, 0.0, 3.0, 2.0))
+    assert not is_automorphism(design, (1, 0, 3, 4))
+    assert not is_automorphism(design, ())
 
 
 # --- nontriviality bound ----------------------------------------------------

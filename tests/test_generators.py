@@ -1,12 +1,13 @@
 import itertools
 import math
+import tracemalloc
 
 import pytest
 
 from blockdesigns.catalog import UnknownEntry, catalog_entry, catalog_names
 from blockdesigns.core import DesignError, is_simple, t_coverage_spectrum, verify_ibd
 from blockdesigns.generators import (
-    MAX_TRIVIAL_BLOCKS,
+    MAX_INCIDENCES,
     CyclicBaseSpec,
     InvalidBaseClass,
     OddPointCount,
@@ -45,9 +46,50 @@ def test_trivial_validation():
 
 
 def test_trivial_guard_raises_before_building():
-    assert math.comb(40, 20) > MAX_TRIVIAL_BLOCKS  # 1.4e11 blocks
+    assert math.comb(40, 20) * 20 > MAX_INCIDENCES  # 1.4e11 blocks
     with pytest.raises(DesignError, match="above the limit"):
         trivial_design(40, 20)
+
+
+def _halves(n):
+    """A base class of Z_n: the pairs {i, i + n/2}."""
+    return CyclicBaseSpec(n, False, tuple((i, i + n // 2) for i in range(n // 2)))
+
+
+OVERSIZED = {
+    "one-factorization of K_20000": lambda: round_robin_one_factorization(20000),
+    "sub-one-factorization of K_40000": lambda: sub_factorization_embedding(10_000),
+    "AG(4,64): 2^24 points": lambda: affine_hyperplane_design(4, 64),
+    "AG(2,1024): 1e9 incidences": lambda: affine_hyperplane_design(2, 1024),
+    "AG(10^9,2)": lambda: affine_hyperplane_design(10**9, 2),
+    "trivial(2^20, 2^20 - 1)": lambda: trivial_design(1 << 20, (1 << 20) - 1),
+}
+
+
+@pytest.mark.parametrize("build", OVERSIZED.values(), ids=OVERSIZED)
+def test_generators_refuse_oversized_designs_before_building(build):
+    tracemalloc.start()
+    try:
+        with pytest.raises(DesignError, match="above the limit"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+def test_cyclic_development_is_bounded_before_building():
+    spec = _halves(6000)  # 6000 classes of 3000 pairs: 3.6e7 incidences
+    tracemalloc.start()
+    try:
+        with pytest.raises(DesignError, match="above the limit"):
+            cyclic_develop(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    design, res = cyclic_develop(_halves(200))
+    assert len(design.blocks) == 200 * 100 and verify_resolution(design, res)
 
 
 # --- one-factorizations ------------------------------------------------------
