@@ -461,6 +461,8 @@ def t_coverage_spectrum(design: Design, t: int) -> dict[int, int]:
             _add_through(hist, design._members, v, p, slice(0, p + 1), t)
     else:
         for x, size in zip(points.reps.tolist(), points.sizes.tolist()):
+            if not replication[x]:
+                continue  # no block holds x, so no t-subset through x
             through = np.zeros_like(hist)
             _add_through(through, design._members, v, x, slice(x, x + 1), t)
             hist += size * through
@@ -601,7 +603,7 @@ def intersection_profile(design: Design) -> IntersectionProfile:
     n, nwords = rows.shape
     # Slices of representatives whose meets with all rows fill about
     # _CHUNK_WORDS words; meets of the i-th go to bins i(k+1) .. i(k+1)+k.
-    step = max(1, _CHUNK_WORDS // (n * nwords))
+    step = max(1, _CHUNK_WORDS // max(1, n * nwords))
     for lo in range(0, len(blocks.reps), step):
         reps = blocks.reps[lo : lo + step]
         meets = _popcounts(rows[reps, None] & rows) + np.arange(

@@ -419,6 +419,23 @@ def test_orbit_counts_match_naive_oracles(design):
     assert list(intersection_profile(design).counts) == naive_profile(blocks)
 
 
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_orbit_counts_skip_points_in_no_block(t):
+    # The cyclic Fano plane on points 0..6 plus a point 7 in no block,
+    # which x -> x+1 mod 7 fixes.
+    lines = tuple(_translate((0, 1, 3), s, 7) for s in range(7))
+    shift = (1, 2, 3, 4, 5, 6, 0, 7)
+    design = Design(PointSet(8), lines, 3, automorphisms=(shift,))
+    assert t_coverage_spectrum(design, t) == naive_spectrum(8, lines, t)
+    assert list(intersection_profile(design).counts) == naive_profile(lines)
+
+
+def test_orbit_counts_of_a_design_without_blocks():
+    design = Design(PointSet(4), (), 2, automorphisms=((1, 0, 3, 2),))
+    assert t_coverage_spectrum(design, 2) == {0: 6}
+    assert intersection_profile(design).counts == (0, 0, 0)
+
+
 def test_orbits_of_a_developed_design():
     design = cyclic_develop(catalog_entry("3-(24,12,15)").base)[0]
     points, blocks = design._symmetry
