@@ -435,6 +435,19 @@ def cmd_reproduce(args) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
+def _int_at_least(lowest: int):
+    """An argparse type: an integer no smaller than `lowest`."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be at least {lowest}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value: ..."
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blockdesigns",
@@ -444,6 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    budget = _int_at_least(0)  # search nodes; 0 places no block
 
     p = sub.add_parser("verify", help="verify design properties")
     p.add_argument("file")
@@ -459,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("indexing", help="indexing design file")
     p.add_argument("--resolution", default=None, help="master resolution file")
     p.add_argument("--auto-resolve", action="store_true")
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--budget", type=budget, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--out", required=True)
     p.add_argument("--provenance", default=None)
     p.add_argument("--check-three", action="store_true",
@@ -469,8 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("resolve", help="search for resolutions")
     p.add_argument("file")
-    p.add_argument("--limit", type=int, default=1)
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--limit", type=_int_at_least(1), default=1)
+    p.add_argument("--budget", type=budget, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--out", default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_resolve)
@@ -478,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prp", help="check the partial replacement property")
     p.add_argument("file", help="resolution file")
     p.add_argument("--alpha", action="append", type=int)
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--budget", type=budget, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_prp)
 

@@ -7,12 +7,24 @@ satisfy alpha-PRP when the 2w blocks they hold can be re-partitioned into
 a different pair of parallel classes overlapping the first class in
 exactly alpha blocks; resolutions free of such swaps make the union
 construction produce simple designs.
+
+Both searches complete one parallel class at a time over bitsets of block
+indices (Python ints): `through[p]` holds the blocks through point p and
+`avail` the blocks that may still be placed.  The lowest uncovered point
+is filled with each block of `through[p] & avail` in increasing index
+order.  In the resolution search, placing block i removes every block
+that meets it from `avail`, so no candidate is scanned and rejected; the
+PRP search, with few nodes per class pair, removes only block i and tests
+each candidate against the points covered.  Every placed block is one
+node of the search budget.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Design, DesignError
 
@@ -128,52 +140,86 @@ def verify_resolution(design: Design, res: Resolution) -> CheckResult:
     return CheckResult(True)
 
 
+def _canonical_order(blocks, classes) -> list[tuple[tuple, tuple[int, ...]]]:
+    """(contents, refs) of each class of block indices, in canonical order.
+
+    Refs are ordered by (block, index) and classes by (contents, refs), so
+    the contents of the returned classes, in order, are the content key
+    under which two resolutions are the same.
+    """
+    ordered = []
+    for refs in classes:
+        refs = tuple(sorted(refs, key=lambda i: (blocks[i], i)))
+        ordered.append((tuple(blocks[i] for i in refs), refs))
+    ordered.sort()
+    return ordered
+
+
 def canonical_resolution(res: Resolution) -> Resolution:
     """Order classes and in-class refs by block content (idempotent)."""
-    blocks = res.design.blocks
-    ordered = []
-    for cls in res.classes:
-        refs = tuple(sorted(cls.block_refs, key=lambda i: (blocks[i], i)))
-        ordered.append(refs)
-    ordered.sort(key=lambda refs: (tuple(blocks[i] for i in refs), refs))
-    return Resolution(res.design, tuple(ParallelClass(refs) for refs in ordered))
+    ordered = _canonical_order(res.design.blocks, (c.block_refs for c in res.classes))
+    return Resolution(res.design, tuple(ParallelClass(refs) for _, refs in ordered))
 
 
-def _content_key(design: Design, classes) -> tuple:
-    blocks = design.blocks
-    return tuple(sorted(tuple(sorted(blocks[i] for i in refs)) for refs in classes))
+# Bits of the memoized `meets` masks one resolution search keeps: each is b
+# bits, so a design with many blocks rebuilds the masks past this on use.
+MEETS_MEMO_BITS = 1 << 26
 
 
-def _class_completions(chosen, cover, full, candidates, masks, used, budget):
+class _Meets(dict):
+    """meets[i]: the mask of the blocks that share a point with block i, i
+    included, built from `through` on first use."""
+
+    def __init__(self, blocks, through):
+        super().__init__()
+        self.blocks = blocks
+        self.through = through
+        self.room = MEETS_MEMO_BITS // max(len(blocks), 1)
+
+    def __missing__(self, i):
+        mask = 0
+        for p in self.blocks[i]:
+            mask |= self.through[p]
+        if len(self) < self.room:
+            self[i] = mask
+        return mask
+
+
+def _class_completions(chosen, cover, full, masks, through, meets, avail, budget):
     """Yield `chosen` once for each way to complete a partial parallel class.
 
-    `chosen` lists the block indices placed so far and `cover` is the mask
-    of the points they cover.  The lowest uncovered point is filled next,
-    trying the blocks of `candidates[point]` in order that contain it, are
-    not `used` and miss `cover`.  Every placed block costs one node of the
-    single-element counter `budget`; the search raises SearchBudgetExceeded
-    when the counter drops below zero.  `chosen` and `used` are restored
-    after each completion has been consumed.
+    Blocks are indices into `masks`, their point masks; sets of blocks are
+    Python-int bit masks over those indices.  `chosen` lists the blocks
+    placed so far, `cover` is the mask of the points they cover and `avail`
+    holds the blocks that may still be placed.  The lowest uncovered point
+    p is filled next with each block of `through[p] & avail` (the blocks
+    through p), in increasing index order, that misses `cover`.  Placing
+    block i leaves `avail & ~meets[i]`, where `meets[i]` holds i and any of
+    the blocks that meet i; the cover test skips the others.  Every placed
+    block costs one node of the single-element counter `budget`; the search
+    raises SearchBudgetExceeded when the counter drops below zero.  `chosen`
+    is restored after each completion has been consumed.
     """
     if cover == full:
         yield chosen
         return
     bit = ~cover & full
-    bit &= -bit
-    for i in candidates[bit.bit_length() - 1]:
-        if used[i] or masks[i] & cover or not masks[i] & bit:
-            continue
+    candidates = through[(bit & -bit).bit_length() - 1] & avail
+    while candidates:
+        low = candidates & -candidates
+        candidates ^= low
+        i = low.bit_length() - 1
         mask = masks[i]
+        if mask & cover:
+            continue
         budget[0] -= 1
         if budget[0] < 0:
             raise SearchBudgetExceeded(0, [], "class completion(s)")
-        used[i] = True
         chosen.append(i)
         yield from _class_completions(
-            chosen, cover | mask, full, candidates, masks, used, budget
+            chosen, cover | mask, full, masks, through, meets, avail & ~meets[i], budget
         )
         chosen.pop()
-        used[i] = False
 
 
 def find_resolutions(
@@ -194,15 +240,16 @@ def find_resolutions(
     w = v // k
     if b == 0 or b % w:
         return []
-    masks = design._masks
-    by_point: list[list[int]] = [[] for _ in range(v)]
+    through = [0] * v
     for i, block in enumerate(design.blocks):
         for p in block:
-            by_point[p].append(i)
+            through[p] |= 1 << i
+    meets = _Meets(design.blocks, through)
     found: dict[tuple, Resolution] = {}
     try:
         _complete_resolution(
-            design, limit, masks, by_point, [False] * b, [], [node_budget], found
+            design, limit, design._masks, through, meets, (1 << b) - 1, [],
+            [node_budget], found,
         )
     except SearchBudgetExceeded:
         raise SearchBudgetExceeded(
@@ -212,41 +259,65 @@ def find_resolutions(
 
 
 def _complete_resolution(
-    design, limit, masks, by_point, used, classes, budget, found
+    design, limit, masks, through, meets, unused, classes, budget, found
 ) -> bool:
-    """Extend the classes in `classes` to resolutions, recording each new
-    one in `found` under its content key; True once `limit` are found."""
-    try:
-        # The lowest-indexed unused block must open the next class: classes
-        # are unordered, so fixing it prunes the r! class-order symmetry.
-        seed = used.index(False)
-    except ValueError:
-        key = _content_key(design, classes)
+    """Extend the classes in `classes` to resolutions using the blocks of
+    the mask `unused`, recording each new one in `found` under its content
+    key; True once `limit` are found.  Every block that meets another is in
+    its `meets`, so the cover test of _class_completions never skips one."""
+    if not unused:
+        ordered = _canonical_order(design.blocks, classes)
+        key = tuple(contents for contents, _ in ordered)
         if key not in found:
-            res = Resolution(design, tuple(ParallelClass(refs) for refs in classes))
-            found[key] = canonical_resolution(res)
+            found[key] = Resolution(
+                design, tuple(ParallelClass(refs) for _, refs in ordered)
+            )
         return len(found) >= limit
+    # The lowest-indexed unused block must open the next class: classes
+    # are unordered, so fixing it prunes the r! class-order symmetry.
+    seed = (unused & -unused).bit_length() - 1
     full = (1 << design.points.size) - 1
-    used[seed] = True
     for chosen in _class_completions(
-        [seed], masks[seed], full, by_point, masks, used, budget
+        [seed], masks[seed], full, masks, through, meets, unused & ~meets[seed], budget
     ):
         classes.append(tuple(chosen))
+        rest = unused
+        for i in chosen:
+            rest ^= 1 << i
         done = _complete_resolution(
-            design, limit, masks, by_point, used, classes, budget, found
+            design, limit, masks, through, meets, rest, classes, budget, found
         )
         classes.pop()
         if done:
             return True
-    used[seed] = False
     return False
 
 
+class _ClassSide(NamedTuple):
+    """One parallel class of w blocks, laid out for the PRP search."""
+
+    masks: list[int]  # point masks of the class's blocks, in class order
+    contents: frozenset[int]  # the same masks, as a set
+    at: array  # at[p]: the position in `masks` of the block through p
+
+
+class _PairThrough(dict):
+    """through[p] for the 2w blocks of two classes, a's first: the bits of
+    the two blocks through p, built on first use.  `low` and `high` hold
+    1 << i and 1 << (w + i) for i < w."""
+
+    def __init__(self, at_a, at_b, low, high):
+        super().__init__()
+        self.at_a, self.at_b = at_a, at_b
+        self.low, self.high = low, high
+
+    def __missing__(self, p):
+        self[p] = mask = self.low[self.at_a[p]] | self.high[self.at_b[p]]
+        return mask
+
+
 def _replacement_alphas(
-    design: Design,
-    class_a: ParallelClass,
-    class_b: ParallelClass,
-    budget: list[int],
+    side_a: _ClassSide, side_b: _ClassSide, singles: list[int], budget: list[int]
 ) -> set[int]:
     """All values of |S ∩ class_a| over parallel classes S built from the
     2w block instances of class_a ∪ class_b.
@@ -256,21 +327,37 @@ def _replacement_alphas(
     replacement pairs.  The intersection with class_a is counted on block
     contents as a multiset.  Neither S nor class_a repeats a block (their
     blocks are disjoint), so that is the number of blocks of S whose
-    content is a block of class_a.  `budget` is the node counter of
-    _class_completions, shared across calls.
+    content is a block of class_a.  The search takes `singles[i]` = 1 << i
+    for meets[i] and leaves the rest to the cover test: building the
+    overlaps of each pair would cost more than its few nodes.  `budget` is
+    the node counter of _class_completions, shared across calls.
     """
-    refs = list(class_a.block_refs) + list(class_b.block_refs)
-    masks = [design._masks[ref] for ref in refs]
-    full = (1 << design.points.size) - 1
-    a_content = {design.blocks[ref] for ref in class_a.block_refs}
-    in_a = [design.blocks[ref] in a_content for ref in refs]
-    every_block = [range(len(refs))] * design.points.size
+    w = len(side_a.masks)
+    masks = side_a.masks + side_b.masks
+    in_a = [True] * w + [m in side_a.contents for m in side_b.masks]
+    through = _PairThrough(side_a.at, side_b.at, singles[:w], singles[w:])
+    full = (1 << len(side_a.at)) - 1
     alphas: set[int] = set()
     for chosen in _class_completions(
-        [], 0, full, every_block, masks, [False] * len(refs), budget
+        [], 0, full, masks, through, singles, (1 << 2 * w) - 1, budget
     ):
         alphas.add(sum(in_a[j] for j in chosen))
     return alphas
+
+
+def _class_sides(design: Design, res: Resolution) -> list[_ClassSide]:
+    """The _ClassSide of each class of a verified resolution."""
+    v = design.points.size
+    zeros = array("B" if v // design.k <= 256 else "I", [0]) * v  # w positions
+    sides = []
+    for cls in res.classes:
+        masks = [design._masks[ref] for ref in cls.block_refs]
+        at = zeros[:]
+        for position, ref in enumerate(cls.block_refs):
+            for p in design.blocks[ref]:
+                at[p] = position
+        sides.append(_ClassSide(masks, frozenset(masks), at))
+    return sides
 
 
 def prp_violations(
@@ -293,14 +380,14 @@ def prp_violations(
     for alpha in allowed:
         if not 1 <= alpha <= w - 1:
             raise BadAlpha(f"alpha must be in 1..{w - 1}, got {alpha}")
+    sides = _class_sides(design, res)
+    singles = [1 << i for i in range(2 * w)]
     out: list[tuple[int, int, int]] = []
     budget = [node_budget]
-    for i in range(len(res.classes)):
-        for j in range(i + 1, len(res.classes)):
+    for i in range(len(sides)):
+        for j in range(i + 1, len(sides)):
             try:
-                alphas = _replacement_alphas(
-                    design, res.classes[i], res.classes[j], budget
-                )
+                alphas = _replacement_alphas(sides[i], sides[j], singles, budget)
             except SearchBudgetExceeded:
                 raise SearchBudgetExceeded(
                     node_budget, out, "PRP violation(s)"

@@ -277,6 +277,36 @@ def test_resolve_budget_exhaustion(capsys, tmp_path):
     assert "budget" in out
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["resolve", "x.design", "--budget", "-1"], "--budget: must be at least 0, got -1"),
+        (["resolve", "x.design", "--limit", "0"], "--limit: must be at least 1, got 0"),
+        (["resolve", "x.design", "--limit", "-5"], "--limit: must be at least 1, got -5"),
+        (["prp", "x.res", "--budget", "-2"], "--budget: must be at least 0, got -2"),
+        (["construct", "m.res", "i.design", "--auto-resolve", "--budget", "-1",
+          "--out", "x.design"], "--budget: must be at least 0, got -1"),
+        (["resolve", "x.design", "--budget", "many"], "--budget: invalid int value: 'many'"),
+    ],
+)
+def test_search_arguments_rejected_at_parse_time(capsys, argv, message):
+    # The input files need not exist: the arguments fail before any is read.
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: argument {message}\n")
+
+
+def test_zero_budget_is_a_valid_search_budget(capsys, tmp_path):
+    design = tmp_path / "k8.design"
+    save_design(trivial_design(8, 2), design)
+    code, out, _ = run(capsys, "resolve", str(design), "--budget", "0")
+    assert code == 3
+    assert "search budget of 0 nodes exhausted" in out
+
+
 # --- prp ------------------------------------------------------------------------
 
 def test_prp_free(capsys, tmp_path):

@@ -172,6 +172,15 @@ COMMANDS = [
     # generators refuse designs above the size limits before building them
     ["gen", "one-factorization", "20000"],
     ["gen", "affine", "4", "64"],
+    # search arguments: a budget below 0 or a limit below 1 is a usage
+    # error at parse time; a budget of 0 places no block
+    ["resolve", "t82.design", "--budget", "-1"],
+    ["resolve", "t82.design", "--limit", "0"],
+    ["prp", "k8.res", "--budget", "-1"],
+    ["construct", "t82.design", "t42.design", "--auto-resolve", "--budget", "-1",
+     "--out", "x.design"],
+    ["resolve", "t82.design", "--budget", "0"],
+    ["prp", "k8.res", "--budget", "0"],
 ]
 
 
@@ -193,13 +202,19 @@ def run_transcript(directory: Path) -> list[dict]:
         (directory / name).write_text(text)
     records = []
     previous_cwd = os.getcwd()
+    previous_columns = os.environ.get("COLUMNS")
     os.chdir(directory)
+    # argparse wraps its usage lines to the terminal width; fix it
+    os.environ["COLUMNS"] = "80"
     try:
         for argv in COMMANDS:
             before = _snapshot(directory)
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(list(argv))
+                try:
+                    code = main(list(argv))
+                except SystemExit as exc:  # argparse rejected the arguments
+                    code = exc.code
             after = _snapshot(directory)
             written = {
                 name: digest for name, digest in after.items()
@@ -214,6 +229,10 @@ def run_transcript(directory: Path) -> list[dict]:
             })
     finally:
         os.chdir(previous_cwd)
+        if previous_columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = previous_columns
     return records
 
 

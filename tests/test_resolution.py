@@ -1,8 +1,10 @@
 import gc
+import random
 
 import pytest
 
-from blockdesigns.catalog import catalog_entry
+from blockdesigns import resolution
+from blockdesigns.catalog import catalog_entry, catalog_names
 from blockdesigns.core import DesignError, make_design
 from blockdesigns.generators import (
     CyclicBaseSpec,
@@ -124,6 +126,44 @@ def test_k6_has_six_one_factorizations():
     assert len(found) == 6
 
 
+def _content_keys(design, found):
+    """The resolutions as naive_resolutions keys them: sorted classes of
+    sorted block contents."""
+    return {
+        tuple(sorted(
+            tuple(sorted(design.blocks[i] for i in cls.block_refs))
+            for cls in res.classes
+        ))
+        for res in found
+    }
+
+
+def _shuffled(design, res, seed):
+    """An isomorphic copy with the points relabelled and the blocks
+    shuffled, so that block order no longer follows point order; the
+    classes keep their order and follow their blocks."""
+    rng = random.Random(seed)
+    v = design.points.size
+    perm = list(range(v))
+    rng.shuffle(perm)
+    order = list(range(len(design.blocks)))
+    rng.shuffle(order)
+    position = {old: new for new, old in enumerate(order)}
+    copy = make_design(v, [[perm[p] for p in design.blocks[old]] for old in order])
+    classes = tuple(
+        ParallelClass(tuple(position[ref] for ref in cls.block_refs))
+        for cls in res.classes
+    )
+    return copy, Resolution(copy, classes)
+
+
+SHUFFLED = {
+    "AG(2,3)": lambda: _shuffled(*affine_hyperplane_design(2, 3), seed=1),
+    "AG(3,2)": lambda: _shuffled(*affine_hyperplane_design(3, 2), seed=2),
+    "K_8 embedding": lambda: _shuffled(*sub_factorization_embedding(2), seed=3),
+}
+
+
 @pytest.mark.parametrize(
     "v,blocks",
     [
@@ -132,14 +172,32 @@ def test_k6_has_six_one_factorizations():
         (6, list(trivial_design(6, 3).blocks)),
         (6, NON_RESOLVABLE_632),
         (8, list(trivial_design(8, 4).blocks)),
-    ],
+    ]
+    + [(None, name) for name in SHUFFLED],
 )
 def test_search_agrees_with_naive_enumeration(v, blocks):
-    design = make_design(v, blocks)
+    if v is None:
+        design, _ = SHUFFLED[blocks]()
+        v = design.points.size
+    else:
+        design = make_design(v, blocks)
     found = find_resolutions(design, limit=10_000)
-    assert len(found) == len(naive_resolutions(v, design.blocks))
+    keys = _content_keys(design, found)
+    assert len(keys) == len(found)
+    assert keys == naive_resolutions(v, design.blocks)
     for res in found:
         assert verify_resolution(design, res)
+
+
+@pytest.mark.parametrize("name", SHUFFLED)
+def test_prp_agrees_with_naive_witness_on_shuffled_copies(name):
+    design, res = SHUFFLED[name]()
+    assert verify_resolution(design, res)
+    violations = set(prp_violations(design, res))
+    for i in range(len(res.classes)):
+        for j in range(i + 1, len(res.classes)):
+            alphas = {alpha for a, b, alpha in violations if (a, b) == (i, j)}
+            assert alphas == _oracle_alphas(design, res, i, j), (i, j)
 
 
 def test_search_agrees_with_naive_on_ag23(ag23):
@@ -188,6 +246,66 @@ def test_budget_exhaustion_keeps_partial_results(node_budget, found):
     with pytest.raises(SearchBudgetExceeded) as info:
         find_resolutions(design, limit=10**6, node_budget=node_budget)
     assert len(info.value.found) == found
+
+
+def _catalog_master(v, k, lam):
+    """The catalog's cyclic (design, resolution) with parameters (v,k,lam)."""
+    for name in catalog_names():
+        entry = catalog_entry(name)
+        p = entry.master_params
+        if (p.v, p.k, p.lam) == (v, k, lam):
+            return cyclic_develop(entry.base)
+    raise KeyError((v, k, lam))
+
+
+def _resolving(limit, design_and_res):
+    design, _ = design_and_res
+    return lambda budget: find_resolutions(design, limit=limit, node_budget=budget)
+
+
+def _prp_checking(design_and_res):
+    design, res = design_and_res
+    return lambda budget: prp_violations(design, res, node_budget=budget)
+
+
+# Each search as a function of its node budget.
+PINNED_SEARCHES = {
+    "(24,4,3) limit=2": lambda: _resolving(2, _catalog_master(24, 4, 3)),
+    "(30,5,4) limit=2": lambda: _resolving(2, _catalog_master(30, 5, 4)),
+    "sub3 limit=1000": lambda: _resolving(1000, sub_factorization_embedding(3)),
+    "prp sub4": lambda: _prp_checking(sub_factorization_embedding(4)),
+    "prp (30,3,2)": lambda: _prp_checking(_catalog_master(30, 3, 2)),
+}
+
+
+# Nodes (placed blocks) each search spends in all, counted on the
+# list-scanning search that the block-bitset one replaced: both place the
+# same blocks in the same order, so the exhaustion points do not move.
+@pytest.mark.parametrize(
+    "name, nodes",
+    [
+        ("(24,4,3) limit=2", 2243),
+        ("(30,5,4) limit=2", 1221),
+        ("sub3 limit=1000", 17961),
+        ("prp sub4", 6390),
+        ("prp (30,3,2)", 18884),
+    ],
+)
+def test_search_node_counts_are_pinned(name, nodes):
+    search = PINNED_SEARCHES[name]()
+    result = search(nodes)
+    assert result == search(10 * nodes)
+    with pytest.raises(SearchBudgetExceeded):
+        search(nodes - 1)
+
+
+def test_overlap_masks_past_the_memo_bound_are_rebuilt(monkeypatch):
+    # A search keeps at most MEETS_MEMO_BITS bits of `meets` masks and
+    # rebuilds the others on each use; the results do not depend on it.
+    design, _ = sub_factorization_embedding(3)
+    expected = find_resolutions(design, limit=50)
+    monkeypatch.setattr(resolution, "MEETS_MEMO_BITS", 2 * len(design.blocks))
+    assert find_resolutions(design, limit=50) == expected
 
 
 def test_searches_leave_no_reference_cycles(k8_subfac):
@@ -291,6 +409,19 @@ def test_prp_violations_match_oracle_on_shared_contents(name):
             for alpha in range(1, w):
                 expected = naive_prp_witness(blocks_i, blocks_j, alpha, w * design.k)
                 assert ((i, j, alpha) in violations) == expected, (i, j, alpha)
+
+
+def test_prp_with_more_than_256_blocks_per_class():
+    # Two perfect matchings of 600 points, w = 300: their union is a 4-cycle
+    # on points 0..3 and one 596-cycle.  A replacement class takes one side
+    # of each cycle, so it shares 0, 2, 298 or 300 blocks with the first.
+    first = [(0, 1), (2, 3)] + [(p, p + 1) for p in range(4, 600, 2)]
+    second = [(0, 2), (1, 3)] + [(p, p + 1) for p in range(5, 599, 2)] + [(4, 599)]
+    design = make_design(600, first + second)
+    res = Resolution(design, (
+        ParallelClass(tuple(range(300))), ParallelClass(tuple(range(300, 600)))
+    ))
+    assert prp_violations(design, res) == [(0, 1, 2), (0, 1, 298)]
 
 
 def test_prp_alpha_filter(k8_subfac):
