@@ -62,7 +62,6 @@ from .resolution import (
     ParallelClass,
     Resolution,
     SearchBudgetExceeded,
-    canonical_resolution,
     find_resolutions,
     prp_violations,
     verify_resolution,

@@ -448,8 +448,21 @@ def _int_at_least(lowest: int):
     return parse
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that wraps usage and help at 78 columns, as
+    argparse does on an 80-column terminal, whatever COLUMNS says, so
+    exit-2 stderr is the same everywhere.  Subparsers take the same class."""
+
+    def __init__(self, *args, **kwargs):
+        kwargs.setdefault(
+            "formatter_class",
+            lambda prog: argparse.HelpFormatter(prog, width=78),
+        )
+        super().__init__(*args, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="blockdesigns",
         description=(
             "Verify block designs, search resolutions, and build 3-designs "

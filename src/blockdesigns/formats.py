@@ -176,11 +176,14 @@ def _parse_lines(text: str):
         ParallelClass(tuple(range(lo, hi))) for lo, hi in zip(bounds, bounds[1:])))
 
 
-def parse_design(text: str) -> Design:
-    design, res = _parse_lines(text)
+def _design_only(design: Design, res: Resolution | None) -> Design:
     if res is not None:
         raise FormatError("file contains class lines; use parse_resolution")
     return design
+
+
+def parse_design(text: str) -> Design:
+    return _design_only(*_parse_lines(text))
 
 
 def parse_resolution(text: str) -> tuple[Design, Resolution]:
@@ -275,7 +278,7 @@ def _read(path, parse_text, from_dict):
 
 
 def load_design(path) -> Design:
-    return _read(path, parse_design, lambda data: _from_dict(data)[0])
+    return _design_only(*load_design_or_resolution(path))
 
 
 def load_resolution(path) -> tuple[Design, Resolution]:

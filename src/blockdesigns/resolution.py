@@ -1,5 +1,5 @@
 """Resolutions into parallel classes, resolution search, and the
-partial-replacement-property (PRP) machinery.
+partial-replacement-property (PRP) check.
 
 A resolution partitions a design's block *instances* into parallel classes
 (each class: v/k disjoint blocks covering every point).  Two classes
@@ -8,23 +8,21 @@ a different pair of parallel classes overlapping the first class in
 exactly alpha blocks; resolutions free of such swaps make the union
 construction produce simple designs.
 
-Both searches complete one parallel class at a time over bitsets of block
-indices (Python ints): `through[p]` holds the blocks through point p and
-`avail` the blocks that may still be placed.  The lowest uncovered point
-is filled with each block of `through[p] & avail` in increasing index
-order.  In the resolution search, placing block i removes every block
-that meets it from `avail`, so no candidate is scanned and rejected; the
-PRP search, with few nodes per class pair, removes only block i and tests
-each candidate against the points covered.  Every placed block is one
-node of the search budget.
+Only the resolution search searches.  It completes one parallel class at
+a time over bitsets of block indices (Python ints): `through[p]` holds the
+blocks through point p and `avail` the blocks that may still be placed.
+The lowest uncovered point is filled with each block of
+`through[p] & avail` in increasing index order, and placing block i
+removes every block that meets it from `avail`, so no candidate is
+scanned and rejected.  Every placed block is one node of the search
+budget.  The PRP check reads the alphas of a class pair off the connected
+components of its 2w blocks, and charges 2w nodes per pair.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .core import Design, DesignError
 
@@ -35,7 +33,6 @@ __all__ = [
     "ParallelClass",
     "Resolution",
     "SearchBudgetExceeded",
-    "canonical_resolution",
     "find_resolutions",
     "prp_violations",
     "verify_resolution",
@@ -155,12 +152,6 @@ def _canonical_order(blocks, classes) -> list[tuple[tuple, tuple[int, ...]]]:
     return ordered
 
 
-def canonical_resolution(res: Resolution) -> Resolution:
-    """Order classes and in-class refs by block content (idempotent)."""
-    ordered = _canonical_order(res.design.blocks, (c.block_refs for c in res.classes))
-    return Resolution(res.design, tuple(ParallelClass(refs) for _, refs in ordered))
-
-
 # Bits of the memoized `meets` masks one resolution search keeps: each is b
 # bits, so a design with many blocks rebuilds the masks past this on use.
 MEETS_MEMO_BITS = 1 << 26
@@ -193,12 +184,12 @@ def _class_completions(chosen, cover, full, masks, through, meets, avail, budget
     placed so far, `cover` is the mask of the points they cover and `avail`
     holds the blocks that may still be placed.  The lowest uncovered point
     p is filled next with each block of `through[p] & avail` (the blocks
-    through p), in increasing index order, that misses `cover`.  Placing
-    block i leaves `avail & ~meets[i]`, where `meets[i]` holds i and any of
-    the blocks that meet i; the cover test skips the others.  Every placed
-    block costs one node of the single-element counter `budget`; the search
-    raises SearchBudgetExceeded when the counter drops below zero.  `chosen`
-    is restored after each completion has been consumed.
+    through p), in increasing index order.  Placing block i leaves
+    `avail & ~meets[i]`, where `meets[i]` holds i and every block that
+    meets i, so each candidate misses `cover`.  Every placed block costs
+    one node of the single-element counter `budget`; the search raises
+    SearchBudgetExceeded when the counter drops below zero.  `chosen` is
+    restored after each completion has been consumed.
     """
     if cover == full:
         yield chosen
@@ -209,15 +200,13 @@ def _class_completions(chosen, cover, full, masks, through, meets, avail, budget
         low = candidates & -candidates
         candidates ^= low
         i = low.bit_length() - 1
-        mask = masks[i]
-        if mask & cover:
-            continue
         budget[0] -= 1
         if budget[0] < 0:
             raise SearchBudgetExceeded(0, [], "class completion(s)")
         chosen.append(i)
         yield from _class_completions(
-            chosen, cover | mask, full, masks, through, meets, avail & ~meets[i], budget
+            chosen, cover | masks[i], full, masks, through, meets,
+            avail & ~meets[i], budget,
         )
         chosen.pop()
 
@@ -263,8 +252,7 @@ def _complete_resolution(
 ) -> bool:
     """Extend the classes in `classes` to resolutions using the blocks of
     the mask `unused`, recording each new one in `found` under its content
-    key; True once `limit` are found.  Every block that meets another is in
-    its `meets`, so the cover test of _class_completions never skips one."""
+    key; True once `limit` are found."""
     if not unused:
         ordered = _canonical_order(design.blocks, classes)
         key = tuple(contents for contents, _ in ordered)
@@ -293,71 +281,37 @@ def _complete_resolution(
     return False
 
 
-class _ClassSide(NamedTuple):
-    """One parallel class of w blocks, laid out for the PRP search."""
+def _replacement_alphas(masks_a: list[int], masks_b: list[int], k: int) -> int:
+    """The values of |S ∩ class_a| over parallel classes S built from the
+    2w block instances of class_a ∪ class_b, as the set bits of an int.
 
-    masks: list[int]  # point masks of the class's blocks, in class order
-    contents: frozenset[int]  # the same masks, as a set
-    at: array  # at[p]: the position in `masks` of the block through p
-
-
-class _PairThrough(dict):
-    """through[p] for the 2w blocks of two classes, a's first: the bits of
-    the two blocks through p, built on first use.  `low` and `high` hold
-    1 << i and 1 << (w + i) for i < w."""
-
-    def __init__(self, at_a, at_b, low, high):
-        super().__init__()
-        self.at_a, self.at_b = at_a, at_b
-        self.low, self.high = low, high
-
-    def __missing__(self, p):
-        self[p] = mask = self.low[self.at_a[p]] | self.high[self.at_b[p]]
-        return mask
-
-
-def _replacement_alphas(
-    side_a: _ClassSide, side_b: _ClassSide, singles: list[int], budget: list[int]
-) -> set[int]:
-    """All values of |S ∩ class_a| over parallel classes S built from the
-    2w block instances of class_a ∪ class_b.
-
-    Every such S leaves a complementary parallel class (each point is
-    covered exactly twice by the two classes), so S ranges over all valid
-    replacement pairs.  The intersection with class_a is counted on block
-    contents as a multiset.  Neither S nor class_a repeats a block (their
-    blocks are disjoint), so that is the number of blocks of S whose
-    content is a block of class_a.  The search takes `singles[i]` = 1 << i
-    for meets[i] and leaves the rest to the cover test: building the
-    overlaps of each pair would cost more than its few nodes.  `budget` is
-    the node counter of _class_completions, shared across calls.
+    Each point lies in one block of each class, so S takes either every
+    class_a block or every class_b block of each connected component of
+    the 2w blocks under "shares a point".  A component of one block from
+    each class is a block the two classes share, and adds 1 to alpha on
+    either side; in a larger component no class_b block equals a class_a
+    block, so it adds its class_a block count or 0.  Alpha counts block
+    contents: neither S nor class_a repeats a block.  The components are
+    grown as point masks, and each class_a block count is its size over k.
     """
-    w = len(side_a.masks)
-    masks = side_a.masks + side_b.masks
-    in_a = [True] * w + [m in side_a.contents for m in side_b.masks]
-    through = _PairThrough(side_a.at, side_b.at, singles[:w], singles[w:])
-    full = (1 << len(side_a.at)) - 1
-    alphas: set[int] = set()
-    for chosen in _class_completions(
-        [], 0, full, masks, through, singles, (1 << 2 * w) - 1, budget
-    ):
-        alphas.add(sum(in_a[j] for j in chosen))
-    return alphas
-
-
-def _class_sides(design: Design, res: Resolution) -> list[_ClassSide]:
-    """The _ClassSide of each class of a verified resolution."""
-    v = design.points.size
-    zeros = array("B" if v // design.k <= 256 else "I", [0]) * v  # w positions
-    sides = []
-    for cls in res.classes:
-        masks = [design._masks[ref] for ref in cls.block_refs]
-        at = zeros[:]
-        for position, ref in enumerate(cls.block_refs):
-            for p in design.blocks[ref]:
-                at[p] = position
-        sides.append(_ClassSide(masks, frozenset(masks), at))
-    return sides
+    parts = list(masks_a)
+    for b in masks_b:
+        merged, rest = b, []
+        for part in parts:
+            if part & b:
+                merged |= part
+            else:
+                rest.append(part)
+        rest.append(merged)
+        parts = rest
+    shared, sums = 0, 1
+    for part in parts:
+        size = part.bit_count() // k
+        if size == 1:
+            shared += 1
+        else:
+            sums |= sums << size
+    return sums << shared
 
 
 def prp_violations(
@@ -369,8 +323,9 @@ def prp_violations(
     """All (i, j, alpha) with i < j where classes i and j satisfy alpha-PRP.
 
     alpha_filter restricts the reported alphas (default: all of 1..w-1).
-    An empty list certifies the resolution (alpha-)PRP-free.  On budget
-    exhaustion the raised error carries the violations found so far.
+    An empty list certifies the resolution (alpha-)PRP-free.  Each class
+    pair costs 2w nodes of `node_budget`; on exhaustion the raised error
+    carries the violations found so far.
     """
     check = verify_resolution(design, res)
     if not check:
@@ -380,18 +335,17 @@ def prp_violations(
     for alpha in allowed:
         if not 1 <= alpha <= w - 1:
             raise BadAlpha(f"alpha must be in 1..{w - 1}, got {alpha}")
-    sides = _class_sides(design, res)
-    singles = [1 << i for i in range(2 * w)]
+    masks = [[design._masks[ref] for ref in cls.block_refs] for cls in res.classes]
+    alphas_wanted = sorted(allowed)
     out: list[tuple[int, int, int]] = []
-    budget = [node_budget]
-    for i in range(len(sides)):
-        for j in range(i + 1, len(sides)):
-            try:
-                alphas = _replacement_alphas(sides[i], sides[j], singles, budget)
-            except SearchBudgetExceeded:
-                raise SearchBudgetExceeded(
-                    node_budget, out, "PRP violation(s)"
-                ) from None
-            for alpha in sorted(alphas & allowed):
-                out.append((i, j, alpha))
+    budget = node_budget
+    for i in range(len(masks)):
+        for j in range(i + 1, len(masks)):
+            # 2w nodes: what a search placing one block per node spends on
+            # the two trivial replacements, S = class_i and S = class_j.
+            budget -= 2 * w
+            if budget < 0:
+                raise SearchBudgetExceeded(node_budget, out, "PRP violation(s)")
+            alphas = _replacement_alphas(masks[i], masks[j], design.k)
+            out.extend((i, j, alpha) for alpha in alphas_wanted if alphas >> alpha & 1)
     return out

@@ -202,10 +202,7 @@ def run_transcript(directory: Path) -> list[dict]:
         (directory / name).write_text(text)
     records = []
     previous_cwd = os.getcwd()
-    previous_columns = os.environ.get("COLUMNS")
     os.chdir(directory)
-    # argparse wraps its usage lines to the terminal width; fix it
-    os.environ["COLUMNS"] = "80"
     try:
         for argv in COMMANDS:
             before = _snapshot(directory)
@@ -229,10 +226,6 @@ def run_transcript(directory: Path) -> list[dict]:
             })
     finally:
         os.chdir(previous_cwd)
-        if previous_columns is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = previous_columns
     return records
 
 
@@ -255,6 +248,19 @@ def test_golden_covers_every_command(golden):
 )
 def test_transcript_matches_golden(transcript, golden, index):
     assert transcript[index] == golden[index]
+
+
+@pytest.mark.parametrize("columns", ["60", "200"])
+def test_usage_lines_do_not_follow_terminal_width(golden, monkeypatch, columns):
+    # argparse would wrap usage lines to COLUMNS; the CLI fixes the width.
+    argv = ["construct", "t82.design", "t42.design", "--auto-resolve",
+            "--budget", "-1", "--out", "x.design"]
+    monkeypatch.setenv("COLUMNS", columns)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as info:
+        main(argv)
+    record = next(record for record in golden if record["argv"] == argv)
+    assert (info.value.code, err.getvalue()) == (record["exit"], record["stderr"])
 
 
 def append_new_records(directory: Path) -> int:

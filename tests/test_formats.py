@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blockdesigns.cli import main
 from blockdesigns.core import Design, DesignError, PointSet, make_design
 from blockdesigns.formats import (
     FormatError,
@@ -123,6 +124,19 @@ def test_parse_design_rejects_resolution_file():
         parse_design(format_resolution(res))
     with pytest.raises(FormatError):
         parse_resolution(format_design(design))
+
+
+@pytest.mark.parametrize("suffix", [".res", ".json"])
+def test_load_design_rejects_resolution_file(tmp_path, suffix, capsys):
+    # A JSON "classes" key is refused like text class lines, not dropped,
+    # so `develop` stops at the parse in both forms.
+    _, res = round_robin_one_factorization(4)
+    path = tmp_path / f"k4{suffix}"
+    save_resolution(res, path)
+    with pytest.raises(FormatError, match="file contains class lines"):
+        load_design(path)
+    assert main(["develop", str(path), "--no-infinity"]) == 2
+    assert "file contains class lines" in capsys.readouterr().err
 
 
 def test_json_round_trip():

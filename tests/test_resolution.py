@@ -2,6 +2,8 @@ import gc
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockdesigns import resolution
 from blockdesigns.catalog import catalog_entry, catalog_names
@@ -18,7 +20,6 @@ from blockdesigns.resolution import (
     ParallelClass,
     Resolution,
     SearchBudgetExceeded,
-    canonical_resolution,
     find_resolutions,
     prp_violations,
     verify_resolution,
@@ -278,17 +279,19 @@ PINNED_SEARCHES = {
 }
 
 
-# Nodes (placed blocks) each search spends in all, counted on the
-# list-scanning search that the block-bitset one replaced: both place the
-# same blocks in the same order, so the exhaustion points do not move.
+# Nodes each search spends in all.  A resolution search spends one per
+# placed block, counted on the list-scanning search that the block-bitset
+# one replaced: both place the same blocks in the same order, so the
+# exhaustion points do not move.  A PRP check spends 2w per class pair,
+# C(r,2)·2w in all: 105·2·8 for sub4 and 406·2·10 for (30,3,2).
 @pytest.mark.parametrize(
     "name, nodes",
     [
         ("(24,4,3) limit=2", 2243),
         ("(30,5,4) limit=2", 1221),
         ("sub3 limit=1000", 17961),
-        ("prp sub4", 6390),
-        ("prp (30,3,2)", 18884),
+        ("prp sub4", 1680),
+        ("prp (30,3,2)", 8120),
     ],
 )
 def test_search_node_counts_are_pinned(name, nodes):
@@ -325,13 +328,6 @@ def test_nondividing_block_size_rejected():
     design = make_design(5, [(0, 1), (2, 3)])
     with pytest.raises(DesignError):
         find_resolutions(design, limit=1)
-
-
-def test_canonicalization_idempotent(ag23):
-    design, res = ag23
-    canon = canonical_resolution(res)
-    assert canonical_resolution(canon) == canon
-    assert verify_resolution(design, canon)
 
 
 # --- PRP ---------------------------------------------------------------------
@@ -409,6 +405,41 @@ def test_prp_violations_match_oracle_on_shared_contents(name):
             for alpha in range(1, w):
                 expected = naive_prp_witness(blocks_i, blocks_j, alpha, w * design.k)
                 assert ((i, j, alpha) in violations) == expected, (i, j, alpha)
+
+
+@st.composite
+def _random_resolutions(draw):
+    """A resolution of k·w points into r classes, some of which repeat
+    blocks of an earlier class as new instances."""
+    k, w, r = draw(st.integers(2, 4)), draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    blocks, classes = [], []
+    for _ in range(r):
+        kept = []
+        if classes and draw(st.booleans()):
+            kept = draw(st.lists(st.sampled_from(draw(st.sampled_from(classes))),
+                                 unique=True))
+        covered = {p for ref in kept for p in blocks[ref]}
+        rest = draw(st.permutations([p for p in range(k * w) if p not in covered]))
+        classes.append(tuple(range(len(blocks), len(blocks) + w)))
+        blocks += [blocks[ref] for ref in kept]
+        blocks += [tuple(sorted(rest[x:x + k])) for x in range(0, len(rest), k)]
+    design = make_design(k * w, blocks)
+    return design, Resolution(design, tuple(ParallelClass(c) for c in classes))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_random_resolutions())
+def test_prp_violations_match_oracle_on_random_resolutions(design_and_res):
+    design, res = design_and_res
+    assert verify_resolution(design, res)
+    violations = prp_violations(design, res)
+    expected = [
+        (i, j, alpha)
+        for i in range(len(res.classes))
+        for j in range(i + 1, len(res.classes))
+        for alpha in sorted(_oracle_alphas(design, res, i, j))
+    ]
+    assert violations == expected
 
 
 def test_prp_with_more_than_256_blocks_per_class():
