@@ -10,6 +10,7 @@ the PRP criterion for simplicity.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -53,6 +54,11 @@ __all__ = [
     "simplicity_verdict",
     "triple_coverage_by_alpha",
 ]
+
+
+# Rows of the union array turned into block tuples at a time, so that no
+# second list of all the rows is alive next to the tuples.
+_TUPLE_ROWS = 1024
 
 
 class DimensionMismatch(DesignError):
@@ -223,8 +229,10 @@ def shrikhande_raghavarao(
 
     Indexing point j names the j-th block of every class in the stored
     class order.  Output blocks are ordered by (class index, indexing
-    block index) and duplicates are preserved.  The constructed design
-    carries the master automorphisms that `_kept_automorphisms` keeps.
+    block index) and duplicates are preserved.  The blocks are gathered
+    from the master's members as one array and turned into tuples once.
+    The constructed design carries the master automorphisms that
+    `_kept_automorphisms` keeps.
     """
     master = master_res.design
     check = verify_resolution(master, master_res)
@@ -236,28 +244,32 @@ def shrikhande_raghavarao(
             f"indexing design has {indexing.points.size} points, "
             f"but master classes hold w={w} blocks"
         )
-    blocks = []
-    provenance = []
-    for i, cls in enumerate(master_res.classes):
-        class_blocks = [master.blocks[ref] for ref in cls.block_refs]
-        for ci, chosen in enumerate(indexing.blocks):
-            members: list[int] = []
-            for j in chosen:
-                members.extend(class_blocks[j])
-            blocks.append(tuple(sorted(members)))
-            provenance.append((i, ci))
+    refs = np.array(
+        [cls.block_refs for cls in master_res.classes], dtype=np.intp
+    ).reshape(len(master_res.classes), w)
+    classes = master._members[refs]  # class, position, point
+    # Class i, indexing block c: the points of the class's blocks at c.
+    unions = classes[:, indexing._members].reshape(-1, master.k * indexing.k)
+    unions.sort(axis=1)
+    blocks: list[tuple[int, ...]] = []
+    for lo in range(0, len(unions), _TUPLE_ROWS):
+        blocks.extend(map(tuple, unions[lo : lo + _TUPLE_ROWS].tolist()))
     constructed = Design(
         points=master.points,
         blocks=tuple(blocks),
         k=master.k * indexing.k,
-        automorphisms=_kept_automorphisms(master_res, indexing),
+        automorphisms=_kept_automorphisms(master, classes, indexing),
     )
+    provenance = itertools.product(range(len(refs)), range(len(indexing.blocks)))
     return ConstructedDesign(constructed, tuple(provenance), indexing)
 
 
-def _kept_automorphisms(master_res: Resolution, indexing: Design) -> tuple:
+def _kept_automorphisms(
+    master: Design, classes: np.ndarray, indexing: Design
+) -> tuple:
     """The master automorphisms g that are automorphisms of the union
-    construction as well.
+    construction as well; `classes` holds the master's resolution as an
+    array of points (class, position, point).
 
     g is kept when it maps the multiset of master classes onto itself and
     the position permutation it induces on each class (the j-th block of
@@ -267,14 +279,11 @@ def _kept_automorphisms(master_res: Resolution, indexing: Design) -> tuple:
     class at sigma_i(C).  Raises DesignError when a master automorphism
     does not check out.
     """
-    master = master_res.design
     # The master's orbits are only needed here to check its automorphisms.
-    if master._symmetry is None or not master_res.classes:
+    if master._symmetry is None or not len(classes):
         return ()
     v = master.points.size
-    refs = np.array([cls.block_refs for cls in master_res.classes])
-    classes = master._members[refs]  # class, position, point
-    count, w = refs.shape
+    count, w, _ = classes.shape
     position = np.empty((count, v), dtype=np.intp)
     position[np.arange(count)[:, None, None], classes] = np.arange(w)[:, None]
     by_partition: dict[bytes, list[int]] = {}

@@ -5,14 +5,19 @@ stored as strictly increasing tuples so that block equality is set equality
 and the block list can carry multiset semantics (duplicates allowed and
 significant).
 
-Every count here is exact.  Each design keeps its blocks once as a numpy
-array of points (``Design._members``) and, on first use, packs them into
-64-bit words, one row per block (``Design._rows``); the searches read them
-as Python-int bit masks (``Design._masks``).  Replication counts are
-point counts over the blocks.  A t-subset coverage spectrum takes each
-point p in turn and packs the columns of the later points over the blocks
-through p only, so its cost follows the replication rather than the block
-count; coverages are popcounts of ANDed columns.  The pairwise
+Every count here is exact.  A design's blocks are validated once, at
+construction, as one b x k array of points: block sizes, integer points,
+range and strict increase are checked on the whole array, and only a
+failing block is formatted into the error.  The array is not kept: the
+same helper builds it again on first use as ``Design._members``, so the
+designs that are only searched (which read ``Design._masks``, the blocks
+as Python-int bit masks) do not hold it.  ``Design._rows`` packs the
+blocks into 64-bit words over the points that lie in some block, one row
+per block.  Replication counts are point counts over the blocks.  A
+t-subset coverage spectrum takes each point p in turn and packs the
+columns of the later points over the blocks through p only, so its cost
+follows the replication rather than the block count; coverages are
+popcounts of ANDed columns.  The pairwise
 intersection histogram is popcounts of ANDed block rows, and derived
 coverage numbers use ``fractions.Fraction``.
 
@@ -28,9 +33,10 @@ hypergraphs", Discrete Math. 15, 1976); both divide out exactly.
 
 from __future__ import annotations
 
+import array
 import itertools
 import math
-import operator
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -45,6 +51,7 @@ __all__ = [
     "DivisibilityViolation",
     "IntersectionProfile",
     "MAX_POINTS",
+    "MAX_ROW_WORDS",
     "MAX_SPECTRUM_WORDS",
     "NonConstantReplication",
     "PointSet",
@@ -97,6 +104,12 @@ MAX_POINTS = 1 << 20
 # orbit with u = min(v-1, r_p(k-1)): 3-(1024,512,255) built from AG(2,32)
 # needs 8.4 M words (0.1 s) instead of 2.85 G.
 MAX_SPECTRUM_WORDS = 1 << 28
+
+# Most uint64 words of packed block rows (128 MB), checked before packing:
+# b rows of ceil(s/64) words, s the points that lie in some block.  The
+# 7308-block catalog design packs 7308 words, 3-(1024,512,255) 32,736 and
+# the trivial design C(22, 11) 705,432.
+MAX_ROW_WORDS = 1 << 24
 
 # Words of ANDed rows that one numpy call holds (512 KB), and of packed
 # columns that one dense slice of booleans fills.  The 7308-block catalog
@@ -163,38 +176,43 @@ class Design:
         v = self.points.size
         if not 2 <= self.k < v:
             raise DesignError(f"block size must satisfy 2 <= k < v (k={self.k}, v={v})")
-        for block in self.blocks:
-            if len(block) != self.k:
-                raise DesignError(f"block {block} has size {len(block)}, expected {self.k}")
-            if block[0] < 0 or block[-1] >= v:
-                raise DesignError(f"block {block} has points outside 0..{v - 1}")
-            if not all(map(operator.lt, block, block[1:])):
-                raise DesignError(f"block {block} is not strictly increasing")
+        _block_array(self.blocks, self.k, v)
 
     @cached_property
     def _members(self) -> np.ndarray:
         """The blocks as a read-only b x k array of points, in the smallest
         unsigned integer type that holds every point."""
-        members = np.fromiter(
-            itertools.chain.from_iterable(self.blocks),
-            dtype=np.min_scalar_type(self.points.size - 1),
-            count=len(self.blocks) * self.k,
-        ).reshape(len(self.blocks), self.k)
+        members = _block_array(self.blocks, self.k, self.points.size)
         members.flags.writeable = False
         return members
 
     @cached_property
     def _rows(self) -> np.ndarray:
-        """Block i as the bits of row i, in ceil(v/64) read-only uint64
-        words with zero padding bits, packed on first use."""
+        """Block i as the bits of row i, in ceil(s/64) read-only uint64
+        words with zero padding bits, packed on first use.  Bit j stands
+        for the j-th of the s points that lie in some block, so points in
+        no block cost nothing.
+
+        Raises DesignError before packing when the rows would hold more
+        than MAX_ROW_WORDS words.
+        """
         members = self._members
-        width = 64 * ((self.points.size + 63) // 64)
-        rows = np.empty((len(members), width // 64), dtype=np.uint64)
+        support = np.flatnonzero(_replication(self))
+        nwords = (len(support) + 63) // 64
+        if len(members) * nwords > MAX_ROW_WORDS:
+            raise DesignError(
+                f"the rows of {len(members)} blocks over {len(support)} points "
+                f"would hold {len(members) * nwords} words, above the limit of "
+                f"{MAX_ROW_WORDS}"
+            )
+        if len(support) < self.points.size:
+            members = np.searchsorted(support, members)
+        rows = np.empty((len(members), nwords), dtype=np.uint64)
         # Slices of about _CHUNK_WORDS packed words: 64 booleans each.
-        step = max(1, _CHUNK_WORDS // (width // 64))
+        step = max(1, _CHUNK_WORDS // max(1, nwords))
         for lo in range(0, len(members), step):
             part = members[lo : lo + step]
-            bits = np.zeros((len(part), width), dtype=bool)
+            bits = np.zeros((len(part), 64 * nwords), dtype=bool)
             bits[np.arange(len(part))[:, None], part] = True
             rows[lo : lo + step] = np.packbits(
                 bits, axis=1, bitorder="little"
@@ -243,6 +261,71 @@ class Design:
             point_perms.append(perm)
             block_perms.append(blocks)
         return _orbits(point_perms, v), _orbits(block_perms, len(self.blocks))
+
+
+def _block_array(blocks, k: int, v: int) -> np.ndarray:
+    """The blocks as a b x k array of points, in the smallest unsigned
+    integer type that holds v-1.
+
+    Raises DesignError naming the first block that does not have k points,
+    holds a point that is not an integer, starts below 0 or ends above
+    v-1, or does not strictly increase (checked in that order within a
+    block).  The checks run on the whole array at once; only the failing
+    block is formatted.
+    """
+    sized = len(blocks)
+    if set(map(len, blocks)) - {k}:
+        sized = next(i for i, block in enumerate(blocks) if len(block) != k)
+    dtype = np.min_scalar_type(v - 1)
+    points, integral = _integer_points(blocks[:sized], k, dtype)
+    ends = (points[:, 0] < 0) | (points[:, -1] >= v)
+    bad = ends | (points[:, 1:] <= points[:, :-1]).any(axis=1)
+    if bad.any():
+        i = int(bad.argmax())
+        if ends[i]:
+            raise DesignError(f"block {blocks[i]} has points outside 0..{v - 1}")
+        raise DesignError(f"block {blocks[i]} is not strictly increasing")
+    if integral < sized:
+        raise DesignError(f"block {blocks[integral]} has a point that is not an integer")
+    if sized < len(blocks):
+        block = blocks[sized]
+        raise DesignError(f"block {block} has size {len(block)}, expected {k}")
+    return points
+
+
+# array.array type codes by item size (the sizes of "I" and "L" vary by
+# platform).
+_TYPECODES = {array.array(code).itemsize: code for code in "QLIHB"}
+
+
+def _integer_points(blocks, k: int, dtype: np.dtype) -> tuple[np.ndarray, int]:
+    """(points, n): the blocks before the first one holding a point that is
+    not an integer, n of them, as an n x k array.
+
+    The points are read into a bytearray or array.array of `dtype`, which
+    takes integers (through __index__) that fit it and nothing else.  When
+    that fails, some point is not an integer or lies outside 0..v-1; the
+    blocks are then scanned for the first point that is not an integer,
+    and those before it are kept as Python ints, of any size.
+    """
+    flat = itertools.chain.from_iterable(blocks)
+    try:
+        if dtype.itemsize == 1:
+            buffer = bytearray(flat)
+        else:
+            buffer = array.array(_TYPECODES[dtype.itemsize], list(flat))
+        return np.frombuffer(buffer, dtype=dtype).reshape(len(blocks), k), len(blocks)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    n = next(
+        (
+            i
+            for i, block in enumerate(blocks)
+            if not all(isinstance(p, numbers.Integral) for p in block)
+        ),
+        len(blocks),
+    )
+    return np.array(blocks[:n], dtype=object).reshape(n, k), n
 
 
 def _as_permutation(gen, v: int) -> np.ndarray | None:

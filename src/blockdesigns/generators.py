@@ -74,23 +74,19 @@ def trivial_design(v: int, k: int) -> Design:
     return Design(points=PointSet(v), blocks=blocks, k=k)
 
 
-def _resolution_from_classes(
-    points: PointSet, class_blocks, k: int, automorphisms=()
-):
-    """Assemble a design plus resolution from per-class block lists; the
-    design carries the given automorphisms."""
-    blocks: list[Block] = []
-    classes = []
-    for cls in class_blocks:
-        refs = []
-        for block in cls:
-            refs.append(len(blocks))
-            blocks.append(block)
-        classes.append(ParallelClass(tuple(refs)))
+def _resolution_from_classes(points: PointSet, classes, automorphisms=()):
+    """Assemble a design plus resolution from the blocks of each class, as
+    an array (class, position, point) or nested sequences numpy reads as
+    one; block i * w + j is the j-th block of class i, and the design
+    carries the given automorphisms."""
+    classes = np.asarray(classes)
+    count, w, k = classes.shape
+    blocks = tuple(map(tuple, classes.reshape(count * w, k).tolist()))
     design = Design(
-        points=points, blocks=tuple(blocks), k=k, automorphisms=automorphisms
+        points=points, blocks=blocks, k=k, automorphisms=automorphisms
     )
-    return design, Resolution(design, tuple(classes))
+    refs = np.arange(count * w).reshape(count, w).tolist()
+    return design, Resolution(design, tuple(ParallelClass(tuple(r)) for r in refs))
 
 
 def round_robin_one_factorization(v: int) -> tuple[Design, Resolution]:
@@ -106,7 +102,7 @@ def round_robin_one_factorization(v: int) -> tuple[Design, Resolution]:
         for j in range(1, v // 2):
             factor.append(tuple(sorted(((t + j) % m, (t - j) % m))))
         classes.append(factor)
-    return _resolution_from_classes(PointSet(v), classes, 2)
+    return _resolution_from_classes(PointSet(v), classes)
 
 
 def sub_factorization_embedding(n: int) -> tuple[Design, Resolution]:
@@ -133,7 +129,7 @@ def sub_factorization_embedding(n: int) -> tuple[Design, Resolution]:
         classes.append(factor)
     for t in range(half):
         classes.append([(i, half + (i + t) % half) for i in range(half)])
-    return _resolution_from_classes(PointSet(2 * half), classes, 2)
+    return _resolution_from_classes(PointSet(2 * half), classes)
 
 
 def affine_hyperplane_design(m: int, q: int) -> tuple[Design, Resolution]:
@@ -179,8 +175,7 @@ def affine_hyperplane_design(m: int, q: int) -> tuple[Design, Resolution]:
         total = mul[normal[0], coords[:, 0]]
         for c in range(1, m):
             total = add[total, mul[normal[c], coords[:, c]]]
-        planes = np.argsort(total, kind="stable").reshape(q, v // q)
-        classes.append([tuple(plane) for plane in planes.tolist()])
+        classes.append(np.argsort(total, kind="stable").reshape(q, v // q))
     translations = []
     for c in range(m):
         old = coords[:, c].astype(np.intp)
@@ -188,9 +183,7 @@ def affine_hyperplane_design(m: int, q: int) -> tuple[Design, Resolution]:
             new = add[coords[:, c], spec.p**j].astype(np.intp)
             image = np.arange(v) + (new - old) * weights[c]
             translations.append(tuple(image.tolist()))
-    return _resolution_from_classes(
-        PointSet(v), classes, q ** (m - 1), tuple(translations)
-    )
+    return _resolution_from_classes(PointSet(v), classes, tuple(translations))
 
 
 def cyclic_point_set(n: int, has_infinity: bool) -> PointSet:
@@ -246,18 +239,16 @@ class CyclicBaseSpec:
 
 def cyclic_develop(spec: CyclicBaseSpec) -> tuple[Design, Resolution]:
     """Develop the base class through Z_n: translate t maps x < n to
-    (x+t) mod n and fixes the point n.  Classes are the n translates, and
-    the design carries the translate x -> x+1 as its automorphism."""
+    (x+t) mod n and fixes the point n.  Classes are the n translates, all
+    developed at once as an array (translate, block, point), and the
+    design carries the translate x -> x+1 as its automorphism."""
     n = spec.n
     _check_size(f"the development of a base class through Z_{n}", spec.v,
                 n * len(spec.base_class), spec.k)
-    classes = []
-    for t in range(n):
-        translated = []
-        for block in spec.base_class:
-            members = sorted((x + t) % n if x < n else x for x in block)
-            translated.append(tuple(members))
-        classes.append(translated)
+    base = np.array(spec.base_class)
+    shifts = np.arange(n)[:, None, None]
+    classes = np.where(base < n, (base + shifts) % n, base)
+    classes.sort(axis=-1)
     points = cyclic_point_set(n, spec.has_infinity)
     shift = tuple(range(1, n)) + (0,) + ((n,) if spec.has_infinity else ())
-    return _resolution_from_classes(points, classes, spec.k, (shift,))
+    return _resolution_from_classes(points, classes, (shift,))

@@ -5,6 +5,8 @@ the library's bitset/vectorized code against straightforward counting.
 """
 
 import itertools
+import numbers
+import operator
 
 
 def naive_coverage(blocks, subset) -> int:
@@ -156,3 +158,68 @@ def naive_affine_hyperplane_design(m, q):
             blocks.append(tuple(bucket))
         classes.append(tuple(refs))
     return tuple(blocks), tuple(classes), q ** (m - 1)
+
+
+def naive_block_problem(blocks, k, v):
+    """The DesignError message for the first bad block, or None: a block
+    must have k points, each an integer, starting at 0 or above, ending
+    below v and strictly increasing, checked block by block."""
+    for block in blocks:
+        if len(block) != k:
+            return f"block {block} has size {len(block)}, expected {k}"
+        if not all(isinstance(p, numbers.Integral) for p in block):
+            return f"block {block} has a point that is not an integer"
+        if block[0] < 0 or block[-1] >= v:
+            return f"block {block} has points outside 0..{v - 1}"
+        if not all(map(operator.lt, block, block[1:])):
+            return f"block {block} is not strictly increasing"
+    return None
+
+
+def naive_union(master_blocks, class_refs, indexing_blocks, generators=()):
+    """(blocks, provenance, kept) of the union construction, class by class
+    and indexing block by indexing block, with sets.
+
+    A generator g (images of the points) is kept when the classes can be
+    matched one to one with classes i -> j such that g maps the blocks of
+    i onto those of j, and the position map it induces (position p of i
+    to the position of g(block p) in j) maps the indexing blocks onto
+    themselves as a multiset.  The match is found by augmenting paths, so
+    where two classes hold the same blocks every match is tried.
+    """
+    classes = [[frozenset(master_blocks[ref]) for ref in refs] for refs in class_refs]
+    blocks, provenance = [], []
+    for i, cls in enumerate(classes):
+        for c, chosen in enumerate(indexing_blocks):
+            blocks.append(tuple(sorted(itertools.chain.from_iterable(cls[j] for j in chosen))))
+            provenance.append((i, c))
+
+    def multiset(sets):
+        return sorted(tuple(sorted(s)) for s in sets)
+
+    indexing = multiset(indexing_blocks)
+
+    def respects(g, i, j):
+        image = [frozenset(g[p] for p in block) for block in classes[i]]
+        if set(image) != set(classes[j]):
+            return False
+        sigma = [classes[j].index(block) for block in image]
+        return multiset([[sigma[p] for p in c] for c in indexing_blocks]) == indexing
+
+    kept = []
+    for g in generators:
+        targets = [[j for j in range(len(classes)) if respects(g, i, j)] for i in range(len(classes))]
+        match: dict[int, int] = {}  # target class -> source class
+
+        def augment(i, seen):
+            for j in targets[i]:
+                if j not in seen:
+                    seen.add(j)
+                    if j not in match or augment(match[j], seen):
+                        match[j] = i
+                        return True
+            return False
+
+        if all(augment(i, set()) for i in range(len(classes))):
+            kept.append(g)
+    return tuple(blocks), tuple(provenance), tuple(kept)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import blockdesigns
+from blockdesigns import core
 from blockdesigns.cli import main
 from blockdesigns.core import MAX_POINTS, make_design, t_coverage_spectrum
 from blockdesigns.formats import load_design, load_resolution, save_design
@@ -115,6 +116,17 @@ def test_points_above_the_limit_exit_2(capsys, tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_profile_above_the_row_limit_exits_2(capsys, tmp_path, monkeypatch):
+    # 100 disjoint pairs: 100 rows of 4 words over the 200 points in use.
+    path = tmp_path / "pairs.design"
+    save_design(make_design(1000, [(2 * i, 2 * i + 1) for i in range(100)]), path)
+    monkeypatch.setattr(core, "MAX_ROW_WORDS", 399)
+    code, out, err = run(capsys, "profile", str(path))
+    assert (code, out) == (2, "")
+    assert err == ("error: the rows of 100 blocks over 200 points would hold "
+                   "400 words, above the limit of 399\n")
 
 
 def test_verify_missing_file(capsys):

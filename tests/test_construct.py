@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockdesigns.catalog import catalog_entry
 from blockdesigns.construct import (
@@ -26,8 +28,10 @@ from blockdesigns.construct import (
     triple_coverage_by_alpha,
 )
 from blockdesigns.core import (
+    Design,
     DesignError,
     DesignParams,
+    PointSet,
     intersection_profile,
     is_simple,
     make_design,
@@ -35,6 +39,7 @@ from blockdesigns.core import (
     verify_ibd,
 )
 from blockdesigns.generators import (
+    CyclicBaseSpec,
     affine_hyperplane_design,
     cyclic_develop,
     trivial_design,
@@ -47,7 +52,7 @@ from blockdesigns.resolution import (
     verify_resolution,
 )
 
-from oracles import naive_coverage, naive_profile, naive_spectrum
+from oracles import naive_coverage, naive_profile, naive_spectrum, naive_union
 
 MASTER_24_6_5 = DesignParams(t=2, v=24, b=92, r=23, k=6, lam=5)
 MASTER_30_5_4 = DesignParams(t=2, v=30, b=174, r=29, k=5, lam=4)
@@ -108,6 +113,87 @@ def test_affine_16_golden_3_256_128_63():
     assert sum(counts) == counts[0] + counts[64]
     assert prp_violations(master, res, alpha_filter={8}) == []
     assert predicted_mu_affine(16, 2, 3) == 63
+
+
+@st.composite
+def union_inputs(draw):
+    """(master resolution, its class refs, indexing design).
+
+    The master is either all translates of a random base class through
+    Z_n, perhaps twice over, carrying the shift and its square, or 0-5
+    random parallel classes, perhaps with a class repeated, carrying
+    nothing.  Classes, positions in a class and the block list are
+    shuffled; the indexing design is trivial or a few random blocks.
+    """
+    k = draw(st.integers(2, 3))
+    w = draw(st.integers(3, 5))
+    v = k * w
+    if draw(st.booleans()):
+        infinity = draw(st.booleans())
+        n = v - infinity
+        points = draw(st.permutations(range(v)))
+        base = tuple(tuple(sorted(points[i : i + k])) for i in range(0, v, k))
+        developed, developed_res = cyclic_develop(CyclicBaseSpec(n, infinity, base))
+        classes = [
+            [developed.blocks[ref] for ref in cls.block_refs]
+            for cls in developed_res.classes
+        ] * draw(st.integers(1, 2))
+        shift = developed.automorphisms[0]
+        generators = (shift, tuple(shift[p] for p in shift))
+    else:
+        classes = []
+        for _ in range(draw(st.integers(0, 5))):
+            points = draw(st.permutations(range(v)))
+            classes.append([tuple(sorted(points[i : i + k])) for i in range(0, v, k)])
+        if classes and draw(st.booleans()):
+            classes.append(classes[0])
+        generators = ()
+    classes = draw(st.permutations([draw(st.permutations(cls)) for cls in classes]))
+    slots = draw(st.permutations([(i, j) for i in range(len(classes)) for j in range(w)]))
+    position = {slot: ref for ref, slot in enumerate(slots)}
+    refs = tuple(tuple(position[i, j] for j in range(w)) for i in range(len(classes)))
+    blocks = tuple(classes[i][j] for i, j in slots)
+    master = Design(PointSet(v), blocks, k, automorphisms=generators)
+    res = Resolution(master, tuple(ParallelClass(cls) for cls in refs))
+    k_prime = draw(st.integers(2, w - 1))
+    if draw(st.booleans()):
+        indexing = trivial_design(w, k_prime)
+    else:
+        chosen = draw(st.lists(
+            st.lists(st.integers(0, w - 1), min_size=k_prime, max_size=k_prime, unique=True),
+            min_size=1, max_size=6,
+        ))
+        indexing = make_design(w, chosen, k=k_prime)
+    return res, refs, indexing
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(union_inputs())
+def test_union_matches_naive_union(case):
+    res, refs, indexing = case
+    master = res.design
+    built = shrikhande_raghavarao(res, indexing)
+    blocks, provenance, kept = naive_union(
+        master.blocks, refs, indexing.blocks, master.automorphisms
+    )
+    assert built.design.blocks == blocks
+    assert built.provenance == provenance
+    # The construction matches classes holding the same blocks in one way,
+    # the oracle in every way, so it may keep fewer generators.
+    assert set(built.design.automorphisms) <= set(kept)
+    partitions = [frozenset(master.blocks[ref] for ref in cls) for cls in refs]
+    if len(set(partitions)) == len(partitions):
+        assert built.design.automorphisms == kept
+    listed = sorted(blocks)
+    for g in built.design.automorphisms:
+        assert sorted(tuple(sorted(g[p] for p in b)) for b in blocks) == listed
+
+
+def test_union_of_no_classes():
+    master = Design(PointSet(6), (), 2)
+    built = shrikhande_raghavarao(Resolution(master, ()), trivial_design(3, 2))
+    assert built.design.blocks == () and built.provenance == ()
+    assert built.design.k == 4
 
 
 def test_dimension_mismatch(ag23):

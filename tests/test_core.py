@@ -30,7 +30,7 @@ from blockdesigns.core import (
 from blockdesigns.generators import CyclicBaseSpec, cyclic_develop, trivial_design
 from blockdesigns.catalog import catalog_entry
 
-from oracles import naive_coverage, naive_profile, naive_spectrum
+from oracles import naive_block_problem, naive_coverage, naive_profile, naive_spectrum
 
 
 # --- type validation -------------------------------------------------------
@@ -53,6 +53,68 @@ def test_design_validation():
         Design(PointSet(4), ((0, 4),), 2)  # out of range
     with pytest.raises(DesignError):
         Design(PointSet(4), ((0, 1),), 4)  # k = v
+
+
+def test_design_rejects_points_that_are_not_integers():
+    # Read as numbers, 0.5 would count as point 0 and 2.0 as point 2.
+    with pytest.raises(DesignError) as exc:
+        Design(PointSet(4), ((0.5, 1.0), (2.0, 3.0)), 2)
+    assert str(exc.value) == "block (0.5, 1.0) has a point that is not an integer"
+    with pytest.raises(DesignError) as exc:
+        Design(PointSet(4), ((0, 1), (2, "3")), 2)
+    assert str(exc.value) == "block (2, '3') has a point that is not an integer"
+
+
+@st.composite
+def block_lists(draw):
+    """(blocks, k, v): strictly increasing k-subsets of 0..v-1, each with
+    a chance of one fault."""
+    v = draw(st.integers(4, 300))
+    k = draw(st.integers(2, min(v - 1, 6)))
+    blocks = []
+    for _ in range(draw(st.integers(0, 8))):
+        block = sorted(draw(st.sets(st.integers(0, v - 1), min_size=k, max_size=k)))
+        i = draw(st.integers(0, k - 1))
+        fault = draw(st.sampled_from(
+            [None] * 6
+            + ["short", "long", "negative", "high", "huge", "order", "repeat",
+               "float", "string"]
+        ))
+        if fault == "short":
+            del block[i]
+        elif fault == "long":
+            block.insert(i, draw(st.integers(-2, v + 2)))
+        elif fault == "negative":
+            block[i] = draw(st.integers(-(2**70), -1))
+        elif fault == "high":
+            block[i] = draw(st.integers(v, v + 300))
+        elif fault == "huge":
+            block[i] = draw(st.integers(2**64 + 1, 2**80))
+        elif fault == "order" and i:
+            block[i - 1], block[i] = block[i], block[i - 1]
+        elif fault == "repeat" and i:
+            block[i] = block[i - 1]
+        elif fault == "float":
+            block[i] = draw(st.sampled_from([block[i] + 0.5, float(block[i])]))
+        elif fault == "string":
+            block[i] = str(block[i])
+        blocks.append(tuple(block))
+    return tuple(blocks), k, v
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(block_lists())
+def test_design_validation_matches_block_by_block_oracle(case):
+    blocks, k, v = case
+    expected = naive_block_problem(blocks, k, v)
+    if expected is None:
+        design = Design(PointSet(v), blocks, k)
+        assert design._members.tolist() == [list(block) for block in blocks]
+        assert design._members.shape == (len(blocks), k)
+        return
+    with pytest.raises(DesignError) as exc:
+        Design(PointSet(v), blocks, k)
+    assert str(exc.value) == expected
 
 
 def test_make_design_canonicalizes():
@@ -337,6 +399,33 @@ def test_profile_matches_naive_oracle_over_several_chunks(monkeypatch):
     monkeypatch.setattr(core, "_CHUNK_WORDS", PROFILE_CHUNK * b)
     d = _random_design(1, 30, 9, b, 7)
     assert list(intersection_profile(d).counts) == naive_profile(d.blocks)
+
+
+def test_profile_packs_only_points_in_some_block():
+    # 300 two-point blocks spread over 2^20 points, each meeting the next:
+    # packed over all v points the rows took 128 KB each, and one slice
+    # ANDed a row with every later row (seconds, and about 146 MB).
+    blocks = [(3000 * i, 3000 * (i + 1)) for i in range(300)]
+    d = make_design(core.MAX_POINTS, blocks)
+    tracemalloc.start()
+    try:
+        counts = intersection_profile(d).counts
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert list(counts) == naive_profile(blocks) == [44850 - 299, 299, 0]
+    assert d._rows.shape == (300, 5)  # 301 points in some block
+    assert peak < 16 << 20  # the replication counts of 2^20 points take 8 MB
+
+
+def test_profile_guard_raises_before_packing(monkeypatch):
+    d = make_design(300, [(2 * i, 2 * i + 1) for i in range(100)])
+    monkeypatch.setattr(core, "MAX_ROW_WORDS", 399)  # 100 rows of 4 words
+    with pytest.raises(DesignError, match="hold 400 words, above the limit of 399"):
+        intersection_profile(d)
+    assert "_rows" not in vars(d)
+    monkeypatch.setattr(core, "MAX_ROW_WORDS", 400)
+    assert intersection_profile(d).counts == (4950, 0, 0)
 
 
 def test_profile_validation():
