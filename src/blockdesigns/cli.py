@@ -11,6 +11,7 @@ exhausted.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -93,14 +94,29 @@ class _Report:
 
     def emit(self, as_json: bool) -> None:
         if as_json:
-            print(json.dumps(_jsonable(self.fields), indent=2, sort_keys=True))
+            with _any_digits():
+                print(json.dumps(_jsonable(self.fields), indent=2, sort_keys=True))
         else:
             for line in self.lines:
                 print(line)
 
 
+@contextlib.contextmanager
+def _any_digits():
+    """Let str() write ints of any length while the block runs.  Python
+    refuses ints past 4300 digits by default, and an exact count such as
+    C(16384, 8192) has 4930; the parsers keep the limit."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _spectrum_text(spectrum: dict[int, int]) -> str:
-    return " ".join(f"{key}:{count}" for key, count in sorted(spectrum.items()))
+    with _any_digits():
+        return " ".join(f"{key}:{count}" for key, count in sorted(spectrum.items()))
 
 
 def _params_text(params: DesignParams) -> str:

@@ -56,11 +56,6 @@ __all__ = [
 ]
 
 
-# Rows of the union array turned into block tuples at a time, so that no
-# second list of all the rows is alive next to the tuples.
-_TUPLE_ROWS = 1024
-
-
 class DimensionMismatch(DesignError):
     pass
 
@@ -230,7 +225,7 @@ def shrikhande_raghavarao(
     Indexing point j names the j-th block of every class in the stored
     class order.  Output blocks are ordered by (class index, indexing
     block index) and duplicates are preserved.  The blocks are gathered
-    from the master's members as one array and turned into tuples once.
+    from the master's members as one array, which the design keeps.
     The constructed design carries the master automorphisms that
     `_kept_automorphisms` keeps.
     """
@@ -251,14 +246,8 @@ def shrikhande_raghavarao(
     # Class i, indexing block c: the points of the class's blocks at c.
     unions = classes[:, indexing._members].reshape(-1, master.k * indexing.k)
     unions.sort(axis=1)
-    blocks: list[tuple[int, ...]] = []
-    for lo in range(0, len(unions), _TUPLE_ROWS):
-        blocks.extend(map(tuple, unions[lo : lo + _TUPLE_ROWS].tolist()))
-    constructed = Design(
-        points=master.points,
-        blocks=tuple(blocks),
-        k=master.k * indexing.k,
-        automorphisms=_kept_automorphisms(master, classes, indexing),
+    constructed = Design._from_members(
+        master.points, unions, _kept_automorphisms(master, classes, indexing)
     )
     provenance = itertools.product(range(len(refs)), range(len(indexing.blocks)))
     return ConstructedDesign(constructed, tuple(provenance), indexing)
@@ -271,13 +260,22 @@ def _kept_automorphisms(
     construction as well; `classes` holds the master's resolution as an
     array of points (class, position, point).
 
-    g is kept when it maps the multiset of master classes onto itself and
-    the position permutation it induces on each class (the j-th block of
-    class i goes to the sigma_i(j)-th block of its image class) is an
-    automorphism of the indexing design.  g then maps the union of class
-    i at the positions of an indexing block C onto the union of the image
-    class at sigma_i(C).  Raises DesignError when a master automorphism
-    does not check out.
+    g is kept when the classes can be matched one to one, i -> j, so that
+    g maps the blocks of class i onto those of class j and the position
+    permutation it induces (the p-th block of class i goes to the
+    sigma(p)-th block of class j) is an automorphism of the indexing
+    design.  g then maps the union of class i at the positions of an
+    indexing block C onto the union of class j at sigma(C).  Raises
+    DesignError when a master automorphism does not check out.
+
+    Classes that hold the same blocks can be matched in several ways, and
+    each class takes the first free one it may.  That finds a matching
+    whenever one exists: with o_i the map from positions to blocks of
+    class i and gamma the map g induces on blocks, sigma = o_j^-1 gamma o_i
+    is an indexing automorphism exactly when o_j and gamma o_i lie in one
+    coset of the indexing automorphism group, so classes i of one coset
+    may all take the same classes j, and no choice among them blocks
+    another.
     """
     # The master's orbits are only needed here to check its automorphisms.
     if master._symmetry is None or not len(classes):
@@ -300,16 +298,15 @@ def _kept_automorphisms(
     kept = []
     for gen in master.automorphisms:
         image = np.asarray(gen).astype(classes.dtype)[classes]
-        unmatched = {key: list(ids) for key, ids in by_partition.items()}
-        targets = []
-        for key in _partitions(image, v):
-            if not unmatched.get(key):
+        free = {key: list(ids) for key, ids in by_partition.items()}
+        for i, key in enumerate(_partitions(image, v)):
+            j = next((j for j in free.get(key, ())
+                      if respects(position[j, image[i, :, 0]])), None)
+            if j is None:
                 break
-            targets.append(unmatched[key].pop())
+            free[key].remove(j)
         else:
-            sigmas = position[np.array(targets)[:, None], image[:, :, 0]]
-            if all(respects(sigma) for sigma in sigmas):
-                kept.append(gen)
+            kept.append(gen)
     return tuple(kept)
 
 

@@ -8,18 +8,24 @@ significant).
 Every count here is exact.  A design's blocks are validated once, at
 construction, as one b x k array of points: block sizes, integer points,
 range and strict increase are checked on the whole array, and only a
-failing block is formatted into the error.  The array is not kept: the
-same helper builds it again on first use as ``Design._members``, so the
-designs that are only searched (which read ``Design._masks``, the blocks
-as Python-int bit masks) do not hold it.  ``Design._rows`` packs the
-blocks into 64-bit words over the points that lie in some block, one row
-per block.  Replication counts are point counts over the blocks.  A
-t-subset coverage spectrum takes each point p in turn and packs the
-columns of the later points over the blocks through p only, so its cost
-follows the replication rather than the block count; coverages are
-popcounts of ANDed columns.  The pairwise
-intersection histogram is popcounts of ANDed block rows, and derived
-coverage numbers use ``fractions.Fraction``.
+failing block is formatted into the error.  A design built from tuples
+does not keep the array: the same helper builds it again on first use as
+``Design._members``, so the designs that are only searched (which read
+``Design._masks``, the blocks as Python-int bit masks) do not hold it.
+Code that already holds the blocks as an array (the file parser, the
+generators and the union construction) builds the design through
+``Design._from_members``, which checks that array and keeps it.
+``Design._rows`` packs the blocks into 64-bit words over the points that
+lie in some block, one row per block.  Replication counts are point
+counts over the blocks.  A t-subset coverage spectrum takes each point p
+in turn and packs the columns of the later points over the blocks
+through p only, so its cost follows the replication rather than the
+block count; coverages are popcounts of ANDed columns.  Pairs in a dense
+design are counted at once instead, as the meets of the columns of all
+points over all blocks.  The pairwise intersection histogram is
+popcounts of ANDed block rows, and derived coverage numbers use
+``fractions.Fraction``.  Binomials that are only compared with a bound
+are computed no further than the bound (``_capped_comb``).
 
 A design may carry point permutations that map its blocks onto themselves
 (``Design.automorphisms``; the generators and the union construction
@@ -98,12 +104,29 @@ MAX_POINTS = 1 << 20
 # packing anything it bounds them by summing, over the least point p of a
 # t-subset, C(u, t-1) times the words of a column over the r_p blocks
 # through p, where u = min(v-1-p, r_p(k-1)) is the most later points those
-# blocks can hold.  On a 2-core Xeon: 3-(256,128,63) at t=3 needs 11.1 M
-# (0.4 s), the AG(3,8) plane design 44.5 M (1.3 s), AG(2,32) 178 M (2.0 s).
-# Counted once per point orbit, the sum runs over one point p of each
-# orbit with u = min(v-1, r_p(k-1)): 3-(1024,512,255) built from AG(2,32)
-# needs 8.4 M words (0.1 s) instead of 2.85 G.
+# blocks can hold; the sum stops once it passes the bound.  On a 2-core
+# Xeon: 3-(256,128,63) at t=3 needs 11.1 M (0.4 s), the AG(3,8) plane
+# design 44.5 M (1.3 s), AG(2,32) 178 M (2.0 s).  Counted once per point
+# orbit, the sum runs over one point p of each orbit with
+# u = min(v-1, r_p(k-1)): 3-(1024,512,255) built from AG(2,32) needs 8.4 M
+# words (0.1 s) instead of 2.85 G.  At t=2 with no automorphisms all pairs
+# may be counted at once, as the meets of the columns of the s points in
+# some block over all b blocks: exactly C(s,2) * ceil(b/64) words.  That
+# kernel is taken when those words times _PAIR_WORD_COST are fewer than
+# the s * (b*k + v) elements the point-by-point path scans (one pass over
+# the b x k members and one bincount of length v per point), and the
+# words are within this bound: 3-(256,128,127) counts 261 K words (4 ms
+# instead of 32 ms), while an STS(999) would need 1.3 G words and stays
+# point by point.
 MAX_SPECTRUM_WORDS = 1 << 28
+
+# Time of one word of the all-pairs kernel (packing, AND, popcount and
+# bincount) in elements of the point-by-point path.  Timed on 25 designs
+# on a 2-core Xeon, the kernel won on every design with at most 0.14
+# words per element (AG(2,16): 2.6 ms against 5.0 ms) and on K_64 at
+# 0.246, and lost on every one from 0.25 on (AG(2,32): 45 ms against
+# 33 ms; K_200, K_400), so the crossover is taken at 1/5.
+_PAIR_WORD_COST = 5
 
 # Most uint64 words of packed block rows (128 MB), checked before packing:
 # b rows of ceil(s/64) words, s the points that lie in some block.  The
@@ -116,6 +139,10 @@ MAX_ROW_WORDS = 1 << 24
 # design meets 8 block rows with all later rows per call; 64 rows, no
 # faster, raised peak memory by about 9 MB.
 _CHUNK_WORDS = 1 << 16
+
+# Rows of a members array turned into block tuples at a time, so that no
+# second list of all the rows is alive next to the tuples.
+_TUPLE_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -176,7 +203,24 @@ class Design:
         v = self.points.size
         if not 2 <= self.k < v:
             raise DesignError(f"block size must satisfy 2 <= k < v (k={self.k}, v={v})")
-        _block_array(self.blocks, self.k, v)
+        members = self.__dict__.get("_members")
+        if members is None:
+            _block_array(self.blocks, self.k, v)
+        else:  # set by _from_members, whose blocks are its rows
+            self.__dict__["_members"] = _checked_members(members, v, self.blocks)
+
+    @classmethod
+    def _from_members(cls, points: PointSet, members: np.ndarray,
+                      automorphisms=()) -> "Design":
+        """The design whose blocks are the rows of `members`, a b x k
+        integer array (or object array of ints).  The array is checked as
+        _block_array checks tuples, with the same errors, and kept as
+        `_members` in the smallest unsigned type that holds every point,
+        so it is never built again."""
+        design = cls.__new__(cls)
+        design.__dict__["_members"] = members
+        cls.__init__(design, points, _tuples(members), members.shape[1], automorphisms)
+        return design
 
     @cached_property
     def _members(self) -> np.ndarray:
@@ -278,6 +322,19 @@ def _block_array(blocks, k: int, v: int) -> np.ndarray:
         sized = next(i for i, block in enumerate(blocks) if len(block) != k)
     dtype = np.min_scalar_type(v - 1)
     points, integral = _integer_points(blocks[:sized], k, dtype)
+    _check_points(points, v, blocks)
+    if integral < sized:
+        raise DesignError(f"block {blocks[integral]} has a point that is not an integer")
+    if sized < len(blocks):
+        block = blocks[sized]
+        raise DesignError(f"block {block} has size {len(block)}, expected {k}")
+    return points
+
+
+def _check_points(points: np.ndarray, v: int, blocks) -> None:
+    """Raise DesignError naming blocks[i] for the first row i of points
+    that starts below 0 or ends above v-1, or else does not strictly
+    increase."""
     ends = (points[:, 0] < 0) | (points[:, -1] >= v)
     bad = ends | (points[:, 1:] <= points[:, :-1]).any(axis=1)
     if bad.any():
@@ -285,12 +342,24 @@ def _block_array(blocks, k: int, v: int) -> np.ndarray:
         if ends[i]:
             raise DesignError(f"block {blocks[i]} has points outside 0..{v - 1}")
         raise DesignError(f"block {blocks[i]} is not strictly increasing")
-    if integral < sized:
-        raise DesignError(f"block {blocks[integral]} has a point that is not an integer")
-    if sized < len(blocks):
-        block = blocks[sized]
-        raise DesignError(f"block {block} has size {len(block)}, expected {k}")
-    return points
+
+
+def _checked_members(members: np.ndarray, v: int, blocks) -> np.ndarray:
+    """members, the integer array whose rows are `blocks`, checked as
+    _block_array checks the tuples, as a read-only array of the smallest
+    unsigned type that holds v-1."""
+    _check_points(members, v, blocks)
+    members = members.astype(np.min_scalar_type(v - 1), copy=False)
+    members.flags.writeable = False
+    return members
+
+
+def _tuples(members: np.ndarray) -> tuple[Block, ...]:
+    """The rows of members as tuples of Python ints."""
+    blocks: list[Block] = []
+    for lo in range(0, len(members), _TUPLE_ROWS):
+        blocks.extend(map(tuple, members[lo : lo + _TUPLE_ROWS].tolist()))
+    return tuple(blocks)
 
 
 # array.array type codes by item size (the sizes of "I" and "L" vary by
@@ -506,7 +575,9 @@ def t_coverage_spectrum(design: Design, t: int) -> dict[int, int]:
     coverage lam exactly when the result is {lam: C(v, t)}.  The subsets
     with least point p are counted on the blocks through p: the coverage
     of {p} plus a (t-1)-subset of later points is the popcount of the AND
-    of their columns over those blocks.
+    of their columns over those blocks.  At t = 2 with no automorphisms,
+    when that is cheaper (see MAX_SPECTRUM_WORDS), every pair is counted
+    at once as the meet of two columns over all blocks.
 
     When the design carries automorphisms and t >= 2, only the subsets
     through one point x of each point orbit P are counted, as hist_x; the
@@ -520,27 +591,41 @@ def t_coverage_spectrum(design: Design, t: int) -> dict[int, int]:
     v, b = design.points.size, len(design.blocks)
     replication = _replication(design)
     symmetry = design._symmetry if t >= 2 else None
+    all_pairs = False
     if symmetry is None:
-        later = [(v - 1 - p, r) for p, r in enumerate(replication.tolist())]
+        if t == 2:
+            s = int(np.count_nonzero(replication))
+            pair_words = s * (s - 1) // 2 * ((b + 63) // 64)
+            all_pairs = (pair_words <= MAX_SPECTRUM_WORDS
+                         and pair_words * _PAIR_WORD_COST < s * (b * k + v))
+        # The least point of a covered t-subset has t-1 later points in
+        # one of its blocks: it is among the first k-t+1 of that block.
+        starts = np.flatnonzero(
+            np.bincount(design._members[:, : k - t + 1].ravel(), minlength=v)
+        )
+        later = zip((v - 1 - starts).tolist(), replication[starts].tolist())
     else:
         points = symmetry[0]
-        later = [(v - 1, r) for r in replication[points.reps].tolist()]
-    work = sum(
-        math.comb(min(u, r * (k - 1)), t - 1) * ((r + 63) // 64) for u, r in later
-    )
-    if work > MAX_SPECTRUM_WORDS:
-        raise DesignError(
-            f"the t={t} spectrum of a design with v={v} and b={b} would "
-            f"count {work} words, above the limit of {MAX_SPECTRUM_WORDS}"
-        )
+        later = ((v - 1, r) for r in replication[points.reps].tolist() if r)
+    if not all_pairs:
+        work, exact = _spectrum_words(later, k, t)
+        if work > MAX_SPECTRUM_WORDS:
+            raise DesignError(
+                f"the t={t} spectrum of a design with v={v} and b={b} would "
+                f"count {'' if exact else 'more than '}"
+                f"{work if exact else MAX_SPECTRUM_WORDS} words, above the "
+                f"limit of {MAX_SPECTRUM_WORDS}"
+            )
     # Counts of the covered t-subsets by coverage; the uncovered ones are
     # what is left of C(v, t) (a Python int, which may exceed 64 bits).
     # Bin 0 collects pairs of uncovered points and is never read.
     hist = np.zeros(b + 1, dtype=np.int64)
     if t == 1:
         hist += np.bincount(replication, minlength=b + 1)
+    elif all_pairs:
+        _add_meets(hist, _columns(design._members, v, slice(0, 0)))
     elif symmetry is None:
-        for p in np.flatnonzero(replication[: v - t + 1]).tolist():
+        for p in starts.tolist():
             _add_through(hist, design._members, v, p, slice(0, p + 1), t)
     else:
         for x, size in zip(points.reps.tolist(), points.sizes.tolist()):
@@ -558,6 +643,42 @@ def t_coverage_spectrum(design: Design, t: int) -> dict[int, int]:
     spectrum = {int(c): int(hist[c]) for c in np.flatnonzero(hist[1:]) + 1}
     uncovered = math.comb(v, t) - sum(spectrum.values())
     return {0: uncovered, **spectrum} if uncovered else spectrum
+
+
+def _spectrum_words(later, k: int, t: int) -> tuple[int, bool]:
+    """(words, exact): the sum over the (u, r) pairs of `later` of
+    C(min(u, r(k-1)), t-1) * ceil(r/64), stopped once it passes
+    MAX_SPECTRUM_WORDS.  exact is False when the sum stopped before the
+    last pair or a binomial was cut at the bound; words is then only
+    known to be above the bound."""
+    work = 0
+    later = iter(later)
+    for u, r in later:
+        words = (r + 63) // 64
+        cap = MAX_SPECTRUM_WORDS // words
+        count = _capped_comb(min(u, r * (k - 1)), t - 1, cap)
+        work += count * words
+        if work > MAX_SPECTRUM_WORDS:
+            return work, count <= cap and next(later, None) is None
+    return work, True
+
+
+def _capped_comb(n: int, r: int, cap: int) -> int:
+    """C(n, r) when it is at most cap, else cap + 1.
+
+    The product C(n-r'+i, i) for i = 1..r' = min(r, n-r) grows with i and
+    stops once it passes cap, so it takes at most about log2(cap) steps
+    (C(2i, i) >= 2^i) and never builds a number much above cap.
+    """
+    if not 0 <= r <= n:
+        return 0
+    r = min(r, n - r)
+    count = 1
+    for i in range(1, r + 1):
+        count = count * (n - r + i) // i
+        if count > cap:
+            return cap + 1
+    return count
 
 
 def _add_through(hist, members, v, p, dropped: slice, t) -> None:
@@ -604,15 +725,27 @@ def _columns(blocks: np.ndarray, v: int, dropped: slice) -> np.ndarray:
 
 def _add_coverages(hist, columns, t) -> None:
     """Count into hist the coverage of every t >= 2 of the columns (the
-    count at coverage 0 is incomplete)."""
-    if t == 2:
-        _add_meets(hist, columns)
-        return
-    for q in range(len(columns) - t + 1):
-        # The later columns on the blocks through q; only the points that
-        # share one of those blocks can complete q to a covered subset.
-        later = columns[q + 1 :] & columns[q]
-        _add_coverages(hist, later[later.any(axis=1)], t - 1)
+    count at coverage 0 is incomplete).
+
+    Depth first over the least column q of a subset, with an explicit
+    stack of (columns, t, next q) so that t may exceed the recursion
+    limit; one level holds one array of later columns, as a recursion
+    would.  Exactly t columns are one subset, counted by one AND.
+    """
+    stack = [(columns, t, 0)]
+    while stack:
+        columns, t, q = stack.pop()
+        if t == 2:
+            _add_meets(hist, columns)
+        elif len(columns) == t:
+            hist[_popcounts(np.bitwise_and.reduce(columns))] += 1
+        elif q <= len(columns) - t:
+            stack.append((columns, t, q + 1))
+            # The later columns on the blocks through q; only the points
+            # that share one of those blocks can complete q to a covered
+            # subset.
+            later = columns[q + 1 :] & columns[q]
+            stack.append((later[later.any(axis=1)], t - 1, 0))
 
 
 def _add_meets(hist, rows) -> None:
@@ -653,9 +786,8 @@ def is_simple(design: Design) -> bool:
 
 def is_trivial(design: Design) -> bool:
     """True when the design consists of all C(v, k) k-subsets, once each."""
-    return is_simple(design) and len(design.blocks) == math.comb(
-        design.points.size, design.k
-    )
+    b = len(design.blocks)
+    return b == _capped_comb(design.points.size, design.k, b) and is_simple(design)
 
 
 def _popcounts(words: np.ndarray) -> np.ndarray:

@@ -17,12 +17,20 @@ digits.  The JSON form carries the same content as a key/value tree; a
 in ``.json`` are JSON and all others text: ``_read`` makes that choice
 for every loader, ``dumps`` for every writer.  No file may declare more
 than ``core.MAX_POINTS`` points.
+
+The text parser reads the header, label and class lines one by one and
+the block lines all at once, as one array of points (``_read_points``);
+a block line is looked at on its own only when the bulk check finds it
+is not written the way ``dumps`` writes it.  ``dumps`` writes each point
+through a table of point names built once per file.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
+
+import numpy as np
 
 from .core import Design, PointSet
 from .resolution import ParallelClass, Resolution
@@ -64,10 +72,14 @@ def dumps(design: Design, res: Resolution | None, as_json: bool) -> str:
         if not label or any(ch.isspace() for ch in label) or "#" in label:
             raise FormatError(f"label {label!r} cannot be written to the text format")
         lines.append(f"label {i} {label}")
+    # The name of every point up to the largest in a block, the last of
+    # its (increasing) block.
+    top = max((block[-1] for block in design.blocks), default=-1)
+    name = list(map(str, range(top + 1))).__getitem__
     for ci, refs in enumerate(runs):
         if res is not None:
             lines.append(f"class {ci}")
-        lines.extend(" ".join([str(p) for p in design.blocks[ref]]) for ref in refs)
+        lines.extend(" ".join(map(name, design.blocks[ref])) for ref in refs)
     return "\n".join(lines) + "\n"
 
 
@@ -91,89 +103,170 @@ def _parse_lines(text: str):
     """(design, resolution-or-None) from format text."""
     header = None
     labels: dict[int, str] = {}
-    blocks: list[tuple[int, ...]] = []
+    lines: list[str] = []  # the block lines, without comments and outer spaces
+    linenos: list[int] = []
     class_breaks: list[int] = []  # block index where each class starts
     expected_class = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if tokens[0] == "design":
-            if header is not None:
-                raise FormatError(f"line {lineno}: duplicate design header")
-            fields = {}
-            for token in tokens[1:]:
-                if "=" not in token:
-                    raise FormatError(f"line {lineno}: bad header field {token!r}")
-                key, _, value = token.partition("=")
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            keyword = line.split(None, 1)[0]
+            if keyword == "design":
+                if header is not None:
+                    raise FormatError(f"line {lineno}: duplicate design header")
+                fields = {}
+                for token in line.split()[1:]:
+                    if "=" not in token:
+                        raise FormatError(f"line {lineno}: bad header field {token!r}")
+                    key, _, value = token.partition("=")
+                    try:
+                        fields[key] = _int(value)
+                    except ValueError:
+                        raise FormatError(
+                            f"line {lineno}: header field {token!r} is not an integer"
+                        ) from None
+                missing = {"v", "k", "b"} - fields.keys()
+                if missing:
+                    raise FormatError(
+                        f"line {lineno}: header missing {sorted(missing)}"
+                    )
+                header = fields
+            elif keyword == "label":
+                if header is None:
+                    raise FormatError(f"line {lineno}: label before design header")
+                tokens = line.split()
+                if len(tokens) != 3:
+                    raise FormatError(f"line {lineno}: expected 'label <index> <name>'")
                 try:
-                    fields[key] = _int(value)
+                    index = _int(tokens[1])
                 except ValueError:
                     raise FormatError(
-                        f"line {lineno}: header field {token!r} is not an integer"
+                        f"line {lineno}: bad label index {tokens[1]!r}"
                     ) from None
-            missing = {"v", "k", "b"} - fields.keys()
-            if missing:
-                raise FormatError(
-                    f"line {lineno}: header missing {sorted(missing)}"
-                )
-            header = fields
-        elif tokens[0] == "label":
-            if header is None:
-                raise FormatError(f"line {lineno}: label before design header")
-            if len(tokens) != 3:
-                raise FormatError(f"line {lineno}: expected 'label <index> <name>'")
-            try:
-                index = _int(tokens[1])
-            except ValueError:
-                raise FormatError(f"line {lineno}: bad label index {tokens[1]!r}") from None
-            if not 0 <= index < header["v"]:
-                raise FormatError(f"line {lineno}: label index {index} out of range")
-            labels[index] = tokens[2]
-        elif tokens[0] == "class":
-            if header is None:
-                raise FormatError(f"line {lineno}: class before design header")
-            try:
-                (index,) = map(_int, tokens[1:])  # one index, else ValueError
-            except ValueError:
-                raise FormatError(f"line {lineno}: expected 'class <index>'") from None
-            if index != expected_class:
-                raise FormatError(
-                    f"line {lineno}: expected class {expected_class}, got {tokens[1]}"
-                )
-            if blocks and not class_breaks:
-                raise FormatError(
-                    f"line {lineno}: blocks appear before the first class line"
-                )
-            class_breaks.append(len(blocks))
-            expected_class += 1
-        else:
-            if header is None:
-                raise FormatError(f"line {lineno}: block before design header")
-            try:
-                # One check per line: the tokens hold no whitespace.
-                if not (line.isascii() and "".join(tokens).isdigit()):
-                    raise ValueError(line)
-                blocks.append(tuple(map(int, tokens)))
-            except ValueError:
-                raise FormatError(f"line {lineno}: bad block line {line!r}") from None
+                if not 0 <= index < header["v"]:
+                    raise FormatError(f"line {lineno}: label index {index} out of range")
+                labels[index] = tokens[2]
+            elif keyword == "class":
+                if header is None:
+                    raise FormatError(f"line {lineno}: class before design header")
+                tokens = line.split()
+                try:
+                    (index,) = map(_int, tokens[1:])  # one index, else ValueError
+                except ValueError:
+                    raise FormatError(f"line {lineno}: expected 'class <index>'") from None
+                if index != expected_class:
+                    raise FormatError(
+                        f"line {lineno}: expected class {expected_class}, got {tokens[1]}"
+                    )
+                if lines and not class_breaks:
+                    raise FormatError(
+                        f"line {lineno}: blocks appear before the first class line"
+                    )
+                class_breaks.append(len(lines))
+                expected_class += 1
+            else:
+                if header is None:
+                    raise FormatError(f"line {lineno}: block before design header")
+                lines.append(line)
+                linenos.append(lineno)
+    except FormatError:
+        _read_points(lines, linenos)  # a bad block line above comes first
+        raise
+    points, widths = _read_points(lines, linenos)
     if header is None:
         raise FormatError("no design header found")
-    if len(blocks) != header["b"]:
+    if len(lines) != header["b"]:
         raise FormatError(
-            f"header declares b={header['b']} but file has {len(blocks)} blocks"
+            f"header declares b={header['b']} but file has {len(lines)} blocks"
         )
-    points = PointSet(header["v"])  # bounds v before v labels are built
+    v, k = header["v"], header["k"]
+    point_set = PointSet(v)  # bounds v before v labels are built
     if labels:
-        points = PointSet(points.size, tuple(
-            labels.get(i, str(i)) for i in range(points.size)))
-    design = Design(points=points, blocks=tuple(blocks), k=header["k"])
+        point_set = PointSet(v, tuple(labels.get(i, str(i)) for i in range(v)))
+    if len(lines) and (widths == k).all():
+        design = Design._from_members(point_set, points.reshape(len(lines), k))
+    else:
+        # No blocks, or blocks of another size than k, which are not an
+        # array: the tuple check names the first of them.
+        ends = np.cumsum(widths)
+        blocks = tuple(
+            tuple(points[lo:hi].tolist()) for lo, hi in zip(ends - widths, ends)
+        )
+        design = Design(points=point_set, blocks=blocks, k=k)
     if not class_breaks:
         return design, None
-    bounds = class_breaks + [len(blocks)]
+    bounds = class_breaks + [len(lines)]
     return design, Resolution(design, tuple(
         ParallelClass(tuple(range(lo, hi))) for lo, hi in zip(bounds, bounds[1:])))
+
+
+# Most digits of a point read in bulk: int64 holds every such number.
+_BULK_DIGITS = 18
+
+
+def _read_points(lines: list[str], linenos: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(points, widths): the points of the block lines in file order as
+    one exact array, and the number of points on each line.
+
+    The lines are read with one check and one numpy conversion when they
+    are written as dumps writes them: runs of at most _BULK_DIGITS ASCII
+    digits split by single spaces.  Only the lines that are not are read
+    one by one: the first that is not ASCII digits split by whitespace
+    raises FormatError, and the rest are rewritten with single spaces.
+    A point that still has more than _BULK_DIGITS digits lies outside
+    every point set; the points are then kept as Python ints, in an
+    object array, for the error that names its block.
+    """
+    text = "\n".join(lines)
+    widths, irregular = _layout(text)
+    if irregular.size:
+        lines = list(lines)
+        for i in irregular.tolist():
+            lines[i] = " ".join(map(str, _block_line(lines[i], linenos[i])))
+        text = "\n".join(lines)
+        widths, irregular = _layout(text)
+        if irregular.size:  # a point of more than _BULK_DIGITS digits
+            return np.array(list(map(int, text.split())), dtype=object), widths
+    return np.fromstring(text, dtype=np.int64, sep=" "), widths
+
+
+def _layout(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """(widths, irregular) for the lines of text, none empty and none
+    with outer spaces: the number of space-split tokens on each line, and
+    the indices of the lines holding a byte other than a digit, a single
+    space or the line break, or a run of more than _BULK_DIGITS digits."""
+    if not text:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    data = np.frombuffer(text.encode("utf-8", "replace"), dtype=np.uint8)
+    # The break after each run of digits: every non-digit (bytes below
+    # "0" wrap around past 9), then the end.
+    ends = np.flatnonzero(np.append(data - 48 > 9, True))
+    kinds = data[ends[:-1]]
+    newline = kinds == 10
+    gaps = np.diff(ends, prepend=-1)  # one more than the digits of each run
+    flagged = np.concatenate((
+        ends[:-1][(kinds != 32) & ~newline],
+        ends[(gaps == 1) | (gaps > _BULK_DIGITS + 1)],
+    ))
+    widths = np.diff(np.flatnonzero(newline), prepend=-1, append=len(kinds))
+    if not flagged.size:
+        return widths, flagged
+    # A flagged byte lies on the line of the first line break at or after it.
+    return widths, np.unique(np.searchsorted(ends[:-1][newline], flagged))
+
+
+def _block_line(line: str, lineno: int) -> tuple[int, ...]:
+    """The points of one block line: ASCII digits split by whitespace."""
+    tokens = line.split()
+    try:
+        # One check per line: the tokens hold no whitespace.
+        if not (line.isascii() and "".join(tokens).isdigit()):
+            raise ValueError(line)
+        return tuple(map(int, tokens))  # ValueError past 4300 digits
+    except ValueError:
+        raise FormatError(f"line {lineno}: bad block line {line!r}") from None
 
 
 def _design_only(design: Design, res: Resolution | None) -> Design:

@@ -4,12 +4,11 @@ hyperplane designs, and cyclic development of a base parallel class."""
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_POINTS, Block, Design, DesignError, PointSet
+from .core import MAX_POINTS, Block, Design, DesignError, PointSet, _capped_comb
 from .galois import GaloisError, field
 from .resolution import ParallelClass, Resolution
 
@@ -47,29 +46,37 @@ class UnsupportedField(DesignError):
 MAX_INCIDENCES = 1 << 23
 
 
+# Most blocks a size message states exactly; the trivial design states
+# "more than" this many when C(v, k) is larger.
+_STATED_BLOCKS = 10**18
+
+
 def _check_size(what: str, v: int, b: int, k: int) -> None:
     """Raise DesignError when a design of b blocks of size k on v points
-    is above MAX_POINTS or MAX_INCIDENCES."""
+    is above MAX_POINTS or MAX_INCIDENCES; b above _STATED_BLOCKS is
+    stated as more than that."""
     if v > MAX_POINTS:
         raise DesignError(
             f"{what} has {v} points, above the limit of {MAX_POINTS}"
         )
     if b * k > MAX_INCIDENCES:
-        raise DesignError(
-            f"{what} has {b} blocks of {k} points, {b * k} incidences, "
-            f"above the limit of {MAX_INCIDENCES}"
-        )
+        counts = (f"{b} blocks of {k} points, {b * k} incidences"
+                  if b <= _STATED_BLOCKS
+                  else f"more than {_STATED_BLOCKS} blocks of {k} points")
+        raise DesignError(f"{what} has {counts}, above the limit of {MAX_INCIDENCES}")
 
 
 def trivial_design(v: int, k: int) -> Design:
     """All C(v, k) k-subsets of 0..v-1 in lexicographic order.
 
     Raises DesignError before building any block when the design is
-    above the size limits of _check_size.
+    above the size limits of _check_size; C(v, k) is computed no further
+    than _STATED_BLOCKS.
     """
     if not 2 <= k < v:
         raise DesignError(f"need 2 <= k < v, got k={k} v={v}")
-    _check_size(f"the trivial design on v={v} with k={k}", v, math.comb(v, k), k)
+    _check_size(f"the trivial design on v={v} with k={k}", v,
+                _capped_comb(v, k, _STATED_BLOCKS), k)
     blocks = tuple(itertools.combinations(range(v), k))
     return Design(points=PointSet(v), blocks=blocks, k=k)
 
@@ -81,10 +88,7 @@ def _resolution_from_classes(points: PointSet, classes, automorphisms=()):
     carries the given automorphisms."""
     classes = np.asarray(classes)
     count, w, k = classes.shape
-    blocks = tuple(map(tuple, classes.reshape(count * w, k).tolist()))
-    design = Design(
-        points=points, blocks=blocks, k=k, automorphisms=automorphisms
-    )
+    design = Design._from_members(points, classes.reshape(count * w, k), automorphisms)
     refs = np.arange(count * w).reshape(count, w).tolist()
     return design, Resolution(design, tuple(ParallelClass(tuple(r)) for r in refs))
 

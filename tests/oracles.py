@@ -223,3 +223,22 @@ def naive_union(master_blocks, class_refs, indexing_blocks, generators=()):
         if all(augment(i, set()) for i in range(len(classes))):
             kept.append(g)
     return tuple(blocks), tuple(provenance), tuple(kept)
+
+
+def naive_block_lines(lines, first_lineno=1):
+    """(blocks, None) for block lines read token by token as the text
+    format asks: '#' starts a comment, blank lines are skipped, and every
+    point is ASCII digits (at most 4300 of them, as int() takes) split by
+    whitespace.  (None, message) with the parser's message for the first
+    line that breaks this."""
+    blocks = []
+    for lineno, raw in enumerate(lines, start=first_lineno):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if not all(token.isascii() and token.isdigit() and len(token) <= 4300
+                   for token in tokens):
+            return None, f"line {lineno}: bad block line {line!r}"
+        blocks.append(tuple(int(token) for token in tokens))
+    return tuple(blocks), None

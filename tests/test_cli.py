@@ -420,6 +420,45 @@ def test_oversized_counts_exit_2(capsys, tmp_path):
     assert "spectrum" in err and "above the limit" in err
 
 
+def _halves(tmp_path, v):
+    """A design file of two complementary halves of v points."""
+    path = tmp_path / f"halves{v}.design"
+    path.write_text(f"design v={v} k={v // 2} b=2\n" + "".join(
+        " ".join(map(str, range(lo, lo + v // 2))) + "\n" for lo in (0, v // 2)
+    ))
+    return str(path)
+
+
+def test_verify_halves_of_the_largest_point_set(capsys, tmp_path):
+    # is_trivial compares b = 2 with C(2^20, 2^19) capped at 2.
+    code, out, err = run(capsys, "verify", _halves(tmp_path, MAX_POINTS))
+    assert (code, err) == (0, "")
+    assert out.endswith("simple: yes\ntrivial: no\n")
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_verify_prints_counts_of_any_length(capsys, tmp_path, as_json):
+    # C(16384, 8192) - 2 uncovered 8192-subsets: 4930 digits, past the
+    # 4300 that str() and int() take by default; the two halves are
+    # found 8191 columns deep.
+    path = _halves(tmp_path, 16384)
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "verify", path, "--t", "8192", *["--json"] * as_json)
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit  # lifted only while printing
+    sys.set_int_max_str_digits(0)
+    try:
+        if as_json:
+            spectrum = json.loads(out)["spectra"]["8192"]
+        else:
+            line = next(line for line in out.splitlines() if line.startswith("coverage"))
+            spectrum = dict(item.split(":") for item in line.split()[2:])
+        assert {int(c): int(n) for c, n in spectrum.items()} == {
+            0: math.comb(16384, 8192) - 2, 1: 2}
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_verify_spectrum_of_one_block_on_many_points(capsys, tmp_path):
     # C(23000, 2) pairs, but only the pair of the one block is covered.
     sparse = tmp_path / "sparse.design"

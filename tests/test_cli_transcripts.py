@@ -48,6 +48,10 @@ FILES = {
     "bad.json": '{"v": 4, "k": 2}\n',
     # Two blocks that share point 0: no parallel class exists.
     "nores.design": "design v=4 k=2 b=2\n0 1\n0 2\n",
+    # Two complementary halves of 65536 points.
+    "halves.design": "design v=65536 k=32768 b=2\n" + "".join(
+        " ".join(map(str, range(lo, lo + 32768))) + "\n" for lo in (0, 32768)
+    ),
 }
 
 COMMANDS = [
@@ -181,6 +185,10 @@ COMMANDS = [
      "--out", "x.design"],
     ["resolve", "t82.design", "--budget", "0"],
     ["prp", "k8.res", "--budget", "0"],
+    # counts too large to compute in full are refused by a capped binomial
+    ["gen", "trivial", "20000", "10000"],
+    ["gen", "trivial", "1048576", "524288"],
+    ["verify", "halves.design", "--t", "3000"],
 ]
 
 

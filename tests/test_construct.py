@@ -3,10 +3,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blockdesigns import core
 from blockdesigns.catalog import catalog_entry
 from blockdesigns.construct import (
     DimensionMismatch,
@@ -38,6 +40,7 @@ from blockdesigns.core import (
     t_coverage_spectrum,
     verify_ibd,
 )
+from blockdesigns.formats import load_resolution, save_resolution
 from blockdesigns.generators import (
     CyclicBaseSpec,
     affine_hyperplane_design,
@@ -178,15 +181,31 @@ def test_union_matches_naive_union(case):
     )
     assert built.design.blocks == blocks
     assert built.provenance == provenance
-    # The construction matches classes holding the same blocks in one way,
-    # the oracle in every way, so it may keep fewer generators.
-    assert set(built.design.automorphisms) <= set(kept)
-    partitions = [frozenset(master.blocks[ref] for ref in cls) for cls in refs]
-    if len(set(partitions)) == len(partitions):
-        assert built.design.automorphisms == kept
+    # Both match classes holding the same blocks in every way they can.
+    assert built.design.automorphisms == kept
     listed = sorted(blocks)
     for g in built.design.automorphisms:
         assert sorted(tuple(sorted(g[p] for p in b)) for b in blocks) == listed
+
+
+def test_designs_built_from_arrays_keep_them(monkeypatch, tmp_path):
+    # The generators, the union construction and the parser hand their
+    # checked arrays to the design: the check of block tuples never runs,
+    # and _members is the array, read-only and of the smallest type.
+    def refuse(*args):
+        raise AssertionError("the blocks were turned into an array again")
+
+    monkeypatch.setattr(core, "_block_array", refuse)
+    master, res = affine_hyperplane_design(2, 4)
+    indexing, _ = affine_hyperplane_design(2, 2)
+    built = shrikhande_raghavarao(res, indexing).design
+    save_resolution(res, tmp_path / "ag24.res")
+    loaded, _ = load_resolution(tmp_path / "ag24.res")
+    for design in (master, indexing, built, loaded):
+        members = vars(design)["_members"]
+        assert members.dtype == np.uint8 and not members.flags.writeable
+        assert members.tolist() == [list(block) for block in design.blocks]
+    assert loaded == master
 
 
 def test_union_of_no_classes():

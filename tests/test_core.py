@@ -1,8 +1,10 @@
 import json
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -308,6 +310,83 @@ def test_spectrum_cost_follows_replication():
     assert t_coverage_spectrum(d, 2) == {0: math.comb(v, 2) - v, 1: v}
 
 
+@st.composite
+def pair_designs(draw):
+    """Designs on up to 70 points, some in no block, with 0 to 140 blocks
+    of 2 to 8 points, repeats likely: the t=2 counts cross the word
+    boundary of the columns and of the later points."""
+    v = draw(st.integers(3, 70))
+    k = draw(st.integers(2, min(8, v - 1)))
+    pool = draw(st.lists(
+        st.lists(st.integers(0, v - 1), min_size=k, max_size=k, unique=True),
+        min_size=1, max_size=80,
+    ))
+    blocks = draw(st.lists(st.sampled_from(pool), max_size=140))
+    return make_design(v, blocks, k=k)
+
+
+def _refuse(*args):
+    raise AssertionError("the other kernel ran")
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(pair_designs())
+def test_pair_spectrum_matches_naive_oracle_on_both_kernels(design):
+    expected = naive_spectrum(design.points.size, design.blocks, 2)
+    # A word cost of 0 takes every pair at once, a huge one point by point.
+    for cost, other in [(0, "_add_through"), (1 << 100, "_add_meets")]:
+        with mock.patch.object(core, "_PAIR_WORD_COST", cost), \
+                mock.patch.object(core, other, _refuse):
+            assert t_coverage_spectrum(design, 2) == expected
+
+
+def _halves(v):
+    return Design(PointSet(v), (tuple(range(v // 2)), tuple(range(v // 2, v))), v // 2)
+
+
+@pytest.mark.parametrize("t, covered", [(1200, 2), (1199, 2400)])
+def test_spectrum_deeper_than_the_recursion_limit(t, covered):
+    # Two halves of 2400 points: the t-subsets of a half are found t - 1
+    # columns deep; at t = 1199 every level still has one column to spare.
+    assert t > sys.getrecursionlimit()
+    spectrum = t_coverage_spectrum(_halves(2400), t)
+    assert spectrum == {0: math.comb(2400, t) - covered, 1: covered}
+
+
+def _no_comb(*args):
+    raise AssertionError("a full binomial was computed")
+
+
+def test_spectrum_guard_stops_summing_past_the_bound(monkeypatch):
+    # C(32767, 2999) words through point 0 alone: the sum stops there.
+    monkeypatch.setattr(core.math, "comb", _no_comb)
+    with pytest.raises(DesignError, match=(
+        f"would count more than {core.MAX_SPECTRUM_WORDS} words, above the limit"
+    )):
+        t_coverage_spectrum(_halves(1 << 16), 3000)
+
+
+def test_spectrum_guard_states_an_exact_sum(monkeypatch):
+    # Points 0, 1, 3 and 4 start pairs, with 2, 2, 2 and 1 later points
+    # in their one block: 7 words, known exactly once all are summed.
+    d = make_design(6, [(0, 1, 2), (3, 4, 5)])
+    monkeypatch.setattr(core, "MAX_SPECTRUM_WORDS", 6)
+    with pytest.raises(DesignError, match="would count 7 words, above the limit of 6$"):
+        t_coverage_spectrum(d, 2)
+    monkeypatch.setattr(core, "MAX_SPECTRUM_WORDS", 5)
+    with pytest.raises(DesignError, match="would count more than 5 words, above the limit of 5$"):
+        t_coverage_spectrum(d, 2)
+
+
+def test_capped_comb_is_comb_up_to_the_cap():
+    for n in range(25):
+        for r in range(-1, n + 2):
+            exact = math.comb(n, r) if r >= 0 else 0
+            for cap in (0, 1, 7, 100, 10**6):
+                assert core._capped_comb(n, r, cap) == min(exact, cap + 1)
+    assert core._capped_comb(1 << 20, 1 << 19, 2) == 3
+
+
 # --- lambda_j --------------------------------------------------------------
 
 def test_lambda_j_values():
@@ -350,6 +429,14 @@ def test_is_trivial():
     assert not is_trivial(missing)
     doubled = make_design(4, list(trivial_design(4, 2).blocks) + [(0, 1)])
     assert not is_trivial(doubled)
+
+
+def test_is_trivial_compares_against_a_capped_binomial(monkeypatch):
+    monkeypatch.setattr(core.math, "comb", _no_comb)
+    assert not is_trivial(_halves(1 << 20))  # C(2^20, 2^19) has 315,650 digits
+    blocks = trivial_design(7, 3).blocks
+    assert is_trivial(Design(PointSet(7), blocks, 3))
+    assert not is_trivial(Design(PointSet(7), blocks[1:], 3))
 
 
 def test_constructed_catalog_design_is_simple(repro):

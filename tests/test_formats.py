@@ -26,6 +26,8 @@ from blockdesigns.generators import cyclic_develop, round_robin_one_factorizatio
 from blockdesigns.catalog import catalog_entry
 from blockdesigns.resolution import ParallelClass, Resolution, verify_resolution
 
+from oracles import naive_block_lines
+
 
 def sample_design():
     return make_design(4, [(0, 1), (2, 3), (0, 2)], labels=["a", "b", "c", "d"])
@@ -242,6 +244,94 @@ def test_values_must_be_integers():
         parse_design("design v=10 k=2 b=1\n\u0663 +4\n")
 
 
+# Block runs that are not written as `dumps` writes them, with what the
+# line-by-line parser made of them: the blocks, or the error it raised.
+# Every other line of these files is the form dumps writes.
+RUN_HEADER = "design v=6 k=3 b=2\n"
+IRREGULAR_RUNS = {
+    "tabs": (RUN_HEADER + "0\t1 2\n3 4\t5\n", ((0, 1, 2), (3, 4, 5))),
+    "double spaces": (RUN_HEADER + "0 1  2\n3 4 5\n", ((0, 1, 2), (3, 4, 5))),
+    "unit separator": (RUN_HEADER + "0\x1f1 2\n3 4 5\n", ((0, 1, 2), (3, 4, 5))),
+    "trailing whitespace": (RUN_HEADER + "0 1 2 \t \n3 4 5   \n", ((0, 1, 2), (3, 4, 5))),
+    "carriage returns": (RUN_HEADER.replace("\n", "\r\n") + "0 1 2\r\n3 4 5\r\n",
+                         ((0, 1, 2), (3, 4, 5))),
+    "hash inside a run": (RUN_HEADER + "0 1 2 # c\n# whole\n3 4 5#x\n",
+                          ((0, 1, 2), (3, 4, 5))),
+    "leading zeros": (RUN_HEADER + "00 01 002\n3 4 0005\n", ((0, 1, 2), (3, 4, 5))),
+    "25 digits of leading zeros": (RUN_HEADER + "0 1 2\n3 4 0000000000000000000000005\n",
+                                   ((0, 1, 2), (3, 4, 5))),
+    "leading zeros out of range": (
+        RUN_HEADER + "0 1 2\n3 4 0006\n",
+        (DesignError, "block (3, 4, 6) has points outside 0..5")),
+    "25-digit point": (
+        RUN_HEADER + "0 1 2\n3 4 1234567890123456789012345\n",
+        (DesignError, "block (3, 4, 1234567890123456789012345) has points outside 0..5")),
+    "25-digit point inside a block": (
+        RUN_HEADER + "0 1 2\n3 1234567890123456789012345 5\n",
+        (DesignError, "block (3, 1234567890123456789012345, 5) is not strictly increasing")),
+    "20-digit point": (
+        RUN_HEADER + "0 1 2\n3 4 99999999999999999999\n",
+        (DesignError, "block (3, 4, 99999999999999999999) has points outside 0..5")),
+    "19-digit point": (
+        RUN_HEADER + "0 1 2\n3 4 9999999999999999999\n",
+        (DesignError, "block (3, 4, 9999999999999999999) has points outside 0..5")),
+    "5000-digit point": (
+        RUN_HEADER + "0 1 2\n3 4 " + "0" * 5000 + "\n",
+        (FormatError, "line 3: bad block line '3 4 " + "0" * 5000 + "'")),
+    "ragged short line": (
+        RUN_HEADER + "0 1 2\n3 4\n", (DesignError, "block (3, 4) has size 2, expected 3")),
+    "ragged long line": (
+        RUN_HEADER + "0 1 2 3\n3 4 5\n",
+        (DesignError, "block (0, 1, 2, 3) has size 4, expected 3")),
+    "ragged line after a bad block": (
+        "design v=6 k=3 b=3\n0 2 1\n3 4\n3 4 5\n",
+        (DesignError, "block (0, 2, 1) is not strictly increasing")),
+    "ragged line and a wrong count": (
+        "design v=6 k=3 b=3\n0 1 2\n3 4\n",
+        (FormatError, "header declares b=3 but file has 2 blocks")),
+    "ragged line and a bad block size": (
+        "design v=6 k=99999999999999999999999 b=2\n0 1 2\n3 4\n",
+        (DesignError, "block size must satisfy 2 <= k < v (k=99999999999999999999999, v=6)")),
+    "bad block before a bad class line": (
+        RUN_HEADER + "class 0\n0 1 x\nclass 2\n3 4 5\n",
+        (FormatError, "line 3: bad block line '0 1 x'")),
+    "bad class line after good blocks": (
+        RUN_HEADER + "class 0\n0 1 2\nclass 2\n3 4 5\n",
+        (FormatError, "line 4: expected class 1, got 2")),
+    "non-ASCII digit": (
+        RUN_HEADER + "0 1 2\n3 4 \u0665\n", (FormatError, "line 3: bad block line '3 4 \u0665'")),
+    "sign": (RUN_HEADER + "0 1 2\n+3 4 5\n", (FormatError, "line 3: bad block line '+3 4 5'")),
+    "keyword prefix": (
+        RUN_HEADER + "designx 1 2\n3 4 5\n", (FormatError, "line 2: bad block line 'designx 1 2'")),
+    "points out of order": (
+        RUN_HEADER + "0 1 2\n3 5 4\n", (DesignError, "block (3, 5, 4) is not strictly increasing")),
+    "no blocks and k = 0": (
+        "design v=6 k=0 b=0\n",
+        (DesignError, "block size must satisfy 2 <= k < v (k=0, v=6)")),
+    "ragged line above the point limit": (
+        "design v=99999999 k=3 b=2\n0 1 2\n3 4\n",
+        (DesignError, "point set of 99999999 points is above the limit of 1048576")),
+}
+
+
+@pytest.mark.parametrize("text, expected", IRREGULAR_RUNS.values(), ids=IRREGULAR_RUNS)
+def test_irregular_block_runs_read_as_line_by_line(text, expected):
+    if isinstance(expected[0], tuple):
+        design, _ = load_text(text)
+        assert design.blocks == expected
+        assert design._members.tolist() == [list(block) for block in expected]
+        return
+    error, message = expected
+    with pytest.raises(error) as info:
+        load_text(text)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def load_text(text):
+    """(design, resolution) as load_design_or_resolution reads a text file."""
+    return parse_resolution(text) if "class " in text else (parse_design(text), None)
+
+
 # --- properties ---------------------------------------------------------------
 
 # Fixed and bounded so that the suite stays deterministic and quick.
@@ -327,6 +417,55 @@ JSON_OBJECTS = st.fixed_dictionaries(
     optional={"b": SMALL | JSON_VALUES, "labels": st.lists(LABELS) | JSON_VALUES,
               "classes": SMALL_LISTS | JSON_VALUES},
 )
+
+
+@st.composite
+def block_runs(draw):
+    """(v, k, lines): block lines, mostly increasing points in range,
+    some with another separator, outer spaces, a comment, a leading zero,
+    a long or foreign token or one token fewer, and some blank lines."""
+    v = draw(st.integers(3, 12))
+    k = draw(st.integers(2, min(4, v - 1)))
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        points = sorted(draw(st.sets(st.integers(0, v - 1), min_size=k, max_size=k)))
+        tokens = [str(p) for p in points]
+        if draw(st.booleans()):
+            i = draw(st.integers(0, k - 1))
+            tokens[i] = draw(st.sampled_from(
+                ["007", "0" * 25 + "1", "9" * 20, "1" * 19, "x", "+1", "\u0663", "12", ""]
+            ))
+        tokens = [token for token in tokens if token]
+        line = tokens[0]
+        for token in tokens[1:]:
+            line += draw(st.sampled_from([" ", " ", " ", "  ", "\t", "\x1f"])) + token
+        line = (draw(st.sampled_from(["", " ", "\t"])) + line
+                + draw(st.sampled_from(["", "", "  ", " # c", "#"])))
+        lines.append(line)
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", "# note", "   "])))
+    return v, k, lines
+
+
+def _outcome(build):
+    try:
+        return build()
+    except (FormatError, DesignError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(block_runs())
+def test_block_lines_read_as_the_line_by_line_oracle(case):
+    v, k, lines = case
+    blocks, message = naive_block_lines(lines, first_lineno=2)
+    b = len(blocks) if blocks is not None else len(lines)
+    text = "\n".join([f"design v={v} k={k} b={b}", *lines]) + "\n"
+    if message is not None:
+        expected = (FormatError, message)
+    else:
+        expected = _outcome(lambda: Design(PointSet(v), blocks, k))
+    assert _outcome(lambda: parse_design(text)) == expected
 
 
 @pytest.fixture(scope="module")

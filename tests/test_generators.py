@@ -51,6 +51,21 @@ def test_trivial_guard_raises_before_building():
         trivial_design(40, 20)
 
 
+@pytest.mark.parametrize("v, k, stated", [
+    (40, 20, "137846528820 blocks of 20 points, 2756930576400 incidences"),
+    (20000, 10000, "more than 1000000000000000000 blocks of 10000 points"),
+    (1 << 20, 1 << 19, "more than 1000000000000000000 blocks of 524288 points"),
+])
+def test_trivial_guard_states_the_block_count_up_to_a_bound(monkeypatch, v, k, stated):
+    # C(20000, 10000) has 6,018 digits, which str() refuses; the count is
+    # taken no further than 10^18 blocks, and never by math.comb.
+    monkeypatch.setattr(math, "comb", None)
+    with pytest.raises(DesignError) as info:
+        trivial_design(v, k)
+    assert str(info.value) == (f"the trivial design on v={v} with k={k} has {stated}, "
+                               f"above the limit of {MAX_INCIDENCES}")
+
+
 def _halves(n):
     """A base class of Z_n: the pairs {i, i + n/2}."""
     return CyclicBaseSpec(n, False, tuple((i, i + n // 2) for i in range(n // 2)))
