@@ -18,8 +18,6 @@ from .construct import (
     predict_bibd_lambda,
     predict_ibd_params,
     predict_triple_coverage,
-    predicted_mu,
-    predicted_mu_affine,
     shrikhande_raghavarao,
     simplicity_verdict,
     triple_coverage_by_alpha,
@@ -29,7 +27,6 @@ from .core import (
     Design,
     DesignError,
     DesignParams,
-    DivisibilityViolation,
     IntersectionProfile,
     NonConstantReplication,
     PointSet,
@@ -38,7 +35,6 @@ from .core import (
     is_trivial,
     lambda_j,
     make_design,
-    nontriviality_bound_holds,
     t_coverage_spectrum,
     verify_ibd,
 )

@@ -4,8 +4,11 @@ Given a resolvable master design and an indexing design on w = v/k points,
 each block C of the indexing design turns every parallel class of the
 master into a constructed block: the union of the class's blocks at the
 positions named by C.  This module builds those designs, predicts their
-parameters exactly, classifies when the result is a 3-design, and applies
-the PRP criterion for simplicity.
+parameters exactly, and applies the PRP criterion for simplicity.  One
+formula, triple_coverage_by_alpha, gives the constructed coverage of a
+triple from alpha, the number of master blocks through it; the result is
+a 3-design when that value does not depend on alpha, which
+classify_three_design decides from the parameters' structure alone.
 """
 
 from __future__ import annotations
@@ -48,8 +51,6 @@ __all__ = [
     "predict_bibd_lambda",
     "predict_ibd_params",
     "predict_triple_coverage",
-    "predicted_mu",
-    "predicted_mu_affine",
     "shrikhande_raghavarao",
     "simplicity_verdict",
     "triple_coverage_by_alpha",
@@ -181,13 +182,10 @@ class SimplicityVerdict(Enum):
 
 @dataclass(frozen=True)
 class ThreeDesignAnalysis:
-    """Triple coverage of the constructed design as c1 + alpha*c2, where
-    alpha is the master coverage of the triple.  For k' > 2 the
-    coefficients are per unit of indexing triple coverage; for k' = 2,
-    c1 = 3*lambda and c2 = w - 4 are per unit of indexing pair coverage."""
+    """Whether the union construction yields a 3-design: `case` names the
+    reason (classify_three_design), and `note` remarks on a degenerate
+    one."""
 
-    c1: Fraction
-    c2: Fraction
     case: ThreeDesignCase
     note: str | None = None
 
@@ -368,25 +366,18 @@ def classify_three_design(
 ) -> ThreeDesignAnalysis:
     """Decide when the construction yields a 3-design.
 
-    The triple coverage is affine in the master triple coverage alpha, so
-    the result is a 3-design exactly when alpha is constant (master is a
-    3-design, or k = 2 forces alpha = 0) or the alpha coefficient
-    vanishes, which for 2 <= k' < w happens exactly at k' = w/2.
+    The triple coverage (triple_coverage_by_alpha) is affine in the master
+    triple coverage alpha, so the result is a 3-design exactly when alpha
+    is constant (the master is a 3-design, or k = 2 forces alpha = 0) or
+    the alpha coefficient r' - 3*lam2' + 2*lam3' vanishes.  In units of
+    lam3' that coefficient is (2k'-w)(k'-w)/((k'-1)(k'-2)), and w - 4 in
+    units of lam2' at k' = 2, so for 2 <= k' < w it vanishes exactly at
+    2k' = w.
     """
     if k_prime < 2:
         raise DesignError(f"need k' >= 2, got {k_prime}")
     w = _master_w(master)
-    lam = _pair_coverage(master)
-    if k_prime == 2:
-        c1 = Fraction(3 * lam)
-        c2 = Fraction(w - 4)
-    else:
-        c1 = Fraction(3 * lam * (w - 2), k_prime - 2) + master.r - 3 * lam
-        c2 = (
-            Fraction((w - 1) * (w - 2), (k_prime - 1) * (k_prime - 2))
-            - Fraction(3 * (w - 2), k_prime - 2)
-            + 2
-        )
+    _pair_coverage(master)  # the master must have a whole pair coverage
     note = None
     if master.t >= 3:
         case = ThreeDesignCase.MASTER_IS_3_DESIGN
@@ -397,11 +388,11 @@ def classify_three_design(
                 "master block size 2 with pair indexing: the triple "
                 "coverage is the constant 3*lambda"
             )
-    elif c2 == 0 and 2 * k_prime == w:
+    elif 2 * k_prime == w:
         case = ThreeDesignCase.K_PRIME_HALF_W
     else:
         case = ThreeDesignCase.NOT_3_DESIGN
-    return ThreeDesignAnalysis(c1=c1, c2=c2, case=case, note=note)
+    return ThreeDesignAnalysis(case=case, note=note)
 
 
 def predict_triple_coverage(
@@ -415,32 +406,6 @@ def predict_triple_coverage(
         return None
     alpha = master.lam if master.t >= 3 else 0
     return triple_coverage_by_alpha(master, indexing, alpha)
-
-
-def predicted_mu(master: DesignParams, lambda_prime: int) -> int:
-    """Triple coverage lam'*(3*lam*w/(w-4) + r) for the half-class case
-    with w > 4; exact, erroring on a non-integral result."""
-    w = _master_w(master)
-    if w <= 4 or w % 2:
-        raise DesignError(f"need w = v/k even and > 4, got w={w}")
-    lam = _pair_coverage(master)
-    value = lambda_prime * (Fraction(3 * lam * w, w - 4) + master.r)
-    if value.denominator != 1:
-        raise NonIntegral(value, "predicted triple coverage")
-    return int(value)
-
-
-def predicted_mu_affine(q: int, m: int, lambda_prime: int) -> int:
-    """Triple coverage lam'*(q^m - 4)/(q - 4) for the hyperplane master of
-    AG(m, q), q a power of two above 4."""
-    if q <= 4 or q & (q - 1):
-        raise DesignError(f"need q = 2^n > 4, got q={q}")
-    if m < 2:
-        raise DesignError(f"need m >= 2, got m={m}")
-    value = Fraction(lambda_prime * (q**m - 4), q - 4)
-    if value.denominator != 1:
-        raise NonIntegral(value, "predicted triple coverage")
-    return int(value)
 
 
 def inherited_resolution(

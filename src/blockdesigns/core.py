@@ -8,13 +8,11 @@ significant).
 Every count here is exact.  A design's blocks are validated once, at
 construction, as one b x k array of points: block sizes, integer points,
 range and strict increase are checked on the whole array, and only a
-failing block is formatted into the error.  A design built from tuples
-does not keep the array: the same helper builds it again on first use as
-``Design._members``, so the designs that are only searched (which read
-``Design._masks``, the blocks as Python-int bit masks) do not hold it.
-Code that already holds the blocks as an array (the file parser, the
-generators and the union construction) builds the design through
-``Design._from_members``, which checks that array and keeps it.
+failing block is formatted into the error.  Every design keeps that
+array, read-only, as ``Design._members``.  Code that already holds the
+blocks as an array (the file parser, the generators and the union
+construction) builds the design through ``Design._from_members``, which
+checks that array and keeps it instead of building one from the tuples.
 ``Design._rows`` packs the blocks into 64-bit words over the points that
 lie in some block, one row per block.  Replication counts are point
 counts over the blocks.  A t-subset coverage spectrum takes each point p
@@ -54,7 +52,6 @@ __all__ = [
     "Design",
     "DesignError",
     "DesignParams",
-    "DivisibilityViolation",
     "IntersectionProfile",
     "MAX_POINTS",
     "MAX_ROW_WORDS",
@@ -67,7 +64,6 @@ __all__ = [
     "is_trivial",
     "lambda_j",
     "make_design",
-    "nontriviality_bound_holds",
     "t_coverage_spectrum",
     "verify_ibd",
 ]
@@ -87,10 +83,6 @@ class NonConstantReplication(DesignError):
         self.point = point
         self.count = count
         self.expected = expected
-
-
-class DivisibilityViolation(DesignError):
-    pass
 
 
 Block = tuple[int, ...]
@@ -190,6 +182,10 @@ class Design:
     of 0..v-1, that map the blocks onto themselves.  They are a claim that
     `_symmetry` checks on first use; the verifiers then count once per
     orbit.  They take no part in equality or hashing.
+
+    `_members` holds the blocks as a read-only b x k array of points, in
+    the smallest unsigned integer type that holds every point: the array
+    that validation builds, or the one `_from_members` was given.
     """
 
     points: PointSet
@@ -205,9 +201,11 @@ class Design:
             raise DesignError(f"block size must satisfy 2 <= k < v (k={self.k}, v={v})")
         members = self.__dict__.get("_members")
         if members is None:
-            _block_array(self.blocks, self.k, v)
+            members = _block_array(self.blocks, self.k, v)
+            members.flags.writeable = False
         else:  # set by _from_members, whose blocks are its rows
-            self.__dict__["_members"] = _checked_members(members, v, self.blocks)
+            members = _checked_members(members, v, self.blocks)
+        self.__dict__["_members"] = members
 
     @classmethod
     def _from_members(cls, points: PointSet, members: np.ndarray,
@@ -221,14 +219,6 @@ class Design:
         design.__dict__["_members"] = members
         cls.__init__(design, points, _tuples(members), members.shape[1], automorphisms)
         return design
-
-    @cached_property
-    def _members(self) -> np.ndarray:
-        """The blocks as a read-only b x k array of points, in the smallest
-        unsigned integer type that holds every point."""
-        members = _block_array(self.blocks, self.k, self.points.size)
-        members.flags.writeable = False
-        return members
 
     @cached_property
     def _rows(self) -> np.ndarray:
@@ -830,18 +820,3 @@ def intersection_profile(design: Design) -> IntersectionProfile:
     if (counts % 2).any():
         raise DesignError("the orbit counts of the intersection profile are odd")
     return IntersectionProfile(tuple(int(c) // 2 for c in counts))
-
-
-def nontriviality_bound_holds(v: int, k: int) -> bool:
-    """True when r_max * C(v/k, v/2k) < C(v, v/2) for simple ingredients.
-
-    This is the exact block-count comparison showing that unioning half of
-    each parallel class of a simple master design cannot reach the trivial
-    design with block size v/2.
-    """
-    if k < 2 or v % (2 * k) != 0 or v // k < 4:
-        raise DivisibilityViolation(
-            f"need 2k | v and v/k >= 4, got v={v} k={k}"
-        )
-    bound = math.comb(v - 1, k - 1) * math.comb(v // k, v // (2 * k))
-    return bound < math.comb(v, v // 2)

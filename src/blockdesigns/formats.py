@@ -14,9 +14,9 @@ belong to that class, and the design's block order is the file order.
 ``#`` starts a comment anywhere on a line, and every number is ASCII
 digits.  The JSON form carries the same content as a key/value tree; a
 ``"classes"`` key that is present must hold a resolution.  Paths ending
-in ``.json`` are JSON and all others text: ``_read`` makes that choice
-for every loader, ``dumps`` for every writer.  No file may declare more
-than ``core.MAX_POINTS`` points.
+in ``.json`` are JSON and all others text: ``load_design_or_resolution``
+makes that choice for every loader, ``dumps`` for every writer.  No file
+may declare more than ``core.MAX_POINTS`` points.
 
 The text parser reads the header, label and class lines one by one and
 the block lines all at once, as one array of points (``_read_points``);
@@ -275,15 +275,20 @@ def _design_only(design: Design, res: Resolution | None) -> Design:
     return design
 
 
+def _resolution_only(
+    design: Design, res: Resolution | None
+) -> tuple[Design, Resolution]:
+    if res is None:
+        raise FormatError("file has no class lines; use parse_design")
+    return design, res
+
+
 def parse_design(text: str) -> Design:
     return _design_only(*_parse_lines(text))
 
 
 def parse_resolution(text: str) -> tuple[Design, Resolution]:
-    design, res = _parse_lines(text)
-    if res is None:
-        raise FormatError("file has no class lines; use parse_design")
-    return design, res
+    return _resolution_only(*_parse_lines(text))
 
 
 def design_to_dict(design: Design) -> dict:
@@ -343,31 +348,8 @@ def resolution_from_dict(data: dict) -> tuple[Design, Resolution]:
     return design, Resolution(design, classes)
 
 
-def _from_dict(data) -> tuple[Design, Resolution | None]:
-    """(design, resolution-or-None); a "classes" key must hold a resolution."""
-    if isinstance(data, dict) and "classes" in data:
-        return resolution_from_dict(data)
-    return design_from_dict(data), None
-
-
 def _is_json_path(path) -> bool:
     return Path(path).suffix.lower() == ".json"
-
-
-def _read(path, parse_text, from_dict):
-    """parse_text(text), or from_dict(value) when path ends in .json, from
-    one read of the file."""
-    try:
-        text = Path(path).read_text()
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path} is not text: {exc}") from None
-    if not _is_json_path(path):
-        return parse_text(text)
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"bad JSON: {exc}") from exc
-    return from_dict(data)
 
 
 def load_design(path) -> Design:
@@ -375,13 +357,26 @@ def load_design(path) -> Design:
 
 
 def load_resolution(path) -> tuple[Design, Resolution]:
-    return _read(path, parse_resolution, resolution_from_dict)
+    return _resolution_only(*load_design_or_resolution(path))
 
 
 def load_design_or_resolution(path) -> tuple[Design, Resolution | None]:
     """(design, resolution) from one read and parse of a file of either
-    flavor; the resolution is None when the file has no classes."""
-    return _read(path, _parse_lines, _from_dict)
+    flavor, JSON when path ends in .json and text otherwise; the
+    resolution is None when the file has no classes."""
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not text: {exc}") from None
+    if not _is_json_path(path):
+        return _parse_lines(text)
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"bad JSON: {exc}") from exc
+    if isinstance(data, dict) and "classes" in data:  # must hold a resolution
+        return resolution_from_dict(data)
+    return design_from_dict(data), None
 
 
 def save_design(design: Design, path) -> None:

@@ -1,12 +1,16 @@
 """Naive reference implementations, independent of the library's fast paths.
 
 Everything here works on plain sets and itertools so that tests can compare
-the library's bitset/vectorized code against straightforward counting.
+the library's bitset/vectorized code against straightforward counting.  The
+paper's closed forms for the triple coverage and its block-count bound are
+here too, as checks on the library's one triple-coverage formula.
 """
 
 import itertools
+import math
 import numbers
 import operator
+from fractions import Fraction
 
 
 def naive_coverage(blocks, subset) -> int:
@@ -242,3 +246,66 @@ def naive_block_lines(lines, first_lineno=1):
             return None, f"line {lineno}: bad block line {line!r}"
         blocks.append(tuple(int(token) for token in tokens))
     return tuple(blocks), None
+
+
+# --- the paper's closed forms -------------------------------------------------
+
+class DivisibilityViolation(ValueError):
+    """v and k outside the domain of the nontriviality bound."""
+
+
+def _whole(value: Fraction, context: str) -> int:
+    if value.denominator != 1:
+        raise ValueError(f"{context} is not integral: {value}")
+    return int(value)
+
+
+def predicted_mu(master, lambda_prime) -> int:
+    """Triple coverage of the union construction at k' = w/2 from a master
+    2-(v, k, lam) design with replication r, w = v/k:
+
+        lam' * (3*lam*w/(w-4) + r)   for w > 4, lam' the indexing
+                                     triple coverage;
+        3*lam*lam'                   for w = 4 (pair indexing), lam' the
+                                     indexing pair coverage.
+
+    ValueError for a master that is not declared a 2-design, an odd w, or
+    a non-integral result.
+    """
+    w, lam = master.v // master.k, master.lam
+    if master.t != 2 or master.v % master.k or w % 2 or w < 4:
+        raise ValueError(
+            "need a 2-design master with w = v/k even and >= 4, got "
+            f"t={master.t} v={master.v} k={master.k}"
+        )
+    if w == 4:
+        return 3 * lam * lambda_prime
+    value = lambda_prime * (Fraction(3 * lam * w, w - 4) + master.r)
+    return _whole(value, "predicted triple coverage")
+
+
+def predicted_mu_affine(q, m, lambda_prime) -> int:
+    """Triple coverage lam'*(q^m - 4)/(q - 4) at k' = q/2 for the hyperplane
+    master of AG(m, q), q a power of two above 4 and lam' the indexing
+    triple coverage."""
+    if q <= 4 or q & (q - 1):
+        raise ValueError(f"need q = 2^n > 4, got q={q}")
+    if m < 2:
+        raise ValueError(f"need m >= 2, got m={m}")
+    value = Fraction(lambda_prime * (q**m - 4), q - 4)
+    return _whole(value, "predicted triple coverage")
+
+
+def nontriviality_bound_holds(v, k) -> bool:
+    """True when r_max * C(v/k, v/2k) < C(v, v/2) for simple ingredients.
+
+    This is the exact block-count comparison showing that unioning half of
+    each parallel class of a simple master design cannot reach the trivial
+    design with block size v/2.
+    """
+    if k < 2 or v % (2 * k) != 0 or v // k < 4:
+        raise DivisibilityViolation(
+            f"need 2k | v and v/k >= 4, got v={v} k={k}"
+        )
+    bound = math.comb(v - 1, k - 1) * math.comb(v // k, v // (2 * k))
+    return bound < math.comb(v, v // 2)

@@ -15,7 +15,6 @@ from blockdesigns.construct import (
     classify_three_design,
     predict_bibd_lambda,
     predict_ibd_params,
-    predicted_mu_affine,
     shrikhande_raghavarao,
     triple_coverage_by_alpha,
 )
@@ -23,7 +22,6 @@ from blockdesigns.core import (
     DesignParams,
     intersection_profile,
     is_simple,
-    nontriviality_bound_holds,
     t_coverage_spectrum,
     verify_ibd,
 )
@@ -33,7 +31,7 @@ from blockdesigns.resolution import (
     prp_violations,
 )
 
-from oracles import naive_coverage
+from oracles import naive_coverage, nontriviality_bound_holds, predicted_mu_affine
 
 
 @contextmanager

@@ -1,9 +1,12 @@
-"""The public API: every name a module lists in ``__all__`` exists, and the
-package exports only names that some module lists there."""
+"""The public API: every name a module lists in ``__all__`` exists, the
+package exports only names that some module lists there, and the README's
+library example runs."""
 
 import importlib
 import pkgutil
+import re
 import types
+from pathlib import Path
 
 import blockdesigns
 
@@ -30,3 +33,9 @@ def test_package_exports_come_from_module_lists():
         if name.startswith("_") or isinstance(value, types.ModuleType):
             continue
         assert name in listed and listed[name] is value, name
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (example,) = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    exec(compile(example, "README.md", "exec"), {})

@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockdesigns import core
-from blockdesigns.catalog import catalog_entry
+from blockdesigns.catalog import catalog_entry, catalog_names
 from blockdesigns.construct import (
     DimensionMismatch,
     IndexingParams,
@@ -23,8 +22,6 @@ from blockdesigns.construct import (
     predict_bibd_lambda,
     predict_ibd_params,
     predict_triple_coverage,
-    predicted_mu,
-    predicted_mu_affine,
     shrikhande_raghavarao,
     simplicity_verdict,
     triple_coverage_by_alpha,
@@ -55,7 +52,14 @@ from blockdesigns.resolution import (
     verify_resolution,
 )
 
-from oracles import naive_coverage, naive_profile, naive_spectrum, naive_union
+from oracles import (
+    naive_coverage,
+    naive_profile,
+    naive_spectrum,
+    naive_union,
+    predicted_mu,
+    predicted_mu_affine,
+)
 
 MASTER_24_6_5 = DesignParams(t=2, v=24, b=92, r=23, k=6, lam=5)
 MASTER_30_5_4 = DesignParams(t=2, v=30, b=174, r=29, k=5, lam=4)
@@ -314,20 +318,18 @@ def test_triple_coverage_matches_counts_on_sample(repro):
 def test_classify_w4_pair_indexing():
     analysis = classify_three_design(MASTER_24_6_5, 2)
     assert analysis.case is ThreeDesignCase.K_PRIME_HALF_W
-    assert analysis.c2 == 0
-    assert analysis.c1 == 15
+    assert analysis.is_three_design and analysis.note is None
 
 
 def test_classify_half_w():
     analysis = classify_three_design(MASTER_30_5_4, 3)
     assert analysis.case is ThreeDesignCase.K_PRIME_HALF_W
-    assert analysis.c2 == 0
 
 
 def test_classify_not_three_design():
     analysis = classify_three_design(MASTER_30_5_4, 4)
     assert analysis.case is ThreeDesignCase.NOT_3_DESIGN
-    assert analysis.c2 != 0
+    assert not analysis.is_three_design
 
 
 def test_classify_master_three_design():
@@ -347,17 +349,48 @@ def test_classify_master_pairs_with_note():
     assert analysis3.note is None
 
 
-def test_c2_vanishes_exactly_at_half_or_full_w():
-    for w in range(6, 13, 2):
-        master = DesignParams(
-            t=2, v=2 * w, b=w * (2 * w - 1), r=2 * w - 1, k=2, lam=1
-        )
-        for k_prime in range(3, w):
-            analysis = classify_three_design(master, k_prime)
-            assert (analysis.c2 == 0) == ((w - k_prime) * (w - 2 * k_prime) == 0)
+def test_classify_refuses_what_the_coverage_formula_refuses():
+    with pytest.raises(DesignError, match="k' >= 2"):
+        classify_three_design(MASTER_30_5_4, 1)
+    with pytest.raises(DimensionMismatch):  # 7 does not divide 30
+        classify_three_design(DesignParams(t=2, v=30, b=0, r=0, k=7, lam=0), 2)
+    with pytest.raises(DesignError, match="2-design or stronger"):
+        classify_three_design(DesignParams(t=1, v=24, b=4, r=1, k=6, lam=1), 2)
+    # A 3-(10,5,1) parameter set: pair coverage 8/3.
+    with pytest.raises(NonIntegral):
+        classify_three_design(DesignParams(t=3, v=10, b=12, r=6, k=5, lam=1), 2)
 
 
-# --- mu formulas ----------------------------------------------------------------
+def _trivial_params(v, k, t):
+    """The parameters of the trivial design of all k-subsets of v points,
+    declared as a t-design (DesignParams checks b and r against lam)."""
+    return DesignParams(
+        t=t, v=v, b=math.comb(v, k), r=math.comb(v - 1, k - 1), k=k,
+        lam=math.comb(v - t, k - t),
+    )
+
+
+def test_classifier_agrees_with_the_alpha_coefficient():
+    # Every trivial master declared a 2-design with k >= 3 and w < 40,
+    # indexed by trivial(w, k'): a 3-design exactly when the coverage of a
+    # triple in no master block equals that of a triple in one.
+    checked = 0
+    for w in range(3, 40):
+        for k in range(3, 6):
+            master = _trivial_params(w * k, k, 2)
+            for k_prime in range(2, w):
+                indexing = IndexingParams.from_params(
+                    _trivial_params(w, k_prime, min(3, k_prime))
+                )
+                constant = (triple_coverage_by_alpha(master, indexing, 0)
+                            == triple_coverage_by_alpha(master, indexing, 1))
+                analysis = classify_three_design(master, k_prime)
+                assert analysis.is_three_design == constant, (w, k, k_prime)
+                checked += constant
+    assert checked == 3 * len(range(4, 40, 2))
+
+
+# --- the paper's closed forms ---------------------------------------------------
 
 def test_predicted_mu_values():
     assert predicted_mu(MASTER_30_5_4, 1) == 65
@@ -365,17 +398,19 @@ def test_predicted_mu_values():
     assert predicted_mu(master_24_3_2, 5) == 175
     master_30_3_2 = DesignParams(t=2, v=30, b=290, r=29, k=3, lam=2)
     assert predicted_mu(master_30_3_2, 21) == 819
+    assert predicted_mu(MASTER_24_6_5, 1) == 15  # w = 4: 3*lam*lam2'
 
 
-def test_predicted_mu_requires_even_w_above_4():
-    with pytest.raises(DesignError):
-        predicted_mu(MASTER_24_6_5, 1)  # w = 4
+def test_predicted_mu_requires_even_w():
+    master_25_5_1 = DesignParams(t=2, v=25, b=30, r=6, k=5, lam=1)
+    with pytest.raises(ValueError, match="even"):
+        predicted_mu(master_25_5_1, 1)  # w = 5
 
 
 def test_predicted_mu_non_integral():
     # w = 12, lam = 1: 3*lam*w/(w-4) = 36/8 is not an integer
     master = DesignParams(t=2, v=24, b=276, r=23, k=2, lam=1)
-    with pytest.raises(NonIntegral):
+    with pytest.raises(ValueError, match="not integral"):
         predicted_mu(master, 1)
 
 
@@ -386,12 +421,48 @@ def test_predicted_mu_affine_values():
 
 
 def test_predicted_mu_affine_errors():
-    with pytest.raises(DesignError):
+    with pytest.raises(ValueError):
         predicted_mu_affine(9, 2, 1)  # not a power of two
-    with pytest.raises(DesignError):
+    with pytest.raises(ValueError):
         predicted_mu_affine(4, 2, 1)  # not above 4
-    with pytest.raises(NonIntegral):
+    with pytest.raises(ValueError, match="not integral"):
         predicted_mu_affine(32, 2, 1)  # 1020/28
+
+
+def _half_class_lambda(indexing: IndexingParams) -> int:
+    """The indexing coverage the closed forms take: pair coverage for pair
+    indexing, triple coverage otherwise."""
+    return indexing.lambda2_prime if indexing.k_prime == 2 else indexing.lambda_prime
+
+
+def test_predicted_triple_coverage_is_the_closed_form_on_the_catalog():
+    for name in catalog_names():
+        entry = catalog_entry(name)
+        indexing = IndexingParams.from_design(trivial_design(entry.w, entry.k_prime))
+        mu = predict_triple_coverage(entry.master_params, indexing)
+        assert mu == predicted_mu(entry.master_params, _half_class_lambda(indexing))
+        assert mu == entry.mu, name
+
+
+@pytest.mark.parametrize(
+    "m, q, indexing, mu",
+    [
+        (2, 8, lambda: trivial_design(8, 4), 75),
+        (3, 8, lambda: trivial_design(8, 4), 635),
+        (2, 16, lambda: trivial_design(16, 8), 27027),
+        (2, 32, lambda: affine_hyperplane_design(5, 2)[0], 255),
+    ],
+    ids=["AG(2,8)", "AG(3,8)", "AG(2,16)", "AG(2,32)"],
+)
+def test_predicted_triple_coverage_is_the_closed_form_on_affine_masters(
+    m, q, indexing, mu
+):
+    master = measure_params(affine_hyperplane_design(m, q)[0])
+    assert (master.t, master.k) == (2, q ** (m - 1))
+    params = IndexingParams.from_design(indexing())
+    assert predict_triple_coverage(master, params) == mu
+    assert predicted_mu_affine(q, m, params.lambda_prime) == mu
+    assert predicted_mu(master, params.lambda_prime) == mu
 
 
 # --- inherited resolutions -------------------------------------------------------

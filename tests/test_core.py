@@ -6,6 +6,7 @@ import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,6 @@ from blockdesigns.core import (
     Design,
     DesignError,
     DesignParams,
-    DivisibilityViolation,
     IntersectionProfile,
     NonConstantReplication,
     PointSet,
@@ -25,14 +25,20 @@ from blockdesigns.core import (
     is_trivial,
     lambda_j,
     make_design,
-    nontriviality_bound_holds,
     t_coverage_spectrum,
     verify_ibd,
 )
 from blockdesigns.generators import CyclicBaseSpec, cyclic_develop, trivial_design
 from blockdesigns.catalog import catalog_entry
 
-from oracles import naive_block_problem, naive_coverage, naive_profile, naive_spectrum
+from oracles import (
+    DivisibilityViolation,
+    naive_block_problem,
+    naive_coverage,
+    naive_profile,
+    naive_spectrum,
+    nontriviality_bound_holds,
+)
 
 
 # --- type validation -------------------------------------------------------
@@ -117,6 +123,22 @@ def test_design_validation_matches_block_by_block_oracle(case):
     with pytest.raises(DesignError) as exc:
         Design(PointSet(v), blocks, k)
     assert str(exc.value) == expected
+
+
+def test_designs_built_from_tuples_keep_their_checked_array(monkeypatch):
+    calls = []
+    block_array = core._block_array
+    monkeypatch.setattr(
+        core, "_block_array", lambda *args: calls.append(args) or block_array(*args)
+    )
+    design = make_design(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    members = vars(design)["_members"]
+    assert members.dtype == np.uint8 and not members.flags.writeable
+    assert members.tolist() == [list(block) for block in design.blocks]
+    verify_ibd(design)
+    t_coverage_spectrum(design, 2)
+    intersection_profile(design)
+    assert len(calls) == 1 and design._members is members
 
 
 def test_make_design_canonicalizes():
@@ -668,7 +690,7 @@ def test_is_automorphism_refuses_non_integer_images():
     assert not is_automorphism(design, ())
 
 
-# --- nontriviality bound ----------------------------------------------------
+# --- the paper's nontriviality bound (an oracle closed form) ------------------
 
 def test_bound_examples():
     assert math.comb(23, 3) * math.comb(6, 3) == 35420

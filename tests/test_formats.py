@@ -141,6 +141,18 @@ def test_load_design_rejects_resolution_file(tmp_path, suffix, capsys):
     assert "file contains class lines" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suffix", [".design", ".json"])
+def test_load_resolution_rejects_design_file(tmp_path, suffix, capsys):
+    # Both forms narrow the one parse of load_design_or_resolution, so a
+    # JSON design without "classes" gets the text message.
+    path = tmp_path / f"d{suffix}"
+    save_design(sample_design(), path)
+    with pytest.raises(FormatError, match="^file has no class lines; use parse_design$"):
+        load_resolution(path)
+    assert main(["prp", str(path)]) == 2
+    assert "file has no class lines; use parse_design" in capsys.readouterr().err
+
+
 def test_json_round_trip():
     design = sample_design()
     data = json.loads(json.dumps(design_to_dict(design)))
