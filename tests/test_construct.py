@@ -349,7 +349,7 @@ def test_classify_master_pairs_with_note():
     assert analysis3.note is None
 
 
-def test_classify_refuses_what_the_coverage_formula_refuses():
+def test_classify_refuses_bad_parameters():
     with pytest.raises(DesignError, match="k' >= 2"):
         classify_three_design(MASTER_30_5_4, 1)
     with pytest.raises(DimensionMismatch):  # 7 does not divide 30
