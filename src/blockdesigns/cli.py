@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Subcommands: verify, construct, resolve, prp, develop, gen, profile,
-reproduce.  Every command prints a deterministic report; ``--json``
-switches it to a structured document.  Each command builds one report
+reproduce.  The parser is built once per process (``build_parser`` is
+cached), and ``main`` runs the handler ``cmd_<command>`` it looks up by
+name on this module at each call.  Every command prints a deterministic
+report; ``--json`` switches it to a structured document.  Each command builds one report
 that records each text line with its JSON fields.  Exit codes: 0 success,
 1 a property or expectation failed, 2 usage/parse error, 3 search budget
 exhausted.
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 
@@ -477,7 +480,10 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, **kwargs)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: building
+    it costs about 40 times what parsing one command line does."""
     parser = _Parser(
         prog="blockdesigns",
         description=(
@@ -495,7 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expect-simple", action="store_true")
     p.add_argument("--expect-params", default=None, metavar="V,B,R,K")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("construct", help="run the union construction")
     p.add_argument("master", help="master design or resolution file")
@@ -508,7 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check-three", action="store_true",
                    help="measure the constructed triple coverage spectrum")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("resolve", help="search for resolutions")
     p.add_argument("file")
@@ -516,14 +520,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=budget, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--out", default=None)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_resolve)
 
     p = sub.add_parser("prp", help="check the partial replacement property")
     p.add_argument("file", help="resolution file")
     p.add_argument("--alpha", action="append", type=int)
     p.add_argument("--budget", type=budget, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_prp)
 
     p = sub.add_parser("develop", help="develop a base class through Z_n")
     p.add_argument("file", help="design file holding the base parallel class")
@@ -531,7 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="all points rotate (no fixed point)")
     p.add_argument("--out", default=None)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_develop)
 
     p = sub.add_parser("gen", help="emit generator output")
     gen_sub = p.add_subparsers(dest="kind", required=True)
@@ -561,28 +562,27 @@ def build_parser() -> argparse.ArgumentParser:
     for g in gen_sub.choices.values():
         g.add_argument("--out", default=None)
         g.add_argument("--json", action="store_true")
-        g.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("profile", help="pairwise intersection histogram")
     p.add_argument("file")
     p.add_argument("--expect", default=None, metavar="C0,C1,...")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("reproduce", help="reproduce catalog entries end to end")
     p.add_argument("names", nargs="*")
     p.add_argument("--all", action="store_true")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_reproduce)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # Looked up at call time, so a cmd_* function replaced on the module
+    # (a tracer's wrapper, say) is the one that runs.
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except SearchBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

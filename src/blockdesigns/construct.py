@@ -202,6 +202,14 @@ def _master_w(master: DesignParams) -> int:
     return master.v // master.k
 
 
+def _check_indexing_points(master: DesignParams, indexing: IndexingParams) -> None:
+    """Raise DimensionMismatch unless the indexing design has one point
+    for each of the w = v/k blocks of a master class."""
+    w = _master_w(master)
+    if indexing.w != w:
+        raise DimensionMismatch(f"indexing on {indexing.w} points, master has w={w}")
+
+
 def _pair_coverage(params: DesignParams) -> int:
     """Pair coverage of a design declared as a t >= 2 design."""
     if params.t < 2:
@@ -321,10 +329,7 @@ def predict_ibd_params(
     master: DesignParams, indexing: IndexingParams
 ) -> DesignParams:
     """(v, rb', rr', kk') for the constructed design."""
-    if _master_w(master) != indexing.w:
-        raise DimensionMismatch(
-            f"indexing on {indexing.w} points, master has w={_master_w(master)}"
-        )
+    _check_indexing_points(master, indexing)
     return DesignParams(
         t=1,
         v=master.v,
@@ -337,6 +342,7 @@ def predict_ibd_params(
 
 def predict_bibd_lambda(master: DesignParams, indexing: IndexingParams) -> int:
     """Pair coverage of the constructed design: lam*r' + (r-lam)*lam2'."""
+    _check_indexing_points(master, indexing)
     lam = _pair_coverage(master)
     return lam * indexing.r_prime + (master.r - lam) * indexing.lambda2_prime
 
@@ -351,6 +357,7 @@ def triple_coverage_by_alpha(
     (classes where the triple sits in one block / split 2+1 / split
     1+1+1).  lam3' = 0 covers the pair-indexing case.
     """
+    _check_indexing_points(master, indexing)
     lam = _pair_coverage(master)
     if not 0 <= alpha <= lam:
         raise DesignError(f"need 0 <= alpha <= {lam}, got {alpha}")
@@ -402,6 +409,7 @@ def predict_triple_coverage(
     construction does not yield a 3-design.  Every master triple lies in
     master.lam blocks when the master is a 3-design; otherwise the alpha
     coefficient vanishes or alpha is 0, so alpha = 0 gives the coverage."""
+    _check_indexing_points(master, indexing)
     if not classify_three_design(master, indexing.k_prime).is_three_design:
         return None
     alpha = master.lam if master.t >= 3 else 0

@@ -18,9 +18,11 @@ lie in some block, one row per block.  Replication counts are point
 counts over the blocks.  A t-subset coverage spectrum takes each point p
 in turn and packs the columns of the later points over the blocks
 through p only, so its cost follows the replication rather than the
-block count; coverages are popcounts of ANDed columns.  Pairs in a dense
-design are counted at once instead, as the meets of the columns of all
-points over all blocks.  The pairwise intersection histogram is
+block count; coverages are popcounts of ANDed columns.  The t-subsets
+of a dense design are counted at once instead, on the columns of all
+points over all blocks; triples are counted by their last point, as its
+column ANDed with the meets of all pairs before it.  The pairwise
+intersection histogram is
 popcounts of ANDed block rows, and derived coverage numbers use
 ``fractions.Fraction``.  Binomials that are only compared with a bound
 are computed no further than the bound (``_capped_comb``).
@@ -42,7 +44,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -101,23 +103,31 @@ MAX_POINTS = 1 << 20
 # design 44.5 M (1.3 s), AG(2,32) 178 M (2.0 s).  Counted once per point
 # orbit, the sum runs over one point p of each orbit with
 # u = min(v-1, r_p(k-1)): 3-(1024,512,255) built from AG(2,32) needs 8.4 M
-# words (0.1 s) instead of 2.85 G.  At t=2 with no automorphisms all pairs
-# may be counted at once, as the meets of the columns of the s points in
-# some block over all b blocks: exactly C(s,2) * ceil(b/64) words.  That
-# kernel is taken when those words times _PAIR_WORD_COST are fewer than
-# the s * (b*k + v) elements the point-by-point path scans (one pass over
-# the b x k members and one bincount of length v per point), and the
-# words are within this bound: 3-(256,128,127) counts 261 K words (4 ms
-# instead of 32 ms), while an STS(999) would need 1.3 G words and stays
-# point by point.
+# words (0.1 s) instead of 2.85 G.  With no automorphisms all t-subsets
+# may be counted at once, on the columns of the s points in some block
+# over all b blocks: at most C(s,t) * ceil(b/64) words.  That kernel is
+# taken when those words are within this bound and cost less than the
+# point path (_cheaper_at_once).  At t >= 3 the bound on the point path is
+# checked first, so the kernel never counts what that bound refuses.
+# 3-(256,128,127) at t=2 counts 261 K words (4 ms instead of 32 ms) and
+# 3-(64,32,75) at t=3 417 K (3.7 ms instead of 12.8 ms), while an
+# STS(999) would need 1.3 G words at t=2 and stays point by point.
 MAX_SPECTRUM_WORDS = 1 << 28
 
-# Time of one word of the all-pairs kernel (packing, AND, popcount and
-# bincount) in elements of the point-by-point path.  Timed on 25 designs
-# on a 2-core Xeon, the kernel won on every design with at most 0.14
-# words per element (AG(2,16): 2.6 ms against 5.0 ms) and on K_64 at
-# 0.246, and lost on every one from 0.25 on (AG(2,32): 45 ms against
-# 33 ms; K_200, K_400), so the crossover is taken at 1/5.
+# Time of one word counted (packing, AND, popcount and bincount) in
+# elements the point path scans, for every t; at t >= 3 a boolean the
+# point path writes before packing its columns counts as a word.  Timed
+# at t=2 on 25 designs on a 2-core Xeon, the all-pairs kernel won on
+# every design with at most 0.14 words per element (AG(2,16): 2.6 ms
+# against 5.0 ms) and on K_64 at 0.246, and lost on every one from 0.25
+# on (AG(2,32): 45 ms against 33 ms; K_200, K_400), so the crossover is
+# taken at 1/5.  At t=3 (36 designs) and t=4 (32), among them the eight
+# catalog 3-designs without their automorphisms, union constructions on
+# AG(2,8) and AG(3,4), AG(m,q), trivial and random designs, this choice
+# took the faster kernel, or one within 10% of it, on 65 of the 68, and
+# 498 ms in all against 484 ms for the faster of each (670 ms point by
+# point, 866 ms at once).  It keeps AG(2,16) at t=3 (42 ms against
+# 201 ms) and AG(3,4) at t=4 point by point.
 _PAIR_WORD_COST = 5
 
 # Most uint64 words of packed block rows (128 MB), checked before packing:
@@ -131,6 +141,10 @@ MAX_ROW_WORDS = 1 << 24
 # design meets 8 block rows with all later rows per call; 64 rows, no
 # faster, raised peak memory by about 9 MB.
 _CHUNK_WORDS = 1 << 16
+
+# The pairs i < j < _PAIR_TABLE that _pairs keeps in one table: every
+# slice of rows _add_meets meets has at most sqrt(_CHUNK_WORDS) rows.
+_PAIR_TABLE = math.isqrt(_CHUNK_WORDS)
 
 # Rows of a members array turned into block tuples at a time, so that no
 # second list of all the rows is alive next to the tuples.
@@ -565,9 +579,9 @@ def t_coverage_spectrum(design: Design, t: int) -> dict[int, int]:
     coverage lam exactly when the result is {lam: C(v, t)}.  The subsets
     with least point p are counted on the blocks through p: the coverage
     of {p} plus a (t-1)-subset of later points is the popcount of the AND
-    of their columns over those blocks.  At t = 2 with no automorphisms,
-    when that is cheaper (see MAX_SPECTRUM_WORDS), every pair is counted
-    at once as the meet of two columns over all blocks.
+    of their columns over those blocks.  With no automorphisms, when that
+    is cheaper (see _cheaper_at_once), every t-subset is counted at once
+    on the columns of all points over all blocks.
 
     When the design carries automorphisms and t >= 2, only the subsets
     through one point x of each point orbit P are counted, as hist_x; the
@@ -581,13 +595,7 @@ def t_coverage_spectrum(design: Design, t: int) -> dict[int, int]:
     v, b = design.points.size, len(design.blocks)
     replication = _replication(design)
     symmetry = design._symmetry if t >= 2 else None
-    all_pairs = False
     if symmetry is None:
-        if t == 2:
-            s = int(np.count_nonzero(replication))
-            pair_words = s * (s - 1) // 2 * ((b + 63) // 64)
-            all_pairs = (pair_words <= MAX_SPECTRUM_WORDS
-                         and pair_words * _PAIR_WORD_COST < s * (b * k + v))
         # The least point of a covered t-subset has t-1 later points in
         # one of its blocks: it is among the first k-t+1 of that block.
         starts = np.flatnonzero(
@@ -597,7 +605,12 @@ def t_coverage_spectrum(design: Design, t: int) -> dict[int, int]:
     else:
         points = symmetry[0]
         later = ((v - 1, r) for r in replication[points.reps].tolist() if r)
-    if not all_pairs:
+    # Pairs are counted at once whenever that is cheaper, with no bound on
+    # the point path, which ANDs no columns at t = 2.  Past t = 2 the bound
+    # on the point path decides first.
+    at_once = (symmetry is None and t == 2
+               and _cheaper_at_once(design, replication, t, starts, 0))
+    if not at_once:
         work, exact = _spectrum_words(later, k, t)
         if work > MAX_SPECTRUM_WORDS:
             raise DesignError(
@@ -606,14 +619,16 @@ def t_coverage_spectrum(design: Design, t: int) -> dict[int, int]:
                 f"{work if exact else MAX_SPECTRUM_WORDS} words, above the "
                 f"limit of {MAX_SPECTRUM_WORDS}"
             )
+        at_once = (symmetry is None and t >= 3
+                   and _cheaper_at_once(design, replication, t, starts, work))
     # Counts of the covered t-subsets by coverage; the uncovered ones are
     # what is left of C(v, t) (a Python int, which may exceed 64 bits).
     # Bin 0 collects pairs of uncovered points and is never read.
     hist = np.zeros(b + 1, dtype=np.int64)
     if t == 1:
         hist += np.bincount(replication, minlength=b + 1)
-    elif all_pairs:
-        _add_meets(hist, _columns(design._members, v, slice(0, 0)))
+    elif at_once:
+        _add_all(hist, design._members, v, t)
     elif symmetry is None:
         for p in starts.tolist():
             _add_through(hist, design._members, v, p, slice(0, p + 1), t)
@@ -633,6 +648,31 @@ def t_coverage_spectrum(design: Design, t: int) -> dict[int, int]:
     spectrum = {int(c): int(hist[c]) for c in np.flatnonzero(hist[1:]) + 1}
     uncovered = math.comb(v, t) - sum(spectrum.values())
     return {0: uncovered, **spectrum} if uncovered else spectrum
+
+
+def _cheaper_at_once(design: Design, replication, t: int, starts, work: int) -> bool:
+    """True when the t >= 2 subsets are cheaper to count at once, on the
+    columns of all s points that lie in some block over all b blocks, than
+    through each of the points `starts` in turn (see _PAIR_WORD_COST), and
+    those C(s,t) * ceil(b/64) words are within MAX_SPECTRUM_WORDS.
+
+    The point path scans the b x k members and v counters for each of s
+    points.  Past t = 2 it also ANDs `work` words, and for each start p
+    writes the columns of the u later points over its r_p blocks as
+    (u+1) * 64 * ceil(r_p/64) booleans before packing them, u as in
+    _spectrum_words.
+    """
+    v, b, k = design.points.size, len(design.blocks), design.k
+    s = int(np.count_nonzero(replication))
+    nwords = (b + 63) // 64
+    words = _capped_comb(s, t, MAX_SPECTRUM_WORDS // max(1, nwords)) * nwords
+    point_words = work
+    if t >= 3:
+        r = replication[starts]
+        later = np.minimum(v - 1 - starts, r * (k - 1))
+        point_words += int((64 * ((r + 63) // 64) * (later + 1)).sum())
+    return (words <= MAX_SPECTRUM_WORDS and words * _PAIR_WORD_COST
+            < s * (b * k + v) + point_words * _PAIR_WORD_COST)
 
 
 def _spectrum_words(later, k: int, t: int) -> tuple[int, bool]:
@@ -685,6 +725,12 @@ def _add_through(hist, members, v, p, dropped: slice, t) -> None:
         _add_coverages(hist, _columns(blocks, v, dropped), t - 1)
 
 
+def _add_all(hist, members, v, t) -> None:
+    """Count into hist (from coverage 1) every t >= 2 subset of points, on
+    the columns of all points over all blocks."""
+    _add_coverages(hist, _columns(members, v, slice(0, 0)), t)
+
+
 def _columns(blocks: np.ndarray, v: int, dropped: slice) -> np.ndarray:
     """The columns over `blocks` (rows of points) of the points outside
     `dropped` that lie in one of them, in uint64 words with zero padding
@@ -701,7 +747,7 @@ def _columns(blocks: np.ndarray, v: int, dropped: slice) -> np.ndarray:
     row[dropped] = count  # dropped points go to a row that is dropped
     width = 64 * ((len(blocks) + 63) // 64)
     columns = np.empty((count, width // 64), dtype=np.uint64)
-    step = min(width, 64 * max(1, _CHUNK_WORDS // max(1, count)))
+    step = 64 * max(1, min(width // 64, _CHUNK_WORDS // max(1, count)))
     for lo in range(0, width, step):
         hi = min(lo + step, width)
         part = blocks[lo:hi]
@@ -727,6 +773,8 @@ def _add_coverages(hist, columns, t) -> None:
         columns, t, q = stack.pop()
         if t == 2:
             _add_meets(hist, columns)
+        elif t == 3 and _pair_count(len(columns)) * columns.shape[1] <= _CHUNK_WORDS:
+            _add_triples(hist, columns)  # the meets of all pairs fit one chunk
         elif len(columns) == t:
             hist[_popcounts(np.bitwise_and.reduce(columns))] += 1
         elif q <= len(columns) - t:
@@ -738,6 +786,22 @@ def _add_coverages(hist, columns, t) -> None:
             stack.append((later[later.any(axis=1)], t - 1, 0))
 
 
+def _add_triples(hist, columns) -> None:
+    """Count into hist the popcount of the AND of every 3 of the columns,
+    by their last column: the meets of all pairs are ANDed once, and each
+    column meets the pairs before it (a prefix of those meets, as _pairs
+    orders them) in one call."""
+    inner, outer = _pairs(len(columns))
+    meets = columns[inner] & columns[outer]
+    for last in range(2, len(columns)):
+        covered = meets[: _pair_count(last)] & columns[last]
+        hist += np.bincount(_popcounts(covered), minlength=hist.size)
+
+
+def _pair_count(n: int) -> int:
+    return n * (n - 1) // 2
+
+
 def _add_meets(hist, rows) -> None:
     """Count into hist the popcount of rows[i] & rows[j] over all i < j.
 
@@ -746,13 +810,39 @@ def _add_meets(hist, rows) -> None:
     """
     n, nwords = rows.shape
     step = max(1, min(n, _CHUNK_WORDS // max(1, n * nwords)))
-    inner, outer = np.triu_indices(step, 1)
     for lo in range(0, n, step):
         chunk = rows[lo : lo + step]
-        if len(chunk) < step:  # the last slice may be short
-            inner, outer = np.triu_indices(len(chunk), 1)
+        inner, outer = _pairs(len(chunk))
         for meet in (chunk[inner] & chunk[outer], chunk[:, None] & rows[lo + step :]):
             hist += np.bincount(_popcounts(meet).ravel(), minlength=hist.size)
+
+
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(inner, outer): every pair inner < outer < n, ordered by outer.
+
+    The pairs below n are then the first C(n, 2) of the pairs below any
+    larger bound, so for n <= _PAIR_TABLE (every slice _add_meets takes)
+    they are read off one table instead of being built on each call.
+    """
+    if n > _PAIR_TABLE:
+        return _pair_indices(n)
+    count = _pair_count(n)
+    inner, outer = _pair_table()
+    return inner[:count], outer[:count]
+
+
+@cache
+def _pair_table() -> tuple[np.ndarray, np.ndarray]:
+    """The pairs below _PAIR_TABLE, built on first use, read-only."""
+    table = _pair_indices(_PAIR_TABLE)
+    for indices in table:
+        indices.flags.writeable = False
+    return table
+
+
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    outer, inner = np.tril_indices(n, -1)  # row-major: ordered by outer
+    return inner, outer
 
 
 def lambda_j(params: DesignParams, j: int) -> Fraction:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import blockdesigns
-from blockdesigns import core
+from blockdesigns import cli, core
 from blockdesigns.cli import main
 from blockdesigns.core import MAX_POINTS, make_design, t_coverage_spectrum
 from blockdesigns.formats import load_design, load_resolution, save_design
@@ -397,6 +397,32 @@ def test_module_entry_point(tmp_path):
     )
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr.startswith("error:")
+
+
+def test_parser_is_built_once_and_commands_dispatch_by_name(capsys, monkeypatch, tri63):
+    assert cli.build_parser() is cli.build_parser()
+    assert run(capsys, "verify", tri63)[0] == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: seen.append(args.file) or 7)
+    assert run(capsys, "verify", tri63) == (7, "", "")
+    assert seen == [tri63]
+
+
+def test_a_rejected_command_line_leaves_the_next_one_unchanged(capsys):
+    # Recorded transcripts: a parse-time rejection, then a valid command,
+    # then the rejection again, all through the one cached parser.
+    golden = json.loads((Path(__file__).parent / "cli_transcripts.json").read_text())
+    records = {tuple(record["argv"]): record for record in golden}
+    rejected = ("resolve", "t82.design", "--budget", "-1")
+    for argv in (rejected, ("gen", "trivial", "4", "2"), rejected):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        record = records[argv]
+        assert (code, captured.out, captured.err) == (
+            record["exit"], record["stdout"], record["stderr"])
 
 
 def test_gen_one_factorization(capsys, tmp_path):

@@ -264,6 +264,20 @@ def test_predict_ibd_dimension_mismatch():
         predict_ibd_params(MASTER_24_6_5, IDX_6_3)
 
 
+@pytest.mark.parametrize("predict", [
+    predict_ibd_params,
+    predict_bibd_lambda,
+    predict_triple_coverage,
+    lambda master, indexing: triple_coverage_by_alpha(master, indexing, 0),
+])
+def test_every_prediction_refuses_indexing_of_the_wrong_size(predict):
+    # The 2-(24,6,5) master has w = 4 blocks per class; trivial(6, 2)
+    # indexes 6 (its triple coverage alone would read 15).
+    indexing = IndexingParams.from_design(trivial_design(6, 2))
+    with pytest.raises(DimensionMismatch, match=r"^indexing on 6 points, master has w=4$"):
+        predict(MASTER_24_6_5, indexing)
+
+
 def test_predict_bibd_lambda_values():
     assert predict_bibd_lambda(MASTER_24_6_5, IDX_4_2) == 33
     assert predict_bibd_lambda(MASTER_30_5_4, IDX_6_3) == 140

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -343,7 +344,8 @@ def pair_designs(draw):
         st.lists(st.integers(0, v - 1), min_size=k, max_size=k, unique=True),
         min_size=1, max_size=80,
     ))
-    blocks = draw(st.lists(st.sampled_from(pool), max_size=140))
+    b = draw(st.integers(0, 140))
+    blocks = draw(st.lists(st.sampled_from(pool), min_size=b, max_size=b))
     return make_design(v, blocks, k=k)
 
 
@@ -360,6 +362,53 @@ def test_pair_spectrum_matches_naive_oracle_on_both_kernels(design):
         with mock.patch.object(core, "_PAIR_WORD_COST", cost), \
                 mock.patch.object(core, other, _refuse):
             assert t_coverage_spectrum(design, 2) == expected
+
+
+@st.composite
+def deep_designs(draw):
+    """Designs on up to 16 points, some in no block, with 0 to 140 blocks
+    of 3 to 8 points, repeats likely: the columns over all blocks take up
+    to three words, those over the blocks through one point up to two."""
+    v = draw(st.integers(4, 16))
+    k = draw(st.integers(3, min(8, v - 1)))
+    pool = draw(st.lists(
+        st.lists(st.integers(0, v - 1), min_size=k, max_size=k, unique=True),
+        min_size=1, max_size=40,
+    ))
+    b = draw(st.integers(0, 140))
+    blocks = draw(st.lists(st.sampled_from(pool), min_size=b, max_size=b))
+    return make_design(v, blocks, k=k)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(deep_designs(), st.sampled_from([3, 4]))
+def test_deep_spectrum_matches_naive_oracle_on_both_kernels(design, t):
+    assume(t <= design.k)
+    expected = naive_spectrum(design.points.size, design.blocks, t)
+    for at_once, other in [(True, "_add_through"), (False, "_add_all")]:
+        with mock.patch.object(core, "_cheaper_at_once", lambda *args: at_once), \
+                mock.patch.object(core, other, _refuse):
+            assert t_coverage_spectrum(design, t) == expected
+
+
+def test_spectrum_bound_refuses_before_the_column_kernel(monkeypatch):
+    # The columns of the 1000 block points over the one block hold
+    # C(1000, 3) words, within the bound, and a word cost of 0 would take
+    # them; the bound on the point path refuses first.
+    d = Design(PointSet(2000), (tuple(range(1000)),), 1000)
+    assert math.comb(1000, 3) <= core.MAX_SPECTRUM_WORDS
+    monkeypatch.setattr(core, "_PAIR_WORD_COST", 0)
+    monkeypatch.setattr(core, "_add_all", _refuse)
+    monkeypatch.setattr(core, "_columns", _refuse)
+    with pytest.raises(DesignError, match="above the limit"):
+        t_coverage_spectrum(d, 3)
+
+
+def test_pairs_table_is_every_pair_in_order_of_the_larger():
+    for n in (0, 1, 2, 5, core._PAIR_TABLE, core._PAIR_TABLE + 3):
+        inner, outer = core._pairs(n)
+        pairs = list(zip(inner.tolist(), outer.tolist()))
+        assert pairs == sorted(itertools.combinations(range(n), 2), key=lambda p: p[::-1])
 
 
 def _halves(v):
