@@ -4,10 +4,10 @@ Subcommands: verify, construct, resolve, prp, develop, gen, profile,
 reproduce.  The parser is built once per process (``build_parser`` is
 cached), and ``main`` runs the handler ``cmd_<command>`` it looks up by
 name on this module at each call.  Every command prints a deterministic
-report; ``--json`` switches it to a structured document.  Each command builds one report
-that records each text line with its JSON fields.  Exit codes: 0 success,
-1 a property or expectation failed, 2 usage/parse error, 3 search budget
-exhausted.
+report; ``--json`` switches it to a structured document.  Each command
+builds one report that records each text line with its JSON fields.
+Exit codes: 0 success, 1 a property or expectation failed, 2 usage/parse
+error, 3 search budget exhausted.
 """
 
 from __future__ import annotations
