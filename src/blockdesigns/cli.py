@@ -128,7 +128,7 @@ def _params_text(params: DesignParams) -> str:
 
 def cmd_verify(args) -> int:
     design, _ = load_design_or_resolution(args.file)
-    v, b = design.points.size, len(design.blocks)
+    v, b = design.points.size, len(design._members)
     report = _Report(f"file: {args.file}", command="verify", file=args.file)
     report.add(f"v: {v}  k: {design.k}  b: {b}", v=v, k=design.k, b=b)
     try:
@@ -277,9 +277,9 @@ def cmd_construct(args) -> int:
     report.add(f"wrote: {args.out}", out=args.out)
     if args.provenance:
         payload = {
-            "blocks": len(built.design.blocks),
+            "blocks": len(built.design._members),
             "provenance": [list(pair) for pair in built.provenance],
-            "indexing_blocks": [list(block) for block in indexing.blocks],
+            "indexing_blocks": indexing._members.tolist(),
         }
         with open(args.provenance, "w") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)

@@ -163,7 +163,7 @@ class ConstructedDesign:
     indexing: Design
 
     def __post_init__(self) -> None:
-        if len(self.provenance) != len(self.design.blocks):
+        if len(self.provenance) != len(self.design._members):
             raise DesignError("provenance must cover every constructed block")
 
 
@@ -255,7 +255,7 @@ def shrikhande_raghavarao(
     constructed = Design._from_members(
         master.points, unions, _kept_automorphisms(master, classes, indexing)
     )
-    provenance = itertools.product(range(len(refs)), range(len(indexing.blocks)))
+    provenance = itertools.product(range(len(refs)), range(len(indexing._members)))
     return ConstructedDesign(constructed, tuple(provenance), indexing)
 
 

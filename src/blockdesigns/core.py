@@ -1,31 +1,37 @@
 """Design types and the verifiers for their defining properties.
 
-A design is a multiset of equal-size blocks over points 0..v-1.  Blocks are
-stored as strictly increasing tuples so that block equality is set equality
-and the block list can carry multiset semantics (duplicates allowed and
-significant).
+A design is a multiset of equal-size blocks over points 0..v-1, and the
+block list carries multiset semantics: duplicates are allowed and
+significant.  Its one representation is a read-only b x k array of
+points, ``Design._members``, whose rows are the blocks as strictly
+increasing points, so two blocks are equal as sets exactly when their
+rows are equal.  The array is validated once, at construction: block
+sizes, integer points, range and strict increase are checked on the
+whole array, and only a failing block is formatted into the error.  Code
+that already holds the blocks as an array (the file parser, the
+generators and the union construction) builds the design through
+``Design._from_members``, which checks that array and keeps it.
+``Design.blocks``, the blocks as tuples of Python ints, is built from the
+array only when it is read; no verifier, construction or writer reads it.
 
-Every count here is exact.  A design's blocks are validated once, at
-construction, as one b x k array of points: block sizes, integer points,
-range and strict increase are checked on the whole array, and only a
-failing block is formatted into the error.  Every design keeps that
-array, read-only, as ``Design._members``.  Code that already holds the
-blocks as an array (the file parser, the generators and the union
-construction) builds the design through ``Design._from_members``, which
-checks that array and keeps it instead of building one from the tuples.
+Every other form is cached from the array on first use.
 ``Design._rows`` packs the blocks into 64-bit words over the points that
-lie in some block, one row per block.  Replication counts are point
+lie in some block, one row per block; ``Design._masks`` holds each block
+as a Python int over 0..v-1 for the searches; ``Design._incidences``
+orders the point-block incidences by point.  Replication counts are point
 counts over the blocks.  A t-subset coverage spectrum takes each point p
 in turn and packs the columns of the later points over the blocks
-through p only, so its cost follows the replication rather than the
-block count; coverages are popcounts of ANDed columns.  The t-subsets
-of a dense design are counted at once instead, on the columns of all
-points over all blocks; triples are counted by their last point, as its
-column ANDed with the meets of all pairs before it.  The pairwise
-intersection histogram is
-popcounts of ANDed block rows, and derived coverage numbers use
-``fractions.Fraction``.  Binomials that are only compared with a bound
-are computed no further than the bound (``_capped_comb``).
+through p only (read off ``_incidences``, or found by one scan of the
+array for each point orbit), so its cost follows the
+replication rather than the block count; coverages are popcounts of
+ANDed columns.  The t-subsets of a dense design are counted at once
+instead, on the columns of all points over all blocks; triples are
+counted by their last point, as its column ANDed with the meets of all
+pairs before it.  The pairwise intersection histogram is popcounts of
+ANDed block rows, and a design is simple when no two of its sorted rows
+are equal.  Derived coverage numbers use ``fractions.Fraction``.
+Binomials that are only compared with a bound are computed no further
+than the bound (``_capped_comb``).
 
 A design may carry point permutations that map its blocks onto themselves
 (``Design.automorphisms``; the generators and the union construction
@@ -43,7 +49,7 @@ import array
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 from fractions import Fraction
 
@@ -188,37 +194,44 @@ class _Orbits:
     sizes: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False, eq=False)
 class Design:
     """A block multiset over a point set; every block has size k.
+
+    The blocks live in one array, `_members`: a read-only b x k array of
+    points, each row strictly increasing, in the smallest unsigned integer
+    type that holds every point.  It is the array that validation builds
+    from the blocks given, or the one `_from_members` was given.  Every
+    verifier reads it or the forms cached from it; `blocks`, the rows as
+    tuples of Python ints, is built only when it is read.
 
     `automorphisms` holds point permutations, each as the tuple of images
     of 0..v-1, that map the blocks onto themselves.  They are a claim that
     `_symmetry` checks on first use; the verifiers then count once per
-    orbit.  They take no part in equality or hashing.
-
-    `_members` holds the blocks as a read-only b x k array of points, in
-    the smallest unsigned integer type that holds every point: the array
-    that validation builds, or the one `_from_members` was given.
+    orbit.  They take no part in equality or hashing: the points, k and
+    the block rows in order decide both.
     """
 
     points: PointSet
-    blocks: tuple[Block, ...]
+    blocks: tuple[Block, ...]  # the cached property below
     k: int
-    automorphisms: tuple[tuple[int, ...], ...] = field(
-        default=(), compare=False, repr=False
-    )
+    automorphisms: tuple[tuple[int, ...], ...] = ()
 
-    def __post_init__(self) -> None:
+    def __init__(self, points: PointSet, blocks, k: int, automorphisms=()) -> None:
+        self.__dict__.update(points=points, k=k, automorphisms=automorphisms)
+        self.__post_init__(blocks)
+
+    def __post_init__(self, blocks=None) -> None:
+        """Check k and the blocks, given as sequences of points, or else
+        the array `_from_members` set, and keep them as `_members`."""
         v = self.points.size
         if not 2 <= self.k < v:
             raise DesignError(f"block size must satisfy 2 <= k < v (k={self.k}, v={v})")
-        members = self.__dict__.get("_members")
-        if members is None:
-            members = _block_array(self.blocks, self.k, v)
+        if blocks is None:
+            members = _checked_members(self._members, v)
+        else:
+            members = _block_array(blocks, self.k, v)
             members.flags.writeable = False
-        else:  # set by _from_members, whose blocks are its rows
-            members = _checked_members(members, v, self.blocks)
         self.__dict__["_members"] = members
 
     @classmethod
@@ -230,9 +243,32 @@ class Design:
         `_members` in the smallest unsigned type that holds every point,
         so it is never built again."""
         design = cls.__new__(cls)
-        design.__dict__["_members"] = members
-        cls.__init__(design, points, _tuples(members), members.shape[1], automorphisms)
+        design.__dict__.update(points=points, k=members.shape[1],
+                               automorphisms=automorphisms, _members=members)
+        design.__post_init__()
         return design
+
+    @cached_property
+    def blocks(self) -> tuple[Block, ...]:
+        """The blocks as strictly increasing tuples of Python ints, built
+        from `_members` on first read.  Nothing on the way from a design
+        to a verdict or a file reads them."""
+        return _tuples(self._members)
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.points == other.points and self.k == other.k
+                and np.array_equal(self._members, other._members))
+
+    def __hash__(self) -> int:
+        return hash((self.points, self.k, self._members.tobytes()))
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(points={self.points!r}, "
+                f"blocks={self.blocks!r}, k={self.k!r})")
 
     @cached_property
     def _rows(self) -> np.ndarray:
@@ -255,30 +291,32 @@ class Design:
             )
         if len(support) < self.points.size:
             members = np.searchsorted(support, members)
-        rows = np.empty((len(members), nwords), dtype=np.uint64)
-        # Slices of about _CHUNK_WORDS packed words: 64 booleans each.
-        step = max(1, _CHUNK_WORDS // max(1, nwords))
-        for lo in range(0, len(members), step):
-            part = members[lo : lo + step]
-            bits = np.zeros((len(part), 64 * nwords), dtype=bool)
-            bits[np.arange(len(part))[:, None], part] = True
-            rows[lo : lo + step] = np.packbits(
-                bits, axis=1, bitorder="little"
-            ).view("<u8")
+        rows = _packed_rows(members, nwords)
         rows.flags.writeable = False
         return rows
 
     @cached_property
     def _masks(self) -> tuple[int, ...]:
         """Block i as the Python int with bit p set for each of its points
-        p: the form the resolution and PRP searches combine."""
-        masks = []
-        for block in self.blocks:
-            mask = 0
-            for p in block:
-                mask |= 1 << p
-            masks.append(mask)
-        return tuple(masks)
+        p: the form the resolution and PRP searches combine.  Each is read
+        off the bytes of the block's row packed over 0..v-1."""
+        rows = _packed_rows(self._members, (self.points.size + 63) // 64)
+        return _ints(rows)
+
+    @cached_property
+    def _incidences(self) -> tuple[np.ndarray, np.ndarray]:
+        """(blocks, starts): the block of each point-block incidence,
+        ordered by point and then by block, and where the run of each
+        point starts; the blocks through p are blocks[starts[p] :
+        starts[p + 1]], in increasing order.  Built on first use, by one
+        stable argsort of the members, read-only."""
+        members = self._members
+        blocks = np.argsort(members.ravel(), kind="stable") // self.k
+        starts = np.zeros(self.points.size + 1, dtype=np.intp)
+        np.cumsum(_replication(self), out=starts[1:])
+        for array in (blocks, starts):
+            array.flags.writeable = False
+        return blocks, starts
 
     @cached_property
     def _symmetry(self) -> tuple[_Orbits, _Orbits] | None:
@@ -308,7 +346,34 @@ class Design:
                 )
             point_perms.append(perm)
             block_perms.append(blocks)
-        return _orbits(point_perms, v), _orbits(block_perms, len(self.blocks))
+        return _orbits(point_perms, v), _orbits(block_perms, len(members))
+
+
+def _packed_rows(members: np.ndarray, nwords: int) -> np.ndarray:
+    """Row i with bit p set for each point p of members[i], in nwords
+    uint64 words with zero padding bits.  The booleans are packed in
+    slices of about _CHUNK_WORDS words."""
+    rows = np.empty((len(members), nwords), dtype=np.uint64)
+    step = max(1, _CHUNK_WORDS // max(1, nwords))
+    for lo in range(0, len(members), step):
+        part = members[lo : lo + step]
+        bits = np.zeros((len(part), 64 * nwords), dtype=bool)
+        bits[np.arange(len(part))[:, None], part] = True
+        rows[lo : lo + step] = np.packbits(
+            bits, axis=1, bitorder="little"
+        ).view("<u8")
+    return rows
+
+
+def _ints(rows: np.ndarray) -> tuple[int, ...]:
+    """Each row of uint64 words as the Python int whose bit 64i + j is bit
+    j of word i."""
+    width = rows.shape[1] * 8
+    data = rows.astype("<u8", copy=False).tobytes()
+    return tuple(
+        int.from_bytes(data[lo : lo + width], "little")
+        for lo in range(0, len(data), width)
+    )
 
 
 def _block_array(blocks, k: int, v: int) -> np.ndarray:
@@ -338,21 +403,24 @@ def _block_array(blocks, k: int, v: int) -> np.ndarray:
 def _check_points(points: np.ndarray, v: int, blocks) -> None:
     """Raise DesignError naming blocks[i] for the first row i of points
     that starts below 0 or ends above v-1, or else does not strictly
-    increase."""
+    increase; a block that is a row of an array is named as a tuple."""
     ends = (points[:, 0] < 0) | (points[:, -1] >= v)
     bad = ends | (points[:, 1:] <= points[:, :-1]).any(axis=1)
     if bad.any():
         i = int(bad.argmax())
+        block = blocks[i]
+        if isinstance(block, np.ndarray):
+            block = tuple(block.tolist())
         if ends[i]:
-            raise DesignError(f"block {blocks[i]} has points outside 0..{v - 1}")
-        raise DesignError(f"block {blocks[i]} is not strictly increasing")
+            raise DesignError(f"block {block} has points outside 0..{v - 1}")
+        raise DesignError(f"block {block} is not strictly increasing")
 
 
-def _checked_members(members: np.ndarray, v: int, blocks) -> np.ndarray:
-    """members, the integer array whose rows are `blocks`, checked as
-    _block_array checks the tuples, as a read-only array of the smallest
-    unsigned type that holds v-1."""
-    _check_points(members, v, blocks)
+def _checked_members(members: np.ndarray, v: int) -> np.ndarray:
+    """members, an integer array of blocks, checked as _block_array checks
+    tuples, as a read-only array of the smallest unsigned type that holds
+    v-1."""
+    _check_points(members, v, members)
     members = members.astype(np.min_scalar_type(v - 1), copy=False)
     members.flags.writeable = False
     return members
@@ -563,7 +631,7 @@ def verify_ibd(design: Design) -> DesignParams:
         point = int(deviating[0])
         raise NonConstantReplication(point=point, count=int(counts[point]), expected=r)
     return DesignParams(
-        t=1, v=design.points.size, b=len(design.blocks), r=r, k=design.k, lam=r
+        t=1, v=design.points.size, b=len(design._members), r=r, k=design.k, lam=r
     )
 
 
@@ -592,7 +660,7 @@ def t_coverage_spectrum(design: Design, t: int) -> dict[int, int]:
     k = design.k
     if not 1 <= t <= k:
         raise DesignError(f"need 1 <= t <= k, got t={t} k={k}")
-    v, b = design.points.size, len(design.blocks)
+    v, b = design.points.size, len(design._members)
     replication = _replication(design)
     symmetry = design._symmetry if t >= 2 else None
     if symmetry is None:
@@ -630,14 +698,21 @@ def t_coverage_spectrum(design: Design, t: int) -> dict[int, int]:
     elif at_once:
         _add_all(hist, design._members, v, t)
     elif symmetry is None:
+        members = design._members
+        incident, offsets = design._incidences
         for p in starts.tolist():
-            _add_through(hist, design._members, v, p, slice(0, p + 1), t)
+            blocks = members[incident[offsets[p] : offsets[p + 1]]]
+            _add_through(hist, blocks, v, slice(0, p + 1), t)
     else:
+        members = design._members
         for x, size in zip(points.reps.tolist(), points.sizes.tolist()):
             if not replication[x]:
                 continue  # no block holds x, so no t-subset through x
+            # A few orbits: one scan each costs less than the argsort
+            # behind _incidences.
+            blocks = members[np.flatnonzero(members.ravel() == x) // k]
             through = np.zeros_like(hist)
-            _add_through(through, design._members, v, x, slice(x, x + 1), t)
+            _add_through(through, blocks, v, slice(x, x + 1), t)
             hist += size * through
         # Each covered t-subset is counted once through each of its points.
         if (hist[1:] % t).any():
@@ -656,13 +731,16 @@ def _cheaper_at_once(design: Design, replication, t: int, starts, work: int) -> 
     through each of the points `starts` in turn (see _PAIR_WORD_COST), and
     those C(s,t) * ceil(b/64) words are within MAX_SPECTRUM_WORDS.
 
-    The point path scans the b x k members and v counters for each of s
-    points.  Past t = 2 it also ANDs `work` words, and for each start p
-    writes the columns of the u later points over its r_p blocks as
+    The point path is charged the b x k members and v counters for each
+    of s points, the charge _PAIR_WORD_COST was timed with.  It spends
+    less (it gathers the r_p * k members of the blocks through p, read off
+    _incidences), so the charge leans towards the at-once kernel.  Past
+    t = 2 it also ANDs `work` words, and for each start p writes the
+    columns of the u later points over its r_p blocks as
     (u+1) * 64 * ceil(r_p/64) booleans before packing them, u as in
     _spectrum_words.
     """
-    v, b, k = design.points.size, len(design.blocks), design.k
+    v, b, k = design.points.size, len(design._members), design.k
     s = int(np.count_nonzero(replication))
     nwords = (b + 63) // 64
     words = _capped_comb(s, t, MAX_SPECTRUM_WORDS // max(1, nwords)) * nwords
@@ -711,11 +789,10 @@ def _capped_comb(n: int, r: int, cap: int) -> int:
     return count
 
 
-def _add_through(hist, members, v, p, dropped: slice, t) -> None:
-    """Count into hist (from coverage 1) the t >= 2 subsets made of p and
-    t-1 points outside `dropped` (which holds p), on the blocks through p."""
-    k = members.shape[1]
-    blocks = members[np.flatnonzero(members.ravel() == p) // k]
+def _add_through(hist, blocks, v, dropped: slice, t) -> None:
+    """Count into hist (from coverage 1) the t >= 2 subsets made of a
+    point p and t-1 points outside `dropped` (which holds p), on `blocks`,
+    the rows of the blocks through p."""
     if t == 2:
         # The coverage of {p, q} is the number of these blocks holding q.
         pairs = np.bincount(blocks.ravel(), minlength=v)
@@ -860,13 +937,23 @@ def lambda_j(params: DesignParams, j: int) -> Fraction:
 
 
 def is_simple(design: Design) -> bool:
-    """True when no two block instances are equal as point sets."""
-    return len(set(design.blocks)) == len(design.blocks)
+    """True when no two block instances are equal as point sets: no two
+    block rows are equal once sorted.  The packed rows are compared, or
+    the members (rows of increasing points) when the packed rows would
+    hold more than MAX_ROW_WORDS words."""
+    try:
+        rows = design._rows
+    except DesignError:
+        rows = design._members
+    if len(rows) < 2:
+        return True
+    ordered = rows[_row_order(rows)]
+    return not (ordered[1:] == ordered[:-1]).all(axis=1).any()
 
 
 def is_trivial(design: Design) -> bool:
     """True when the design consists of all C(v, k) k-subsets, once each."""
-    b = len(design.blocks)
+    b = len(design._members)
     return b == _capped_comb(design.points.size, design.k, b) and is_simple(design)
 
 

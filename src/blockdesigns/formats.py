@@ -40,8 +40,6 @@ __all__ = [
     "design_from_dict",
     "design_to_dict",
     "dumps",
-    "format_design",
-    "format_resolution",
     "load_design",
     "load_design_or_resolution",
     "load_resolution",
@@ -58,15 +56,20 @@ class FormatError(ValueError):
     pass
 
 
+# Block rows that dumps turns into lists of Python ints at a time.
+_TEXT_ROWS = 1024
+
+
 def dumps(design: Design, res: Resolution | None, as_json: bool) -> str:
     """The file text, JSON or not, of the resolution, or of the design when
     res is None."""
     if as_json:
         data = resolution_to_dict(res) if res is not None else design_to_dict(design)
         return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    members = design._members
     # A plain design is one run of all its blocks, with no class line.
     runs = ([cls.block_refs for cls in res.classes] if res is not None
-            else [range(len(design.blocks))])
+            else [range(len(members))])
     lines = [f"design v={design.points.size} k={design.k} b={sum(map(len, runs))}"]
     for i, label in enumerate(design.points.labels or ()):
         if not label or any(ch.isspace() for ch in label) or "#" in label:
@@ -74,21 +77,15 @@ def dumps(design: Design, res: Resolution | None, as_json: bool) -> str:
         lines.append(f"label {i} {label}")
     # The name of every point up to the largest in a block, the last of
     # its (increasing) block.
-    top = max((block[-1] for block in design.blocks), default=-1)
+    top = int(members[:, -1].max()) if len(members) else -1
     name = list(map(str, range(top + 1))).__getitem__
     for ci, refs in enumerate(runs):
         if res is not None:
             lines.append(f"class {ci}")
-        lines.extend(" ".join(map(name, design.blocks[ref])) for ref in refs)
+        for lo in range(0, len(refs), _TEXT_ROWS):
+            rows = members[np.asarray(refs[lo : lo + _TEXT_ROWS], dtype=np.intp)]
+            lines.extend(" ".join(map(name, row)) for row in rows.tolist())
     return "\n".join(lines) + "\n"
-
-
-def format_design(design: Design) -> str:
-    return dumps(design, None, as_json=False)
-
-
-def format_resolution(res: Resolution) -> str:
-    return dumps(res.design, res, as_json=False)
 
 
 def _int(token: str) -> int:
@@ -295,9 +292,9 @@ def design_to_dict(design: Design) -> dict:
     return {
         "v": design.points.size,
         "k": design.k,
-        "b": len(design.blocks),
+        "b": len(design._members),
         "labels": list(design.points.labels) if design.points.labels else None,
-        "blocks": [list(block) for block in design.blocks],
+        "blocks": design._members.tolist(),
     }
 
 

@@ -40,9 +40,11 @@ class UnsupportedField(DesignError):
 
 
 # Most point-block incidences b*k a generator builds, checked with v <=
-# MAX_POINTS before any block exists.  As tuples of Python ints a design
-# takes up to about 60 bytes per incidence, 0.5 GB at this bound; the
-# trivial design C(22, 11) holds 7,759,752 incidences, C(24, 12) 32 M.
+# MAX_POINTS before any block exists.  As tuples of Python ints (as
+# trivial_design builds them, or as Design.blocks builds them on request)
+# the blocks take up to about 60 bytes per incidence, 0.5 GB at this
+# bound; the trivial design C(22, 11) holds 7,759,752 incidences,
+# C(24, 12) 32 M.
 MAX_INCIDENCES = 1 << 23
 
 
@@ -123,17 +125,17 @@ def sub_factorization_embedding(n: int) -> tuple[Design, Resolution]:
     _check_size(f"the one-factorization of K_{4 * n}", 4 * n, 2 * n * (4 * n - 1), 2)
     half = 2 * n
     _, low_res = round_robin_one_factorization(half)
-    low = low_res.design
-    classes = []
-    for cls in low_res.classes:
-        factor = [low.blocks[ref] for ref in cls.block_refs]
-        factor += [
-            tuple(p + half for p in low.blocks[ref]) for ref in cls.block_refs
-        ]
-        classes.append(factor)
-    for t in range(half):
-        classes.append([(i, half + (i + t) % half) for i in range(half)])
-    return _resolution_from_classes(PointSet(2 * half), classes)
+    # Each class of K_2n, on the low half and again on the high half.
+    low = low_res.design._members.astype(np.intp)[
+        [cls.block_refs for cls in low_res.classes]
+    ]
+    mixed = np.concatenate((low, low + half), axis=1)
+    # The cyclic matchings: class t pairs i with half + (i + t) % half.
+    i = np.arange(half)
+    cyclic = np.stack(
+        [np.stack((i, half + (i + t) % half), axis=1) for t in range(half)]
+    )
+    return _resolution_from_classes(PointSet(2 * half), np.concatenate((mixed, cyclic)))
 
 
 def affine_hyperplane_design(m: int, q: int) -> tuple[Design, Resolution]:

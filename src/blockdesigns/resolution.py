@@ -24,7 +24,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .core import Design, DesignError
+import numpy as np
+
+from .core import Design, DesignError, _columns, _ints
 
 __all__ = [
     "BadAlpha",
@@ -80,7 +82,7 @@ class Resolution:
     classes: tuple[ParallelClass, ...]
 
     def __post_init__(self) -> None:
-        b = len(self.design.blocks)
+        b = len(self.design._members)
         for cls in self.classes:
             for ref in cls.block_refs:
                 if not 0 <= ref < b:
@@ -131,23 +133,37 @@ def verify_resolution(design: Design, res: Resolution) -> CheckResult:
     if len(used) != len(set(used)):
         dup = next(ref for ref, n in Counter(used).items() if n > 1)
         return CheckResult(False, f"block instance {dup} appears in two classes")
-    if len(used) != len(design.blocks):
-        missing = min(set(range(len(design.blocks))) - set(used))
+    b = len(design._members)
+    if len(used) != b:
+        missing = min(set(range(b)) - set(used))
         return CheckResult(False, f"block instance {missing} is in no class")
     return CheckResult(True)
 
 
-def _canonical_order(blocks, classes) -> list[tuple[tuple, tuple[int, ...]]]:
-    """(contents, refs) of each class of block indices, in canonical order.
+def _block_ranks(members) -> list[int]:
+    """The rank of each block in the lexicographic order of the blocks as
+    point tuples, equal blocks sharing one rank: comparing ranks compares
+    the blocks."""
+    order = np.lexsort(members.T[::-1])
+    listed = members[order]
+    rank = np.zeros(len(members), dtype=np.intp)
+    rank[order[1:]] = np.cumsum((listed[1:] != listed[:-1]).any(axis=1))
+    return rank.tolist()
 
-    Refs are ordered by (block, index) and classes by (contents, refs), so
+
+def _canonical_order(ranks, classes) -> list[tuple[tuple, tuple[int, ...]]]:
+    """(contents, refs) of each class of block indices, in canonical order;
+    `ranks` are the _block_ranks of the blocks.
+
+    Refs are ordered by (block, index) and classes by (contents, refs),
+    contents being the ranks of the blocks of a class in that order, so
     the contents of the returned classes, in order, are the content key
     under which two resolutions are the same.
     """
     ordered = []
     for refs in classes:
-        refs = tuple(sorted(refs, key=lambda i: (blocks[i], i)))
-        ordered.append((tuple(blocks[i] for i in refs), refs))
+        refs = tuple(sorted(refs, key=lambda i: (ranks[i], i)))
+        ordered.append((tuple(ranks[i] for i in refs), refs))
     ordered.sort()
     return ordered
 
@@ -158,18 +174,19 @@ MEETS_MEMO_BITS = 1 << 26
 
 
 class _Meets(dict):
-    """meets[i]: the mask of the blocks that share a point with block i, i
-    included, built from `through` on first use."""
+    """meets[i]: the mask of the blocks that share a point with block i
+    (row i of `members`), i included, built from `through` on first
+    use."""
 
-    def __init__(self, blocks, through):
+    def __init__(self, members, through):
         super().__init__()
-        self.blocks = blocks
+        self.members = members
         self.through = through
-        self.room = MEETS_MEMO_BITS // max(len(blocks), 1)
+        self.room = MEETS_MEMO_BITS // max(len(members), 1)
 
     def __missing__(self, i):
         mask = 0
-        for p in self.blocks[i]:
+        for p in self.members[i].tolist():
             mask |= self.through[p]
         if len(self) < self.room:
             self[i] = mask
@@ -223,22 +240,20 @@ def find_resolutions(
     """
     if limit < 1:
         return []
-    v, k, b = design.points.size, design.k, len(design.blocks)
+    members = design._members
+    v, k, b = design.points.size, design.k, len(members)
     if v % k:
         raise DesignError(f"block size {k} does not divide {v}")
     w = v // k
     if b == 0 or b % w:
         return []
-    through = [0] * v
-    for i, block in enumerate(design.blocks):
-        for p in block:
-            through[p] |= 1 << i
-    meets = _Meets(design.blocks, through)
+    through = _through(design)
+    meets = _Meets(members, through)
     found: dict[tuple, Resolution] = {}
     try:
         _complete_resolution(
             design, limit, design._masks, through, meets, (1 << b) - 1, [],
-            [node_budget], found,
+            [node_budget], found, _block_ranks(members),
         )
     except SearchBudgetExceeded:
         raise SearchBudgetExceeded(
@@ -247,14 +262,27 @@ def find_resolutions(
     return list(found.values())
 
 
+def _through(design: Design) -> list[int]:
+    """through[p]: the mask of the blocks through point p, read off the
+    packed column of p over all blocks (0 for a point in no block)."""
+    members, v = design._members, design.points.size
+    through = [0] * v
+    present = np.flatnonzero(np.bincount(members.ravel(), minlength=v))
+    columns = _ints(_columns(members, v, slice(0, 0)))
+    for p, mask in zip(present.tolist(), columns):
+        through[p] = mask
+    return through
+
+
 def _complete_resolution(
-    design, limit, masks, through, meets, unused, classes, budget, found
+    design, limit, masks, through, meets, unused, classes, budget, found, ranks
 ) -> bool:
     """Extend the classes in `classes` to resolutions using the blocks of
     the mask `unused`, recording each new one in `found` under its content
-    key; True once `limit` are found."""
+    key (`ranks` are the _block_ranks of the blocks); True once `limit`
+    are found."""
     if not unused:
-        ordered = _canonical_order(design.blocks, classes)
+        ordered = _canonical_order(ranks, classes)
         key = tuple(contents for contents, _ in ordered)
         if key not in found:
             found[key] = Resolution(
@@ -273,7 +301,8 @@ def _complete_resolution(
         for i in chosen:
             rest ^= 1 << i
         done = _complete_resolution(
-            design, limit, masks, through, meets, rest, classes, budget, found
+            design, limit, masks, through, meets, rest, classes, budget, found,
+            ranks,
         )
         classes.pop()
         if done:

@@ -40,6 +40,20 @@ def naive_profile(blocks) -> list:
     return counts
 
 
+def naive_is_simple(blocks) -> bool:
+    """No two blocks are equal as point sets."""
+    sets = [frozenset(block) for block in blocks]
+    return len(set(sets)) == len(sets)
+
+
+def naive_is_trivial(v, k, blocks) -> bool:
+    """The blocks are every k-subset of 0..v-1, each once."""
+    if len(blocks) != math.comb(v, k):
+        return False
+    every = itertools.combinations(range(v), k)
+    return naive_is_simple(blocks) and set(map(frozenset, blocks)) == set(map(frozenset, every))
+
+
 def naive_pair_replication(v, blocks) -> dict:
     return naive_spectrum(v, blocks, 2)
 

@@ -571,3 +571,45 @@ def test_emitted_files_are_deterministic(capsys, tmp_path):
     run(capsys, "gen", "affine", "2", "4", "--out", str(a))
     run(capsys, "gen", "affine", "2", "4", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+# --- one block array on every pipeline path -----------------------------------
+
+@pytest.fixture()
+def built_designs(monkeypatch):
+    """Every design built while the test runs, in order."""
+    built = []
+    post_init = core.Design.__post_init__
+
+    def recording(self, *args):
+        post_init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(core.Design, "__post_init__", recording)
+    return built
+
+
+def test_catalog_reproduction_builds_no_block_tuples(built_designs):
+    from blockdesigns.catalog import catalog_names
+    from blockdesigns.reproduce import reproduce_entry
+
+    for name in catalog_names():
+        assert reproduce_entry(name).ok
+    assert len(built_designs) >= 3 * len(catalog_names())
+    assert not [d for d in built_designs if "blocks" in vars(d)]
+
+
+def test_readme_pipeline_builds_no_block_tuples(capsys, tmp_path, built_designs):
+    w = str(tmp_path)
+    steps = [
+        f"gen affine 2 8 --out {w}/ag28.res",
+        f"prp {w}/ag28.res --alpha 4",
+        f"gen trivial 8 4 --out {w}/t84.design",
+        f"construct {w}/ag28.res {w}/t84.design --out {w}/built.design",
+        f"verify {w}/built.design --t 3 --expect-lambda 75 --expect-simple",
+        f"profile {w}/built.design",
+    ]
+    for step in steps:
+        assert run(capsys, *step.split())[0] == 0, step
+    assert len(built_designs) >= 8
+    assert not [d for d in built_designs if "blocks" in vars(d)]

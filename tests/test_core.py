@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -36,6 +37,8 @@ from oracles import (
     DivisibilityViolation,
     naive_block_problem,
     naive_coverage,
+    naive_is_simple,
+    naive_is_trivial,
     naive_profile,
     naive_spectrum,
     nontriviality_bound_holds,
@@ -508,6 +511,83 @@ def test_is_trivial_compares_against_a_capped_binomial(monkeypatch):
     blocks = trivial_design(7, 3).blocks
     assert is_trivial(Design(PointSet(7), blocks, 3))
     assert not is_trivial(Design(PointSet(7), blocks[1:], 3))
+
+
+@st.composite
+def designs_with_repeats(draw):
+    """(design, blocks): a design and the point lists it was made from.
+    Either blocks drawn from a small pool on up to 150 points (repeats
+    likely, rows of up to three words, points in no block), or every
+    k-subset of up to 8 points in a shuffled order, perhaps with one
+    block dropped or replaced by a copy of another."""
+    if draw(st.booleans()):
+        v = draw(st.integers(3, 150))
+        k = draw(st.integers(2, min(6, v - 1)))
+        pool = draw(st.lists(
+            st.lists(st.integers(0, v - 1), min_size=k, max_size=k, unique=True),
+            min_size=1, max_size=12,
+        ))
+        blocks = draw(st.lists(st.sampled_from(pool), max_size=40))
+    else:
+        v = draw(st.integers(3, 8))
+        k = draw(st.integers(2, v - 1))
+        blocks = draw(st.permutations(list(itertools.combinations(range(v), k))))
+        change = draw(st.sampled_from(["none", "drop", "copy"]))
+        if change == "drop":
+            blocks = blocks[1:]
+        elif change == "copy":
+            blocks = blocks[:-1] + [blocks[0]]
+    return make_design(v, blocks, k=k), blocks
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(designs_with_repeats())
+def test_simple_and_trivial_match_the_oracles_on_rows_and_members(case):
+    design, blocks = case
+    v, k = design.points.size, design.k
+    expected = naive_is_simple(blocks), naive_is_trivial(v, k, blocks)
+    assert (is_simple(design), is_trivial(design)) == expected
+    # Rows above the word limit are not packed: the members are compared.
+    rows_refused = make_design(v, blocks, k=k)
+    with mock.patch.object(core, "MAX_ROW_WORDS", 0):
+        if len(blocks):
+            with pytest.raises(DesignError):
+                rows_refused._rows
+        assert (is_simple(rows_refused), is_trivial(rows_refused)) == expected
+    assert "blocks" not in vars(design) and "blocks" not in vars(rows_refused)
+
+
+@pytest.mark.parametrize("v", [6, 300])  # one- and two-byte points
+def test_designs_from_tuples_and_from_members_are_equal(v):
+    blocks = ((0, 1, 2), (3, 4, 5), (0, 1, 2), (1, 3, v - 1))
+    from_tuples = Design(PointSet(v), blocks, 3)
+    from_members = Design._from_members(PointSet(v), np.array(blocks))
+    assert from_tuples == from_members
+    assert hash(from_tuples) == hash(from_members)
+    assert {from_tuples: "found"}[from_members] == "found"
+    assert "blocks" not in vars(from_tuples) and "blocks" not in vars(from_members)
+    reordered = Design(PointSet(v), blocks[1:] + blocks[:1], 3)
+    assert reordered != from_tuples and is_simple(reordered) == is_simple(from_tuples)
+    assert from_tuples != Design(PointSet(v), blocks[:-1], 3)
+    assert from_tuples != Design(PointSet(v, tuple(map(str, range(v)))), blocks, 3)
+    # The tuples are built on request, once, from the array.
+    assert from_members.blocks == blocks
+    assert from_members.blocks is from_members.blocks
+    assert all(type(p) is int for block in from_members.blocks for p in block)
+
+
+def test_design_repr_and_replace():
+    design = make_design(4, [(2, 3), (0, 1)])
+    assert repr(design) == (
+        "Design(points=PointSet(size=4, labels=None), blocks=((2, 3), (0, 1)), k=2)"
+    )
+    swap = (1, 0, 3, 2)
+    claimed = dataclasses.replace(design, automorphisms=(swap,))
+    assert claimed == design and claimed.automorphisms == (swap,)
+    assert claimed._symmetry is not None and design._symmetry is None
+    assert claimed._members.tolist() == design._members.tolist()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        design.k = 3
 
 
 def test_constructed_catalog_design_is_simple(repro):

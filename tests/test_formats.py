@@ -10,8 +10,7 @@ from blockdesigns.formats import (
     FormatError,
     design_from_dict,
     design_to_dict,
-    format_design,
-    format_resolution,
+    dumps,
     load_design,
     load_design_or_resolution,
     load_resolution,
@@ -35,30 +34,30 @@ def sample_design():
 
 def test_design_round_trip_text():
     design = sample_design()
-    text = format_design(design)
+    text = dumps(design, None, as_json=False)
     assert parse_design(text) == design
-    assert format_design(parse_design(text)) == text
+    assert dumps(parse_design(text), None, as_json=False) == text
 
 
 def test_design_round_trip_unlabelled():
     design = make_design(5, [(0, 1, 2), (2, 3, 4)])
-    text = format_design(design)
+    text = dumps(design, None, as_json=False)
     assert "label" not in text
     assert parse_design(text) == design
 
 
 def test_resolution_round_trip_text():
     design, res = round_robin_one_factorization(6)
-    text = format_resolution(res)
+    text = dumps(res.design, res, as_json=False)
     parsed_design, parsed_res = parse_resolution(text)
     assert parsed_design == design
     assert parsed_res == res
-    assert format_resolution(parsed_res) == text
+    assert dumps(parsed_res.design, parsed_res, as_json=False) == text
 
 
 def test_cyclic_master_round_trip_with_labels():
     master, res = cyclic_develop(catalog_entry("3-(24,12,15)").base)
-    text = format_resolution(res)
+    text = dumps(res.design, res, as_json=False)
     parsed_design, parsed_res = parse_resolution(text)
     assert parsed_design == master
     assert parsed_design.points.labels[-1] == "inf"
@@ -123,9 +122,9 @@ def test_blocks_before_first_class_rejected():
 def test_parse_design_rejects_resolution_file():
     design, res = round_robin_one_factorization(4)
     with pytest.raises(FormatError):
-        parse_design(format_resolution(res))
+        parse_design(dumps(res.design, res, as_json=False))
     with pytest.raises(FormatError):
-        parse_resolution(format_design(design))
+        parse_resolution(dumps(design, None, as_json=False))
 
 
 @pytest.mark.parametrize("suffix", [".res", ".json"])
@@ -389,14 +388,14 @@ def _via_json(data):
 @PROPERTY_SETTINGS
 @given(designs())
 def test_design_round_trips(design):
-    assert parse_design(format_design(design)) == design
+    assert parse_design(dumps(design, None, as_json=False)) == design
     assert design_from_dict(_via_json(design_to_dict(design))) == design
 
 
 @PROPERTY_SETTINGS
 @given(resolutions())
 def test_resolution_round_trips(res):
-    assert parse_resolution(format_resolution(res)) == (res.design, res)
+    assert parse_resolution(dumps(res.design, res, as_json=False)) == (res.design, res)
     assert resolution_from_dict(_via_json(resolution_to_dict(res))) == (res.design, res)
 
 

@@ -8,8 +8,9 @@ Runs ``perfbench/run.py --workload all`` once per seed, each workload in
 its own process, and writes the median over the seeds of every end-to-end
 metric of every workload, with the values of each seed, whether every run
 was correct, and the git commit, CPU count and Python and numpy versions
-that produced them.  The file goes to the root of the checkout unless
-``--out`` names another path.
+that produced them.  One more run with ``--trace 1``, at the first seed,
+adds the per-layer self times of each workload under ``per_layer``.  The
+file goes to the root of the checkout unless ``--out`` names another path.
 """
 
 from __future__ import annotations
@@ -33,12 +34,22 @@ def _git(*args: str) -> str:
                           check=True).stdout.strip()
 
 
-def run_seed(seed: int, seconds: float) -> dict:
+def run_seed(seed: int, seconds: float, trace: int = 0) -> dict:
     """{workload: run.py's result object} for one seed."""
     argv = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "all",
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, check=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def self_times(traced: dict) -> dict:
+    """Per workload, the metrics in seconds of one traced run: the self
+    time of each layer."""
+    return {
+        name: {metric: entry["value"] for metric, entry in result["metrics"].items()
+               if entry["unit"] == "s"}
+        for name, result in traced.items()
+    }
 
 
 def summarize(runs: dict[int, dict]) -> dict:
@@ -73,6 +84,8 @@ def main(argv=None) -> int:
     for seed in args.seeds:
         runs[seed] = run_seed(seed, args.seconds)
         print(f"seed {seed} done", file=sys.stderr)
+    traced = run_seed(args.seeds[0], args.seconds, trace=1)
+    print(f"traced seed {args.seeds[0]} done", file=sys.stderr)
     record = {
         "pr": args.pr,
         "git_sha": _git("rev-parse", "HEAD"),
@@ -83,6 +96,7 @@ def main(argv=None) -> int:
         "seeds": args.seeds,
         "seconds": args.seconds,
         "workloads": summarize(runs),
+        "per_layer": self_times(traced),
     }
     out = args.out or ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
