@@ -525,7 +525,7 @@ def designs_with_repeats(draw):
         k = draw(st.integers(2, min(6, v - 1)))
         pool = draw(st.lists(
             st.lists(st.integers(0, v - 1), min_size=k, max_size=k, unique=True),
-            min_size=1, max_size=12,
+            min_size=1, max_size=24,
         ))
         blocks = draw(st.lists(st.sampled_from(pool), max_size=40))
     else:
