@@ -693,18 +693,17 @@ def t_coverage_spectrum(design: Design, t: int) -> dict[int, int]:
     # what is left of C(v, t) (a Python int, which may exceed 64 bits).
     # Bin 0 collects pairs of uncovered points and is never read.
     hist = np.zeros(b + 1, dtype=np.int64)
+    members = design._members
     if t == 1:
         hist += np.bincount(replication, minlength=b + 1)
     elif at_once:
-        _add_all(hist, design._members, v, t)
+        _add_all(hist, members, v, t)
     elif symmetry is None:
-        members = design._members
         incident, offsets = design._incidences
         for p in starts.tolist():
             blocks = members[incident[offsets[p] : offsets[p + 1]]]
             _add_through(hist, blocks, v, slice(0, p + 1), t)
     else:
-        members = design._members
         for x, size in zip(points.reps.tolist(), points.sizes.tolist()):
             if not replication[x]:
                 continue  # no block holds x, so no t-subset through x

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Design, DesignError, _columns, _ints
+from .core import Design, DesignError, _columns, _ints, _replication
 
 __all__ = [
     "BadAlpha",
@@ -265,10 +265,10 @@ def find_resolutions(
 def _through(design: Design) -> list[int]:
     """through[p]: the mask of the blocks through point p, read off the
     packed column of p over all blocks (0 for a point in no block)."""
-    members, v = design._members, design.points.size
+    v = design.points.size
     through = [0] * v
-    present = np.flatnonzero(np.bincount(members.ravel(), minlength=v))
-    columns = _ints(_columns(members, v, slice(0, 0)))
+    present = np.flatnonzero(_replication(design))
+    columns = _ints(_columns(design._members, v, slice(0, 0)))
     for p, mask in zip(present.tolist(), columns):
         through[p] = mask
     return through
