@@ -24,7 +24,9 @@ from .core import (
     Design,
     DesignError,
     DesignParams,
-    is_automorphism,
+    _block_permutation,
+    _row_matching,
+    _row_order,
     lambda_j,
     t_coverage_spectrum,
     verify_ibd,
@@ -253,7 +255,7 @@ def shrikhande_raghavarao(
     unions = classes[:, indexing._members].reshape(-1, master.k * indexing.k)
     unions.sort(axis=1)
     constructed = Design._from_members(
-        master.points, unions, _kept_automorphisms(master, classes, indexing)
+        master.points, unions, *_kept_automorphisms(master, classes, indexing)
     )
     provenance = itertools.product(range(len(refs)), range(len(indexing._members)))
     return ConstructedDesign(constructed, tuple(provenance), indexing)
@@ -261,68 +263,110 @@ def shrikhande_raghavarao(
 
 def _kept_automorphisms(
     master: Design, classes: np.ndarray, indexing: Design
-) -> tuple:
-    """The master automorphisms g that are automorphisms of the union
-    construction as well; `classes` holds the master's resolution as an
-    array of points (class, position, point).
+) -> tuple[tuple, tuple]:
+    """(kept, block_perms): the master automorphisms g that are
+    automorphisms of the union construction as well, and the block
+    permutation each induces on the constructed blocks; `classes` holds
+    the master's resolution as an array of points (class, position,
+    point).
 
     g is kept when the classes can be matched one to one, i -> j, so that
     g maps the blocks of class i onto those of class j and the position
     permutation it induces (the p-th block of class i goes to the
     sigma(p)-th block of class j) is an automorphism of the indexing
-    design.  g then maps the union of class i at the positions of an
-    indexing block C onto the union of class j at sigma(C).  Raises
-    DesignError when a master automorphism does not check out.
+    design, with block permutation pi_sigma.  g then maps the union of
+    class i at the positions of indexing block c onto the union of class
+    j at those of block pi_sigma(c): constructed block i * b' + c goes to
+    j * b' + pi_sigma(c), b' the indexing blocks; the constructed
+    design's _symmetry checks that claim.  Raises DesignError when a
+    master automorphism does not check out.
 
-    Classes that hold the same blocks can be matched in several ways, and
-    each class takes the first free one it may.  That finds a matching
-    whenever one exists: with o_i the map from positions to blocks of
-    class i and gamma the map g induces on blocks, sigma = o_j^-1 gamma o_i
-    is an indexing automorphism exactly when o_j and gamma o_i lie in one
-    coset of the indexing automorphism group, so classes i of one coset
-    may all take the same classes j, and no choice among them blocks
-    another.
+    The indexing blocks are ordered once, and each sigma is checked once.
+    The classes are matched all at once, equal classes in index order;
+    only when that matching fails and some classes hold the same blocks
+    is a matching searched for class by class, each class taking the
+    first free one it may.  That finds a matching whenever one exists:
+    with o_i the map from positions to blocks of class i and gamma the map
+    g induces on blocks, sigma = o_j^-1 gamma o_i is an indexing
+    automorphism exactly when o_j and gamma o_i lie in one coset of the
+    indexing automorphism group, so classes i of one coset may all take
+    the same classes j, and no choice among them blocks another.
     """
     # The master's orbits are only needed here to check its automorphisms.
     if master._symmetry is None or not len(classes):
-        return ()
+        return (), ()
     v = master.points.size
     count, w, _ = classes.shape
     position = np.empty((count, v), dtype=np.intp)
     position[np.arange(count)[:, None, None], classes] = np.arange(w)[:, None]
-    by_partition: dict[bytes, list[int]] = {}
-    for i, key in enumerate(_partitions(classes, v)):
-        by_partition.setdefault(key, []).append(i)
-    respected: dict[bytes, bool] = {}
+    partitions = _partitions(classes, v)
+    order = _row_order(partitions)
+    listed = partitions[order]
+    repeated = bool((listed[1:] == listed[:-1]).all(axis=1).any())
+    members = indexing._members
+    indexing_order = _row_order(members)
+    indexing_listed = members[indexing_order]
+    found: dict[bytes, np.ndarray | None] = {}
 
-    def respects(sigma) -> bool:
+    def induced(sigma) -> np.ndarray | None:
+        """pi_sigma, or None when sigma is no indexing automorphism."""
         key = sigma.tobytes()
-        if key not in respected:
-            respected[key] = is_automorphism(indexing, sigma)
-        return respected[key]
+        if key not in found:
+            found[key] = _block_permutation(members, sigma, indexing_order,
+                                            indexing_listed)
+        return found[key]
 
-    kept = []
+    def block_perm(match, image) -> np.ndarray | None:
+        pis = []
+        for sigma in position[match[:, None], image[:, :, 0]]:
+            pi = induced(sigma)
+            if pi is None:
+                return None
+            pis.append(pi)
+        return (match[:, None] * len(members) + np.array(pis)).ravel()
+
+    kept, block_perms = [], []
     for gen in master.automorphisms:
         image = np.asarray(gen).astype(classes.dtype)[classes]
-        free = {key: list(ids) for key, ids in by_partition.items()}
-        for i, key in enumerate(_partitions(image, v)):
-            j = next((j for j in free.get(key, ())
-                      if respects(position[j, image[i, :, 0]])), None)
-            if j is None:
-                break
-            free[key].remove(j)
-        else:
+        image_partitions = _partitions(image, v)
+        match = _row_matching(image_partitions, order, listed)
+        perm = None if match is None else block_perm(match, image)
+        if perm is None and match is not None and repeated:
+            match = _first_free_matching(
+                image_partitions, partitions,
+                lambda i, j: induced(position[j, image[i, :, 0]]) is not None)
+            perm = None if match is None else block_perm(match, image)
+        if perm is not None:
             kept.append(gen)
-    return tuple(kept)
+            block_perms.append(perm)
+    return tuple(kept), tuple(block_perms)
 
 
-def _partitions(classes: np.ndarray, v: int) -> list[bytes]:
+def _first_free_matching(image_partitions, partitions, respects):
+    """The match i -> j of image partition i to an equal class partition
+    j, each i in turn taking the first free j with respects(i, j), or None
+    when some i finds none."""
+    by_partition: dict[bytes, list[int]] = {}
+    for j, row in enumerate(partitions):
+        by_partition.setdefault(row.tobytes(), []).append(j)
+    match = np.empty(len(partitions), dtype=np.intp)
+    for i, row in enumerate(image_partitions):
+        free = by_partition[row.tobytes()]
+        j = next((j for j in free if respects(i, j)), None)
+        if j is None:
+            return None
+        free.remove(j)
+        match[i] = j
+    return match
+
+
+def _partitions(classes: np.ndarray, v: int) -> np.ndarray:
     """Each class of blocks (class, position, point) as a partition of
-    0..v-1: the bytes of every point's least block mate."""
+    0..v-1, a row of every point's least block mate."""
     count = len(classes)
     least = np.empty((count, v), dtype=classes.dtype)
     least[np.arange(count)[:, None, None], classes] = classes.min(axis=2)[..., None]
-    return [row.tobytes() for row in least]
+    return least
 
 
 def predict_ibd_params(

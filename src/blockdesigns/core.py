@@ -36,11 +36,18 @@ than the bound (``_capped_comb``).
 A design may carry point permutations that map its blocks onto themselves
 (``Design.automorphisms``; the generators and the union construction
 supply them, design files never do).  They are checked exactly on first
-use (``Design._symmetry``), and a false one raises DesignError.  The
-spectrum then counts only the t-subsets through one point of each point
-orbit, and the profile only the meets of one block of each block orbit,
-weighted by the orbit sizes (Kramer and Mesner, "t-designs on
-hypergraphs", Discrete Math. 15, 1976); both divide out exactly.
+use (``Design._symmetry``), and a false one raises DesignError.  Where a
+generator knows the block permutation an automorphism induces
+(``cyclic_develop``, and the union construction for each master
+automorphism it keeps), it supplies that too, and the check verifies it
+in one pass: the image of every block must be the block it names.  The
+block permutations of the other automorphisms (those given to the public
+constructor or to ``dataclasses.replace``, the AG translations) are
+searched for by ordering the images of all blocks.  The spectrum then
+counts only the t-subsets through one point of each point orbit, and the
+profile only the meets of one block of each block orbit, weighted by the
+orbit sizes (Kramer and Mesner, "t-designs on hypergraphs", Discrete
+Math. 15, 1976); both divide out exactly.
 """
 
 from __future__ import annotations
@@ -148,6 +155,11 @@ MAX_ROW_WORDS = 1 << 24
 # faster, raised peak memory by about 9 MB.
 _CHUNK_WORDS = 1 << 16
 
+# Fewest meets of one orbit size that intersection_profile counts as byte
+# pairs, in 65,536 bins: with fewer, zeroing and summing the bins costs
+# more than the increments the pairs save.
+_PAIR_MEETS = 1 << 16
+
 # The pairs i < j < _PAIR_TABLE that _pairs keeps in one table: every
 # slice of rows _add_meets meets has at most sqrt(_CHUNK_WORDS) rows.
 _PAIR_TABLE = math.isqrt(_CHUNK_WORDS)
@@ -208,8 +220,11 @@ class Design:
     `automorphisms` holds point permutations, each as the tuple of images
     of 0..v-1, that map the blocks onto themselves.  They are a claim that
     `_symmetry` checks on first use; the verifiers then count once per
-    orbit.  They take no part in equality or hashing: the points, k and
-    the block rows in order decide both.
+    orbit.  A design built by `_from_members` may also hold the block
+    permutation each induces, another claim `_symmetry` checks; the
+    constructor and `dataclasses.replace` keep none.  None of these take
+    part in equality or hashing: the points, k and the block rows in
+    order decide both.
     """
 
     points: PointSet
@@ -234,17 +249,25 @@ class Design:
             members.flags.writeable = False
         self.__dict__["_members"] = members
 
+    # The block permutation of each automorphism, as its generator knows
+    # it: entry i maps block j to the block automorphism i maps it onto,
+    # or is None.  Only _from_members sets them; they are checked with the
+    # automorphisms and never searched for.
+    _block_perms = ()
+
     @classmethod
     def _from_members(cls, points: PointSet, members: np.ndarray,
-                      automorphisms=()) -> "Design":
+                      automorphisms=(), block_perms=()) -> "Design":
         """The design whose blocks are the rows of `members`, a b x k
         integer array (or object array of ints).  The array is checked as
         _block_array checks tuples, with the same errors, and kept as
         `_members` in the smallest unsigned type that holds every point,
-        so it is never built again."""
+        so it is never built again.  `block_perms` may give the block
+        permutation of each automorphism (see _symmetry)."""
         design = cls.__new__(cls)
         design.__dict__.update(points=points, k=members.shape[1],
-                               automorphisms=automorphisms, _members=members)
+                               automorphisms=automorphisms, _members=members,
+                               _block_perms=block_perms)
         design.__post_init__()
         return design
 
@@ -323,23 +346,35 @@ class Design:
         """The point and block orbits of the group the automorphisms
         generate, or None when there are none.
 
-        Raises DesignError when a generator is not a permutation of
-        0..v-1 or does not map the block multiset onto itself.
+        A block permutation supplied with an automorphism is checked in
+        one pass: it must permute 0..b-1, and the image of each block must
+        be the block it names.  For the other automorphisms the block
+        permutation is searched for, by ordering the images of all blocks
+        as the blocks are ordered.  Raises DesignError when a generator is
+        not a permutation of 0..v-1, or does not map the block multiset
+        onto itself as a supplied block permutation says or at all.
         """
         if not self.automorphisms:
             return None
         v = self.points.size
         members = self._members
-        order = _row_order(members)
-        listed = members[order]
+        supplied = self._block_perms or (None,) * len(self.automorphisms)
+        order = listed = None
         point_perms, block_perms = [], []
-        for i, gen in enumerate(self.automorphisms):
+        for i, (gen, blocks) in enumerate(
+                zip(self.automorphisms, supplied, strict=True)):
             perm = _as_permutation(gen, v)
             if perm is None:
                 raise DesignError(
                     f"automorphism {i} is not a permutation of 0..{v - 1}"
                 )
-            blocks = _block_permutation(members, perm, order, listed)
+            if blocks is not None:
+                blocks = _checked_block_permutation(members, perm, blocks)
+            else:
+                if order is None:
+                    order = _row_order(members)
+                    listed = members[order]
+                blocks = _block_permutation(members, perm, order, listed)
             if blocks is None:
                 raise DesignError(
                     f"automorphism {i} does not map the blocks onto themselves"
@@ -474,7 +509,7 @@ def _as_permutation(gen, v: int) -> np.ndarray | None:
     perm = np.asarray(gen)
     if perm.shape != (v,) or perm.dtype.kind not in "iu":
         return None
-    if perm.min() < 0 or perm.max() >= v:
+    if v and (perm.min() < 0 or perm.max() >= v):
         return None
     hit = np.zeros(v, dtype=bool)
     hit[perm] = True
@@ -496,14 +531,36 @@ def _block_permutation(members, perm, order, listed) -> np.ndarray | None:
     """The block permutation i -> j with perm(block i) = block j, or None
     when perm does not map the blocks (the rows of members; `listed` holds
     them in their _row_order `order`) onto themselves as a multiset."""
+    return _row_matching(_image(members, perm), order, listed)
+
+
+def _image(members, perm) -> np.ndarray:
+    """The blocks (rows of members) mapped by perm, each row sorted."""
     image = np.take(perm.astype(members.dtype), members)
     image.sort(axis=1)
+    return image
+
+
+def _row_matching(image, order, listed) -> np.ndarray | None:
+    """The map i -> j with image[i] equal to row j of an array whose rows
+    `listed` holds in their _row_order `order`, or None when image does
+    not hold the same rows as a multiset.  Equal rows are matched in
+    index order."""
     image_order = _row_order(image)
     if not np.array_equal(image[image_order], listed):
         return None
-    blocks = np.empty(len(members), dtype=np.intp)
-    blocks[image_order] = order
-    return blocks
+    matching = np.empty(len(image), dtype=np.intp)
+    matching[image_order] = order
+    return matching
+
+
+def _checked_block_permutation(members, perm, blocks) -> np.ndarray | None:
+    """blocks, as an index array, when it is a permutation of the rows of
+    members and perm maps each block i onto block blocks[i]; else None."""
+    blocks = _as_permutation(blocks, len(members))
+    if blocks is None:
+        return None
+    return blocks if np.array_equal(_image(members, perm), members[blocks]) else None
 
 
 def _orbits(perms, n: int) -> _Orbits:
@@ -972,7 +1029,9 @@ def intersection_profile(design: Design) -> IntersectionProfile:
     When the design carries automorphisms, only one block of each block
     orbit O meets every block; a block's meets are constant on its orbit,
     so each pair is counted twice in the sum over O of |O| times those
-    meets, less the b meets of a block with itself.
+    meets, less the b meets of a block with itself.  The representatives
+    are taken by orbit size, and the meets of those of one size are
+    histogrammed together (_orbit_meets).
     """
     k = design.k
     counts = np.zeros(k + 1, dtype=np.int64)
@@ -981,18 +1040,50 @@ def intersection_profile(design: Design) -> IntersectionProfile:
         _add_meets(counts, design._rows)
         return IntersectionProfile(tuple(int(c) for c in counts))
     rows, blocks = design._rows, symmetry[1]
-    n, nwords = rows.shape
-    # Slices of representatives whose meets with all rows fill about
-    # _CHUNK_WORDS words; meets of the i-th go to bins i(k+1) .. i(k+1)+k.
-    step = max(1, _CHUNK_WORDS // max(1, n * nwords))
-    for lo in range(0, len(blocks.reps), step):
-        reps = blocks.reps[lo : lo + step]
-        meets = _popcounts(rows[reps, None] & rows) + np.arange(
-            0, len(reps) * (k + 1), k + 1
-        )[:, None]
-        per_rep = np.bincount(meets.ravel(), minlength=len(reps) * (k + 1))
-        counts += blocks.sizes[lo : lo + step] @ per_rep.reshape(len(reps), k + 1)
-    counts[k] -= n
+    sizes, group = np.unique(blocks.sizes, return_inverse=True)
+    for i, size in enumerate(sizes.tolist()):
+        counts += size * _orbit_meets(rows, blocks.reps[group == i], k)
+    counts[k] -= len(rows)
     if (counts % 2).any():
         raise DesignError("the orbit counts of the intersection profile are odd")
     return IntersectionProfile(tuple(int(c) // 2 for c in counts))
+
+
+def _orbit_meets(rows, reps, k: int) -> np.ndarray:
+    """The histogram (k+1 bins) of the popcounts of rows[i] & rows[j] over
+    every i in reps and every row j, i itself included.
+
+    A slice of reps meets all rows in one call, about _CHUNK_WORDS words
+    of ANDed rows, and its meets are popcounts in the smallest unsigned
+    type that holds k.  When k < 256 and reps have at least _PAIR_MEETS
+    meets, the bytes are counted two at a time: read as uint16, they are
+    added in place into 65,536 bins (np.add.at reads them as they are,
+    where bincount would copy them to intp), half the increments of one
+    count per byte.  Pair (a, b) is one count in the row of one byte and
+    the column of the other, so the sums of the rows and of the columns
+    together count every byte; the last byte of an odd slice is counted alone.  Other
+    slices are bincounted.
+    """
+    n, nwords = rows.shape
+    dtype = np.min_scalar_type(k)
+    paired = dtype.itemsize == 1 and len(reps) * n >= _PAIR_MEETS
+    counts = np.zeros(256 if paired else k + 1, dtype=np.int64)
+    pairs = np.zeros(1 << 16 if paired else 0, dtype=np.int64)
+    step = max(1, _CHUNK_WORDS // max(1, n * nwords))
+    for lo in range(0, len(reps), step):
+        counted = np.bitwise_count(rows[reps[lo : lo + step], None] & rows)
+        if nwords == 1:  # a sum over one word costs more than the popcount
+            meets = counted.ravel()
+        else:
+            meets = counted.sum(axis=-1, dtype=dtype).ravel()
+        if not paired:
+            counts += np.bincount(meets, minlength=k + 1)
+            continue
+        even = meets.size - meets.size % 2
+        np.add.at(pairs, meets[:even].view(np.uint16), 1)
+        if even < meets.size:
+            counts[meets[-1]] += 1
+    if paired:
+        pairs = pairs.reshape(256, 256)
+        counts += pairs.sum(axis=0) + pairs.sum(axis=1)
+    return counts[: k + 1]

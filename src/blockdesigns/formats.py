@@ -27,6 +27,7 @@ through a table of point names built once per file.
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
@@ -306,11 +307,26 @@ def _integer(value) -> int:
     return value
 
 
+def _integer_blocks(blocks) -> tuple[tuple[int, ...], ...]:
+    """The blocks of a JSON object as tuples of their points, each an int;
+    TypeError as from _integer for the first point that is not one, or
+    from iterating what is not a list.  The points are looked at one by
+    one only when the types of all of them, taken at once, are not just
+    int; Design then reads the tuples into one array."""
+    try:
+        rows = tuple(map(tuple, blocks))
+        if set(map(type, itertools.chain.from_iterable(rows))) <= {int}:
+            return rows
+    except TypeError:
+        pass
+    return tuple(tuple(_integer(p) for p in block) for block in blocks)
+
+
 def design_from_dict(data: dict) -> Design:
     try:
         v = _integer(data["v"])
         k = _integer(data["k"])
-        blocks = tuple(tuple(_integer(p) for p in block) for block in data["blocks"])
+        blocks = _integer_blocks(data["blocks"])
         declared_b = _integer(data.get("b", len(blocks)))
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bad design object: {exc}") from exc

@@ -83,14 +83,17 @@ def trivial_design(v: int, k: int) -> Design:
     return Design(points=PointSet(v), blocks=blocks, k=k)
 
 
-def _resolution_from_classes(points: PointSet, classes, automorphisms=()):
+def _resolution_from_classes(points: PointSet, classes, automorphisms=(),
+                             block_perms=()):
     """Assemble a design plus resolution from the blocks of each class, as
     an array (class, position, point) or nested sequences numpy reads as
     one; block i * w + j is the j-th block of class i, and the design
-    carries the given automorphisms."""
+    carries the given automorphisms with their block permutations, if
+    any (see Design._from_members)."""
     classes = np.asarray(classes)
     count, w, k = classes.shape
-    design = Design._from_members(points, classes.reshape(count * w, k), automorphisms)
+    design = Design._from_members(points, classes.reshape(count * w, k),
+                                  automorphisms, block_perms)
     refs = np.arange(count * w).reshape(count, w).tolist()
     return design, Resolution(design, tuple(ParallelClass(tuple(r)) for r in refs))
 
@@ -247,7 +250,10 @@ def cyclic_develop(spec: CyclicBaseSpec) -> tuple[Design, Resolution]:
     """Develop the base class through Z_n: translate t maps x < n to
     (x+t) mod n and fixes the point n.  Classes are the n translates, all
     developed at once as an array (translate, block, point), and the
-    design carries the translate x -> x+1 as its automorphism."""
+    design carries the translate x -> x+1 as its automorphism, with the
+    block permutation it is known to induce: block j of class t goes to
+    block j of class (t+1) mod n.  Design._symmetry checks that claim
+    instead of searching for the permutation."""
     n = spec.n
     _check_size(f"the development of a base class through Z_{n}", spec.v,
                 n * len(spec.base_class), spec.k)
@@ -257,4 +263,6 @@ def cyclic_develop(spec: CyclicBaseSpec) -> tuple[Design, Resolution]:
     classes.sort(axis=-1)
     points = cyclic_point_set(n, spec.has_infinity)
     shift = tuple(range(1, n)) + (0,) + ((n,) if spec.has_infinity else ())
-    return _resolution_from_classes(points, classes, (shift,))
+    w = len(spec.base_class)
+    blocks = (np.arange(n * w) + w) % (n * w)
+    return _resolution_from_classes(points, classes, (shift,), (blocks,))

@@ -121,9 +121,14 @@ def _class_check(design: Design, refs: tuple[int, ...]) -> str | None:
 
 def verify_resolution(design: Design, res: Resolution) -> CheckResult:
     """Check that res partitions design's block instances into parallel
-    classes; the result is falsy with a reason when it does not."""
+    classes; the result is falsy with a reason when it does not.
+
+    The verdict is one array check (_partitions_blocks); the classes are
+    looked at one by one only to word what fails."""
     if res.design != design:
         return CheckResult(False, "resolution refers to a different design")
+    if _partitions_blocks(design, res):
+        return CheckResult(True)
     used: list[int] = []
     for index, cls in enumerate(res.classes):
         problem = _class_check(design, cls.block_refs)
@@ -138,6 +143,24 @@ def verify_resolution(design: Design, res: Resolution) -> CheckResult:
         missing = min(set(range(b)) - set(used))
         return CheckResult(False, f"block instance {missing} is in no class")
     return CheckResult(True)
+
+
+def _partitions_blocks(design: Design, res: Resolution) -> bool:
+    """True when the classes of res form an r x w array of block indices,
+    w = v/k, in which every block occurs once, and the blocks of each
+    class cover every point once: the points of class i, offset by i*v,
+    have a bincount of all ones."""
+    v, k, b = design.points.size, design.k, len(design._members)
+    w = v // k
+    if v % k or any(len(cls.block_refs) != w for cls in res.classes):
+        return False
+    refs = np.array([cls.block_refs for cls in res.classes], dtype=np.intp)
+    refs = refs.reshape(len(res.classes), w)
+    if refs.size != b or (np.bincount(refs.ravel(), minlength=b) != 1).any():
+        return False
+    offsets = np.arange(len(refs))[:, None, None] * v
+    points = design._members[refs] + offsets
+    return bool((np.bincount(points.ravel(), minlength=len(refs) * v) == 1).all())
 
 
 def _block_ranks(members) -> list[int]:

@@ -54,6 +54,35 @@ def naive_is_trivial(v, k, blocks) -> bool:
     return naive_is_simple(blocks) and set(map(frozenset, blocks)) == set(map(frozenset, every))
 
 
+def naive_is_automorphism(v, blocks, perm, block_perm=None) -> bool:
+    """perm (the images of 0..v-1) is a permutation that maps the blocks
+    onto themselves as a multiset of point sets; with block_perm, a
+    permutation of the block indices, it maps block i onto block
+    block_perm[i] for every i."""
+    if sorted(perm) != list(range(v)):
+        return False
+    images = [frozenset(perm[p] for p in block) for block in blocks]
+    sets = [frozenset(block) for block in blocks]
+    if block_perm is None:
+        return sorted(map(sorted, images)) == sorted(map(sorted, sets))
+    if sorted(block_perm) != list(range(len(blocks))):
+        return False
+    return all(images[i] == sets[j] for i, j in enumerate(block_perm))
+
+
+def naive_is_resolution(v, blocks, classes) -> bool:
+    """classes (lists of block indices) partition the block instances into
+    classes of disjoint blocks that cover all v points."""
+    refs = [ref for cls in classes for ref in cls]
+    if sorted(refs) != list(range(len(blocks))):
+        return False
+    for cls in classes:
+        points = [p for ref in cls for p in blocks[ref]]
+        if sorted(points) != list(range(v)):
+            return False
+    return True
+
+
 def naive_pair_replication(v, blocks) -> dict:
     return naive_spectrum(v, blocks, 2)
 

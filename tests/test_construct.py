@@ -190,6 +190,9 @@ def test_union_matches_naive_union(case):
     listed = sorted(blocks)
     for g in built.design.automorphisms:
         assert sorted(tuple(sorted(g[p] for p in b)) for b in blocks) == listed
+    # The block permutations the construction supplies pass the exact check.
+    assert len(built.design._block_perms) == len(kept)
+    built.design._symmetry
 
 
 def test_designs_built_from_arrays_keep_them(monkeypatch, tmp_path):
@@ -696,6 +699,17 @@ def test_catalog_construction_counts_on_the_orbits_of_z29(repro):
     points, blocks = design._symmetry
     assert points.reps.tolist() == [0, 29] and points.sizes.tolist() == [29, 1]
     assert len(blocks.reps) == 252 and blocks.sizes.sum() == 7308
+
+
+def test_catalog_designs_supply_the_block_permutations_the_search_finds(repro):
+    for report in repro.values():
+        for design in (report.master, report.constructed.design):
+            assert len(design._block_perms) == len(design.automorphisms) == 1
+            searched = Design._from_members(design.points, design._members,
+                                            design.automorphisms)
+            for supplied, found in zip(design._symmetry, searched._symmetry):
+                assert np.array_equal(supplied.reps, found.reps)
+                assert np.array_equal(supplied.sizes, found.sizes)
 
 
 def test_construction_drops_an_automorphism_the_indexing_design_breaks(ag23):

@@ -37,6 +37,7 @@ from oracles import (
     DivisibilityViolation,
     naive_block_problem,
     naive_coverage,
+    naive_is_automorphism,
     naive_is_simple,
     naive_is_trivial,
     naive_profile,
@@ -746,6 +747,39 @@ def test_orbit_counts_match_naive_oracles(design):
     assert list(intersection_profile(design).counts) == naive_profile(blocks)
 
 
+@st.composite
+def orbit_designs(draw):
+    """Blocks on Z_n (up to 72 points, so rows of one or two words), each
+    developed through Z_n: a block that is a union of cosets of dZ_n,
+    whose orbit has at most d blocks and holds each n/d times over, and
+    up to three random blocks; the translate x -> x+1 is an automorphism
+    of each."""
+    n = draw(st.integers(4, 40) | st.integers(65, 72))
+    d = draw(st.sampled_from([d for d in range(2, n) if n % d == 0] or [n]))
+    cosets = draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=d - 1,
+                           unique=True))
+    k = len(cosets) * (n // d)
+    assume(2 <= k < n)
+    base = [[x + j * d for x in cosets for j in range(n // d)]]
+    base += draw(st.lists(st.lists(st.integers(0, n - 1), min_size=k, max_size=k,
+                                   unique=True), max_size=3))
+    blocks = tuple(_translate(block, t, n) for block in base for t in range(n))
+    shift = tuple(range(1, n)) + (0,)
+    return Design(PointSet(n), blocks, k, automorphisms=(shift,))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(orbit_designs(), st.integers(1, 3), st.booleans())
+def test_orbit_profile_matches_the_plain_profile(design, step, pairs):
+    # step representatives per AND, and byte pairs counted from the first
+    # meet or never.
+    plain = intersection_profile(dataclasses.replace(design, automorphisms=()))
+    n, nwords = design._rows.shape
+    with mock.patch.multiple(core, _CHUNK_WORDS=step * n * nwords,
+                             _PAIR_MEETS=0 if pairs else 1 << 30):
+        assert intersection_profile(design) == plain
+
+
 @pytest.mark.parametrize("t", [1, 2, 3])
 def test_orbit_counts_skip_points_in_no_block(t):
     # The cyclic Fano plane on points 0..6 plus a point 7 in no block,
@@ -817,6 +851,96 @@ def test_is_automorphism_refuses_non_integer_images():
     assert not is_automorphism(design, (1.0, 0.0, 3.0, 2.0))
     assert not is_automorphism(design, (1, 0, 3, 4))
     assert not is_automorphism(design, ())
+
+
+# --- block permutations supplied with the automorphisms ----------------------
+
+def _matched_block_permutation(blocks, perm):
+    """Block i -> the first unused block j equal to perm(block i), or None
+    when some image is no block left: the block permutation the search
+    finds, where equal blocks are matched in index order."""
+    free: dict[frozenset, list[int]] = {}
+    for j, block in enumerate(blocks):
+        free.setdefault(frozenset(block), []).append(j)
+    matched = []
+    for block in blocks:
+        targets = free.get(frozenset(perm[p] for p in block))
+        if not targets:
+            return None
+        matched.append(targets.pop(0))
+    return matched
+
+
+@st.composite
+def supplied_permutations(draw, kind):
+    """(design, block_perm): a developed design and a claimed block
+    permutation of its shift, of one of SUPPLIED_KINDS: the one the search
+    finds, that one with the images of two equal blocks or of two unequal
+    blocks swapped, or not a permutation of the blocks."""
+    design = draw(developed_designs())
+    blocks, shift = design.blocks, design.automorphisms[0]
+    block_perm = _matched_block_permutation(blocks, shift)
+    b = len(blocks)
+    i, j = draw(st.permutations(range(b)))[:2]
+    pairs = [(i, j) for i in range(b) for j in range(i + 1, b)
+             if (blocks[block_perm[i]] == blocks[block_perm[j]]) == (kind == "equal swap")]
+    if kind.endswith("swap"):
+        assume(pairs)
+        i, j = draw(st.sampled_from(pairs))
+        block_perm[i], block_perm[j] = block_perm[j], block_perm[i]
+    elif kind == "repeat":
+        block_perm[i] = block_perm[j]
+    elif kind == "out of range":
+        block_perm[i] = draw(st.sampled_from([-1, b]))
+    elif kind == "short":
+        block_perm.pop()
+    return design, block_perm
+
+
+SUPPLIED_KINDS = ["found", "equal swap", "unequal swap", "repeat", "out of range",
+                  "short"]
+
+
+@pytest.mark.parametrize("kind", SUPPLIED_KINDS)
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_supplied_block_permutations_are_checked_exactly(kind, data):
+    searched, block_perm = data.draw(supplied_permutations(kind))
+    v, blocks, automorphisms = searched.points.size, searched.blocks, searched.automorphisms
+    supplied = Design._from_members(searched.points, searched._members,
+                                    automorphisms, (np.array(block_perm),))
+    if not naive_is_automorphism(v, blocks, automorphisms[0], block_perm):
+        assert kind not in ("found", "equal swap")
+        with pytest.raises(DesignError, match="automorphism 0 does not map the blocks"):
+            supplied._symmetry
+        return
+    assert kind in ("found", "equal swap")
+    points, orbits = supplied._symmetry
+    search_points, search_orbits = searched._symmetry
+    assert np.array_equal(points.reps, search_points.reps)
+    assert np.array_equal(points.sizes, search_points.sizes)
+    assert orbits.sizes.sum() == len(blocks)
+    if kind == "found":
+        assert np.array_equal(orbits.reps, search_orbits.reps)
+        assert np.array_equal(orbits.sizes, search_orbits.sizes)
+    for t in range(2, min(3, searched.k) + 1):
+        assert t_coverage_spectrum(supplied, t) == t_coverage_spectrum(searched, t)
+    assert intersection_profile(supplied) == intersection_profile(searched)
+
+
+def test_replace_drops_supplied_block_permutations():
+    design = cyclic_develop(catalog_entry("3-(24,12,15)").base)[0]
+    assert len(design._block_perms) == 1
+    for automorphisms in (design.automorphisms, ()):
+        copy = dataclasses.replace(design, automorphisms=automorphisms)
+        assert copy == design and copy._block_perms == ()
+    # A false point permutation is refused with or without a supplied one.
+    claim = ((1, 0) + tuple(range(2, 24)),)
+    for design in (Design._from_members(design.points, design._members, claim,
+                                        design._block_perms),
+                   dataclasses.replace(design, automorphisms=claim)):
+        with pytest.raises(DesignError, match="automorphism 0 does not map the blocks"):
+            design._symmetry
 
 
 # --- the paper's nontriviality bound (an oracle closed form) ------------------

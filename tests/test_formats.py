@@ -227,6 +227,44 @@ def test_load_design_or_resolution_reads_either_flavor(tmp_path):
         load_design_or_resolution(tmp_path / "bad.txt")
 
 
+def _point_by_point(blocks):
+    """The blocks of a JSON object read one point at a time, or the
+    message of the first point that is not an int (bools are not)."""
+    try:
+        rows = []
+        for block in blocks:
+            row = []
+            for p in block:
+                if isinstance(p, bool) or not isinstance(p, int):
+                    raise TypeError(f"{p!r} is not an integer")
+                row.append(p)
+            rows.append(tuple(row))
+    except TypeError as exc:
+        return f"bad design object: {exc}"
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("blocks", [
+    [[0, True], [2, 3]], [[0, 1], [2, False]], [[0, 1.0], [2, 3]],
+    [[0, 1], [2, 3.5]], [["0", 1], [2, 3]], [[0, 1], 5], [[1.5], 5], 7, None,
+    "ab", [[0, 1], [2, None]], [[0, 1], {"a": 1}], [[0, 1], [2, [3]]],
+    [[0, 1], [2, 3]],
+], ids=repr)
+def test_json_blocks_fail_as_when_read_point_by_point(blocks):
+    data = {"v": 4, "k": 2, "b": 2, "blocks": blocks}
+    expected = _point_by_point(blocks)
+    if isinstance(expected, str):
+        with pytest.raises(FormatError) as exc:
+            design_from_dict(data)
+        assert str(exc.value) == expected
+    else:
+        assert design_from_dict(data).blocks == expected
+    del data["blocks"]
+    with pytest.raises(FormatError) as exc:
+        design_from_dict(data)
+    assert str(exc.value) == "bad design object: 'blocks'"
+
+
 def test_values_must_be_integers():
     # int() would truncate a float, overflow on Infinity and accept a bool;
     # str.isdigit() accepts a superscript digit that int() refuses.

@@ -25,7 +25,7 @@ from blockdesigns.resolution import (
     verify_resolution,
 )
 
-from oracles import naive_prp_witness, naive_resolutions
+from oracles import naive_is_resolution, naive_prp_witness, naive_resolutions
 
 K4_FACTORIZATION = [(0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2)]
 
@@ -82,6 +82,33 @@ def test_verify_translate_classes_of_cyclic_master():
     assert verify_resolution(master, res)
     assert len(res.classes) == 29
     assert all(len(cls.block_refs) == 6 for cls in res.classes)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(data=st.data())
+def test_verify_agrees_with_naive_check_on_altered_classes(data):
+    design, res = data.draw(_random_resolutions())
+    classes = [list(cls.block_refs) for cls in res.classes]
+    b = len(design._members)
+    change = data.draw(st.sampled_from(
+        ["none", "swap", "replace", "drop ref", "drop class", "add ref"]))
+    i, j = data.draw(st.permutations(range(len(classes))))[:2]
+    x = data.draw(st.integers(0, len(classes[i]) - 1))
+    if change == "swap":
+        y = data.draw(st.integers(0, len(classes[j]) - 1))
+        classes[i][x], classes[j][y] = classes[j][y], classes[i][x]
+    elif change == "replace":
+        classes[i][x] = data.draw(st.integers(0, b - 1))
+    elif change == "drop ref":
+        del classes[i][x]
+    elif change == "drop class":
+        del classes[i]
+    elif change == "add ref":
+        classes[i].append(data.draw(st.integers(0, b - 1)))
+    altered = Resolution(design, tuple(ParallelClass(tuple(c)) for c in classes))
+    result = verify_resolution(design, altered)
+    assert bool(result) == naive_is_resolution(design.points.size, design.blocks, classes)
+    assert (result.reason is None) == bool(result)
 
 
 def test_out_of_range_ref_rejected_at_construction():
