@@ -1040,9 +1040,8 @@ def intersection_profile(design: Design) -> IntersectionProfile:
         _add_meets(counts, design._rows)
         return IntersectionProfile(tuple(int(c) for c in counts))
     rows, blocks = design._rows, symmetry[1]
-    sizes, group = np.unique(blocks.sizes, return_inverse=True)
-    for i, size in enumerate(sizes.tolist()):
-        counts += size * _orbit_meets(rows, blocks.reps[group == i], k)
+    for size in np.unique(blocks.sizes).tolist():
+        counts += size * _orbit_meets(rows, blocks.reps[blocks.sizes == size], k)
     counts[k] -= len(rows)
     if (counts % 2).any():
         raise DesignError("the orbit counts of the intersection profile are odd")
