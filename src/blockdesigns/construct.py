@@ -3,17 +3,20 @@
 Given a resolvable master design and an indexing design on w = v/k points,
 each block C of the indexing design turns every parallel class of the
 master into a constructed block: the union of the class's blocks at the
-positions named by C.  This module builds those designs, predicts their
-parameters exactly, and applies the PRP criterion for simplicity.  One
-formula, triple_coverage_by_alpha, gives the constructed coverage of a
-triple from alpha, the number of master blocks through it; the result is
-a 3-design when that value does not depend on alpha, which
-classify_three_design decides from the parameters' structure alone.
+positions named by C.  Constructed block i * b' + c, b' the indexing
+blocks, is the pair (master class i, indexing block c): its provenance,
+the inherited resolutions and the kept master automorphisms (classes
+matched by block content) are arithmetic on that order.  This module
+builds those designs, predicts their parameters exactly, and applies the
+PRP criterion for simplicity.  One formula, triple_coverage_by_alpha,
+gives the constructed coverage of a triple from alpha, the number of
+master blocks through it; the result is a 3-design when that value does
+not depend on alpha, which classify_three_design decides from the
+parameters' structure alone.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -34,6 +37,7 @@ from .core import (
 from .resolution import (
     ParallelClass,
     Resolution,
+    _block_ranks,
     prp_violations,
     verify_resolution,
 )
@@ -157,16 +161,19 @@ def measure_params(design: Design) -> DesignParams:
 
 @dataclass(frozen=True)
 class ConstructedDesign:
-    """Output of the union construction with per-block provenance:
-    provenance[i] = (master class index, indexing block index)."""
+    """Output of the union construction and the indexing design it used:
+    block i * b' + c, b' the indexing blocks, unions master class i at the
+    positions of indexing block c."""
 
     design: Design
-    provenance: tuple[tuple[int, int], ...]
     indexing: Design
 
-    def __post_init__(self) -> None:
-        if len(self.provenance) != len(self.design._members):
-            raise DesignError("provenance must cover every constructed block")
+    @property
+    def provenance(self) -> tuple[tuple[int, int], ...]:
+        """provenance[n] = (master class index, indexing block index) of
+        block n: divmod(n, b')."""
+        b_prime = len(self.indexing._members)
+        return tuple(divmod(n, b_prime) for n in range(len(self.design._members)))
 
 
 class ThreeDesignCase(Enum):
@@ -250,25 +257,23 @@ def shrikhande_raghavarao(
     refs = np.array(
         [cls.block_refs for cls in master_res.classes], dtype=np.intp
     ).reshape(len(master_res.classes), w)
-    classes = master._members[refs]  # class, position, point
     # Class i, indexing block c: the points of the class's blocks at c.
-    unions = classes[:, indexing._members].reshape(-1, master.k * indexing.k)
+    unions = master._members[refs[:, indexing._members]]
+    unions = unions.reshape(-1, master.k * indexing.k)
     unions.sort(axis=1)
     constructed = Design._from_members(
-        master.points, unions, *_kept_automorphisms(master, classes, indexing)
+        master.points, unions, *_kept_automorphisms(master, refs, indexing)
     )
-    provenance = itertools.product(range(len(refs)), range(len(indexing._members)))
-    return ConstructedDesign(constructed, tuple(provenance), indexing)
+    return ConstructedDesign(constructed, indexing)
 
 
 def _kept_automorphisms(
-    master: Design, classes: np.ndarray, indexing: Design
+    master: Design, refs: np.ndarray, indexing: Design
 ) -> tuple[tuple, tuple]:
     """(kept, block_perms): the master automorphisms g that are
     automorphisms of the union construction as well, and the block
-    permutation each induces on the constructed blocks; `classes` holds
-    the master's resolution as an array of points (class, position,
-    point).
+    permutation each induces on the constructed blocks; `refs` holds the
+    master's resolution as an array of block indices (class, position).
 
     g is kept when the classes can be matched one to one, i -> j, so that
     g maps the blocks of class i onto those of class j and the position
@@ -278,30 +283,32 @@ def _kept_automorphisms(
     class i at the positions of indexing block c onto the union of class
     j at those of block pi_sigma(c): constructed block i * b' + c goes to
     j * b' + pi_sigma(c), b' the indexing blocks; the constructed
-    design's _symmetry checks that claim.  Raises DesignError when a
+    design's _permutations checks that claim.  Raises DesignError when a
     master automorphism does not check out.
 
-    The indexing blocks are ordered once, and each sigma is checked once.
-    The classes are matched all at once, equal classes in index order;
-    only when that matching fails and some classes hold the same blocks
-    is a matching searched for class by class, each class taking the
-    first free one it may.  That finds a matching whenever one exists:
-    with o_i the map from positions to blocks of class i and gamma the map
-    g induces on blocks, sigma = o_j^-1 gamma o_i is an indexing
-    automorphism exactly when o_j and gamma o_i lie in one coset of the
-    indexing automorphism group, so classes i of one coset may all take
-    the same classes j, and no choice among them blocks another.
+    Classes are compared by block content: the master's check of g
+    (Design._permutations) names the block each block goes to, and a
+    class is the ascending row of its blocks' content ranks, which are
+    distinct, as its blocks are disjoint.  The indexing blocks are
+    ordered once, and each sigma is checked once.  The classes are
+    matched all at once, equal classes in index order; only when that
+    matching fails and some classes hold the same blocks is a matching
+    searched for class by class, each class taking the first free one it
+    may.  That finds a matching whenever one exists: with o_i the map
+    from positions to blocks of class i and gamma the map g induces on
+    blocks, sigma = o_j^-1 gamma o_i is an indexing automorphism exactly
+    when o_j and gamma o_i lie in one coset of the indexing automorphism
+    group, so classes i of one coset may all take the same classes j, and
+    no choice among them blocks another.
     """
-    # The master's orbits are only needed here to check its automorphisms.
-    if master._symmetry is None or not len(classes):
+    _, moves = master._permutations
+    if not moves or not len(refs):
         return (), ()
-    v = master.points.size
-    count, w, _ = classes.shape
-    position = np.empty((count, v), dtype=np.intp)
-    position[np.arange(count)[:, None, None], classes] = np.arange(w)[:, None]
-    partitions = _partitions(classes, v)
-    order = _row_order(partitions)
-    listed = partitions[order]
+    ranks = _block_ranks(master._members)
+    positions = np.argsort(ranks[refs], axis=1)
+    rows = np.sort(ranks[refs], axis=1)
+    order = _row_order(rows)
+    listed = rows[order]
     repeated = bool((listed[1:] == listed[:-1]).all(axis=1).any())
     members = indexing._members
     indexing_order = _row_order(members)
@@ -316,57 +323,48 @@ def _kept_automorphisms(
                                             indexing_listed)
         return found[key]
 
-    def block_perm(match, image) -> np.ndarray | None:
-        pis = []
-        for sigma in position[match[:, None], image[:, :, 0]]:
-            pi = induced(sigma)
-            if pi is None:
-                return None
-            pis.append(pi)
+    def block_perm(match, back) -> np.ndarray | None:
+        pis = [induced(sigma) for sigma in positions[match[:, None], back]]
+        if any(pi is None for pi in pis):
+            return None
         return (match[:, None] * len(members) + np.array(pis)).ravel()
 
     kept, block_perms = [], []
-    for gen in master.automorphisms:
-        image = np.asarray(gen).astype(classes.dtype)[classes]
-        image_partitions = _partitions(image, v)
-        match = _row_matching(image_partitions, order, listed)
-        perm = None if match is None else block_perm(match, image)
+    for gen, move in zip(master.automorphisms, moves):
+        image = ranks[move[refs]]
+        image_rows = np.sort(image, axis=1)
+        # Position p of image class i holds the back[i, p]-th rank of its
+        # row, which class j holds at positions[j, back[i, p]]: sigma.
+        back = np.argsort(np.argsort(image, axis=1), axis=1)
+        match = _row_matching(image_rows, order, listed)
+        perm = None if match is None else block_perm(match, back)
         if perm is None and match is not None and repeated:
             match = _first_free_matching(
-                image_partitions, partitions,
-                lambda i, j: induced(position[j, image[i, :, 0]]) is not None)
-            perm = None if match is None else block_perm(match, image)
+                image_rows, rows,
+                lambda i, j: induced(positions[j, back[i]]) is not None)
+            perm = None if match is None else block_perm(match, back)
         if perm is not None:
             kept.append(gen)
             block_perms.append(perm)
     return tuple(kept), tuple(block_perms)
 
 
-def _first_free_matching(image_partitions, partitions, respects):
-    """The match i -> j of image partition i to an equal class partition
-    j, each i in turn taking the first free j with respects(i, j), or None
-    when some i finds none."""
-    by_partition: dict[bytes, list[int]] = {}
-    for j, row in enumerate(partitions):
-        by_partition.setdefault(row.tobytes(), []).append(j)
-    match = np.empty(len(partitions), dtype=np.intp)
-    for i, row in enumerate(image_partitions):
-        free = by_partition[row.tobytes()]
+def _first_free_matching(image_rows, rows, respects):
+    """The match i -> j of image row i to an equal class row j, each i in
+    turn taking the first free j with respects(i, j), or None when some i
+    finds none."""
+    by_row: dict[bytes, list[int]] = {}
+    for j, row in enumerate(rows):
+        by_row.setdefault(row.tobytes(), []).append(j)
+    match = np.empty(len(rows), dtype=np.intp)
+    for i, row in enumerate(image_rows):
+        free = by_row[row.tobytes()]
         j = next((j for j in free if respects(i, j)), None)
         if j is None:
             return None
         free.remove(j)
         match[i] = j
     return match
-
-
-def _partitions(classes: np.ndarray, v: int) -> np.ndarray:
-    """Each class of blocks (class, position, point) as a partition of
-    0..v-1, a row of every point's least block mate."""
-    count = len(classes)
-    least = np.empty((count, v), dtype=classes.dtype)
-    least[np.arange(count)[:, None, None], classes] = classes.min(axis=2)[..., None]
-    return least
 
 
 def predict_ibd_params(
@@ -464,19 +462,17 @@ def inherited_resolution(
     constructed: ConstructedDesign, indexing_res: Resolution
 ) -> Resolution:
     """Group constructed blocks by (master class, indexing class): when the
-    indexing design is resolvable, so is the constructed design."""
+    indexing design is resolvable, so is the constructed design.  Class
+    (i, C) holds the blocks i * b' + c for c in C, b' the indexing blocks,
+    and the classes are ordered by i and then by the index of C."""
     check = verify_resolution(constructed.indexing, indexing_res)
     if not check:
         raise DesignError(f"indexing resolution invalid: {check.reason}")
-    class_of_block: dict[int, int] = {}
-    for ci, cls in enumerate(indexing_res.classes):
-        for ref in cls.block_refs:
-            class_of_block[ref] = ci
-    groups: dict[tuple[int, int], list[int]] = {}
-    for pos, (i, ci) in enumerate(constructed.provenance):
-        groups.setdefault((i, class_of_block[ci]), []).append(pos)
+    b_prime = len(constructed.indexing._members)
+    count = len(constructed.design._members) // b_prime if b_prime else 0
     classes = tuple(
-        ParallelClass(tuple(groups[key])) for key in sorted(groups)
+        ParallelClass(tuple(i * b_prime + c for c in sorted(cls.block_refs)))
+        for i in range(count) for cls in indexing_res.classes
     )
     result = Resolution(constructed.design, classes)
     check = verify_resolution(constructed.design, result)

@@ -36,7 +36,7 @@ than the bound (``_capped_comb``).
 A design may carry point permutations that map its blocks onto themselves
 (``Design.automorphisms``; the generators and the union construction
 supply them, design files never do).  They are checked exactly on first
-use (``Design._symmetry``), and a false one raises DesignError.  Where a
+use (``Design._permutations``), and a false one raises DesignError.  Where a
 generator knows the block permutation an automorphism induces
 (``cyclic_develop``, and the union construction for each master
 automorphism it keeps), it supplies that too, and the check verifies it
@@ -219,12 +219,12 @@ class Design:
 
     `automorphisms` holds point permutations, each as the tuple of images
     of 0..v-1, that map the blocks onto themselves.  They are a claim that
-    `_symmetry` checks on first use; the verifiers then count once per
-    orbit.  A design built by `_from_members` may also hold the block
-    permutation each induces, another claim `_symmetry` checks; the
-    constructor and `dataclasses.replace` keep none.  None of these take
-    part in equality or hashing: the points, k and the block rows in
-    order decide both.
+    `_permutations` checks on first use; the verifiers then count once per
+    orbit (`_symmetry`).  A design built by `_from_members` may also hold
+    the block permutation each induces, another claim `_permutations`
+    checks; the constructor and `dataclasses.replace` keep none.  None of
+    these take part in equality or hashing: the points, k and the block
+    rows in order decide both.
     """
 
     points: PointSet
@@ -263,7 +263,7 @@ class Design:
         _block_array checks tuples, with the same errors, and kept as
         `_members` in the smallest unsigned type that holds every point,
         so it is never built again.  `block_perms` may give the block
-        permutation of each automorphism (see _symmetry)."""
+        permutation of each automorphism (see _permutations)."""
         design = cls.__new__(cls)
         design.__dict__.update(points=points, k=members.shape[1],
                                automorphisms=automorphisms, _members=members,
@@ -342,9 +342,9 @@ class Design:
         return blocks, starts
 
     @cached_property
-    def _symmetry(self) -> tuple[_Orbits, _Orbits] | None:
-        """The point and block orbits of the group the automorphisms
-        generate, or None when there are none.
+    def _permutations(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """(points, blocks): each automorphism as an array of point images,
+        and its block permutation, entry j the block it maps block j onto.
 
         A block permutation supplied with an automorphism is checked in
         one pass: it must permute 0..b-1, and the image of each block must
@@ -354,8 +354,6 @@ class Design:
         not a permutation of 0..v-1, or does not map the block multiset
         onto itself as a supplied block permutation says or at all.
         """
-        if not self.automorphisms:
-            return None
         v = self.points.size
         members = self._members
         supplied = self._block_perms or (None,) * len(self.automorphisms)
@@ -381,7 +379,16 @@ class Design:
                 )
             point_perms.append(perm)
             block_perms.append(blocks)
-        return _orbits(point_perms, v), _orbits(block_perms, len(members))
+        return tuple(point_perms), tuple(block_perms)
+
+    @cached_property
+    def _symmetry(self) -> tuple[_Orbits, _Orbits] | None:
+        """The point and block orbits of the group the automorphisms
+        generate (checked by _permutations), or None when there are none."""
+        if not self.automorphisms:
+            return None
+        points, blocks = self._permutations
+        return _orbits(points, self.points.size), _orbits(blocks, len(self._members))
 
 
 def _packed_rows(members: np.ndarray, nwords: int) -> np.ndarray:

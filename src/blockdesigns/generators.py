@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_POINTS, Block, Design, DesignError, PointSet, _capped_comb
+from .core import (MAX_POINTS, Block, Design, DesignError, PointSet, _block_array,
+                   _capped_comb)
 from .galois import GaloisError, field
 from .resolution import ParallelClass, Resolution
 
@@ -217,25 +218,19 @@ class CyclicBaseSpec:
     base_class: tuple[Block, ...]
 
     def __post_init__(self) -> None:
+        """Check the blocks as a design's (_block_array), then the cover."""
         v = self.v
         if not self.base_class:
             raise InvalidBaseClass("base class has no blocks")
-        k = len(self.base_class[0])
-        seen: set[int] = set()
-        for block in self.base_class:
-            if len(block) != k:
-                raise InvalidBaseClass(f"block {block} has size {len(block)}, expected {k}")
-            if tuple(sorted(block)) != tuple(block) or len(set(block)) != k:
-                raise InvalidBaseClass(f"block {block} is not strictly increasing")
-            if block[0] < 0 or block[-1] >= v:
-                raise InvalidBaseClass(f"block {block} has points outside 0..{v - 1}")
-            if seen & set(block):
-                raise InvalidBaseClass("base class blocks are not disjoint")
-            seen.update(block)
-        if len(seen) != v:
-            raise InvalidBaseClass(
-                f"base class covers {len(seen)} of {v} points"
-            )
+        try:
+            members = _block_array(self.base_class, self.k, v)
+        except DesignError as exc:
+            raise InvalidBaseClass(str(exc)) from None
+        cover = np.bincount(members.ravel())  # sized by the points given, not by v
+        if (cover > 1).any():
+            raise InvalidBaseClass("base class blocks are not disjoint")
+        if members.size != v:
+            raise InvalidBaseClass(f"base class covers {members.size} of {v} points")
 
     @property
     def v(self) -> int:
@@ -252,7 +247,7 @@ def cyclic_develop(spec: CyclicBaseSpec) -> tuple[Design, Resolution]:
     developed at once as an array (translate, block, point), and the
     design carries the translate x -> x+1 as its automorphism, with the
     block permutation it is known to induce: block j of class t goes to
-    block j of class (t+1) mod n.  Design._symmetry checks that claim
+    block j of class (t+1) mod n.  Design._permutations checks that claim
     instead of searching for the permutation."""
     n = spec.n
     _check_size(f"the development of a base class through Z_{n}", spec.v,

@@ -163,7 +163,7 @@ def _partitions_blocks(design: Design, res: Resolution) -> bool:
     return bool((np.bincount(points.ravel(), minlength=len(refs) * v) == 1).all())
 
 
-def _block_ranks(members) -> list[int]:
+def _block_ranks(members) -> np.ndarray:
     """The rank of each block in the lexicographic order of the blocks as
     point tuples, equal blocks sharing one rank: comparing ranks compares
     the blocks."""
@@ -171,7 +171,7 @@ def _block_ranks(members) -> list[int]:
     listed = members[order]
     rank = np.zeros(len(members), dtype=np.intp)
     rank[order[1:]] = np.cumsum((listed[1:] != listed[:-1]).any(axis=1))
-    return rank.tolist()
+    return rank
 
 
 def _canonical_order(ranks, classes) -> list[tuple[tuple, tuple[int, ...]]]:
@@ -276,7 +276,7 @@ def find_resolutions(
     try:
         _complete_resolution(
             design, limit, design._masks, through, meets, (1 << b) - 1, [],
-            [node_budget], found, _block_ranks(members),
+            [node_budget], found, _block_ranks(members).tolist(),
         )
     except SearchBudgetExceeded:
         raise SearchBudgetExceeded(

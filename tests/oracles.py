@@ -272,6 +272,21 @@ def naive_union(master_blocks, class_refs, indexing_blocks, generators=()):
     return tuple(blocks), tuple(provenance), tuple(kept)
 
 
+def naive_inherited_resolution(provenance, indexing_classes):
+    """The classes a constructed design inherits, as tuples of block
+    positions: the blocks with provenance (i, c) for c in the indexing
+    class C go to class (i, C), in increasing position, and the classes
+    are ordered by (i, index of C)."""
+    class_of_block = {}
+    for ci, refs in enumerate(indexing_classes):
+        for ref in refs:
+            class_of_block[ref] = ci
+    groups: dict[tuple[int, int], list[int]] = {}
+    for pos, (i, c) in enumerate(provenance):
+        groups.setdefault((i, class_of_block[c]), []).append(pos)
+    return tuple(tuple(groups[key]) for key in sorted(groups))
+
+
 def naive_block_lines(lines, first_lineno=1):
     """(blocks, None) for block lines read token by token as the text
     format asks: '#' starts a comment, blank lines are skipped, and every

@@ -54,6 +54,7 @@ from blockdesigns.resolution import (
 
 from oracles import (
     naive_coverage,
+    naive_inherited_resolution,
     naive_profile,
     naive_spectrum,
     naive_union,
@@ -229,10 +230,11 @@ def test_dimension_mismatch(ag23):
 
 
 def test_invalid_master_resolution_rejected():
-    design = make_design(4, [(0, 1), (2, 3), (0, 2), (1, 3)])
-    broken = Resolution(design, (ParallelClass((0, 1)),))
-    with pytest.raises(DesignError):
-        shrikhande_raghavarao(broken, make_design(2, [(0, 1)]))
+    design = make_design(6, [(0, 1), (2, 3), (4, 5), (0, 2), (1, 4), (3, 5)])
+    broken = Resolution(design, (ParallelClass((0, 1, 2)),))
+    with pytest.raises(DesignError, match="master resolution invalid: "
+                                          "block instance 3 is in no class"):
+        shrikhande_raghavarao(broken, make_design(3, [(0, 1)]))
 
 
 # --- parameter prediction -------------------------------------------------------
@@ -484,6 +486,12 @@ def test_predicted_triple_coverage_is_the_closed_form_on_affine_masters(
 
 # --- inherited resolutions -------------------------------------------------------
 
+def _inherited_refs(built, indexing_res):
+    inherited = inherited_resolution(built, indexing_res)
+    assert verify_resolution(built.design, inherited)
+    return tuple(cls.block_refs for cls in inherited.classes)
+
+
 def test_inherited_resolution_small():
     # K_4 pair indexing: the trivial (4,2) design resolved into one-factors
     from blockdesigns.generators import round_robin_one_factorization
@@ -492,19 +500,46 @@ def test_inherited_resolution_small():
     master = make_design(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
     master_res = Resolution(master, (ParallelClass((0, 1, 2, 3)),))
     built = shrikhande_raghavarao(master_res, idx_design)
-    inherited = inherited_resolution(built, idx_res)
-    assert len(inherited.classes) == 3
-    assert all(len(cls.block_refs) == 2 for cls in inherited.classes)
-    assert verify_resolution(built.design, inherited)
+    refs = _inherited_refs(built, idx_res)
+    assert refs == ((0, 1), (2, 3), (4, 5))
+    indexing_classes = [cls.block_refs for cls in idx_res.classes]
+    assert refs == naive_inherited_resolution(built.provenance, indexing_classes)
 
 
 def test_inherited_resolution_catalog(repro):
-    built = repro["3-(24,12,15)"].constructed
+    report = repro["3-(24,12,15)"]
+    built = report.constructed
     idx_res = find_resolutions(built.indexing, limit=1)[0]
-    inherited = inherited_resolution(built, idx_res)
-    assert len(inherited.classes) == 69
-    assert all(len(cls.block_refs) == 2 for cls in inherited.classes)
-    assert verify_resolution(built.design, inherited)
+    refs = _inherited_refs(built, idx_res)
+    assert len(refs) == 69 and all(len(cls) == 2 for cls in refs)
+    # The complement pairs of trivial(4, 2), class by master class.
+    assert refs[:3] == ((0, 5), (1, 4), (2, 3))
+    assert refs[-1] == (22 * 6 + 2, 22 * 6 + 3)
+    master_refs = [cls.block_refs for cls in report.master_res.classes]
+    blocks, provenance, _ = naive_union(
+        report.master.blocks, master_refs, built.indexing.blocks
+    )
+    assert blocks == built.design.blocks
+    indexing_classes = [cls.block_refs for cls in idx_res.classes]
+    assert refs == naive_inherited_resolution(provenance, indexing_classes)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(union_inputs())
+def test_inherited_resolution_matches_naive_grouping(case):
+    # Only a w = 4, k' = 2 indexing design can be resolvable here, hence
+    # the many examples.
+    res, refs, indexing = case
+    w, k_prime = indexing.points.size, indexing.k
+    found = find_resolutions(indexing, limit=1) if w % k_prime == 0 else []
+    if not found:
+        return
+    built = shrikhande_raghavarao(res, indexing)
+    _, provenance, _ = naive_union(res.design.blocks, refs, indexing.blocks)
+    indexing_classes = [cls.block_refs for cls in found[0].classes]
+    assert _inherited_refs(built, found[0]) == naive_inherited_resolution(
+        provenance, indexing_classes
+    )
 
 
 def test_inherited_resolution_rejects_non_resolution(repro):

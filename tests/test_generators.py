@@ -155,6 +155,11 @@ def test_sub_factorization_k8(k8_subfac):
     assert len(restricting) == 3  # those classes contain a K_4 one-factor
 
 
+def test_sub_factorization_needs_n_at_least_2():
+    with pytest.raises(DesignError, match="need n >= 2, got 1"):
+        sub_factorization_embedding(1)
+
+
 def test_sub_factorization_k12_has_alpha3_swap():
     design, res = sub_factorization_embedding(3)
     assert verify_ibd(design).as_tuple() == (12, 66, 11, 2)
@@ -227,6 +232,11 @@ def test_affine_rejects_bad_field():
         affine_hyperplane_design(2, 6)
 
 
+def test_affine_needs_dimension_at_least_2():
+    with pytest.raises(DesignError, match="need dimension m >= 2, got 1"):
+        affine_hyperplane_design(1, 2)
+
+
 # --- cyclic development ---------------------------------------------------------
 
 def test_cyclic_develop_master_24_6_5():
@@ -258,6 +268,30 @@ def test_base_class_validation():
         CyclicBaseSpec(n=5, has_infinity=False, base_class=((0, 1), (2, 3)))
     with pytest.raises(InvalidBaseClass):
         CyclicBaseSpec(n=4, has_infinity=False, base_class=((1, 0), (2, 3)))
+
+
+@pytest.mark.parametrize(
+    "base, message",
+    [
+        ((), "base class has no blocks"),
+        (((0, 1.5), (2, 3)), r"block \(0, 1.5\) has a point that is not an integer"),
+        (((0, 1), (2, 3, 4)), r"block \(2, 3, 4\) has size 3, expected 2"),
+        (((0, 1), (2, 4)), r"block \(2, 4\) has points outside 0..3"),
+        (((0, 1), (1, 2)), "base class blocks are not disjoint"),
+        (((0, 1),), "base class covers 2 of 4 points"),
+    ],
+    ids=["empty", "float point", "wrong size", "out of range", "overlap", "short cover"],
+)
+def test_base_class_faults_are_named_as_a_design_names_them(base, message):
+    # A point that is not an integer is refused, not truncated by the
+    # development's array.
+    with pytest.raises(InvalidBaseClass, match=f"^{message}$"):
+        CyclicBaseSpec(n=4, has_infinity=False, base_class=base)
+
+
+def test_base_class_cover_is_checked_without_an_array_of_v_points():
+    with pytest.raises(InvalidBaseClass, match="covers 4 of 1000000000000 points"):
+        CyclicBaseSpec(n=10**12, has_infinity=False, base_class=((0, 1), (2, 3)))
 
 
 def test_cyclic_point_set_labels():

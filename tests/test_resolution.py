@@ -77,6 +77,21 @@ def test_verify_rejects_missing_block():
     assert "no class" in result.reason
 
 
+def test_verify_rejects_a_resolution_of_another_design():
+    design, res = k4_resolution()
+    other = make_design(4, K4_FACTORIZATION[2:] + K4_FACTORIZATION[:2])
+    result = verify_resolution(other, res)
+    assert not result
+    assert result.reason == "resolution refers to a different design"
+
+
+def test_verify_rejects_a_block_size_that_does_not_divide_v():
+    design = make_design(5, [(0, 1), (2, 3), (1, 4)])
+    result = verify_resolution(design, Resolution(design, (ParallelClass((0, 1)),)))
+    assert not result
+    assert result.reason == "class 0: block size 2 does not divide 5"
+
+
 def test_verify_translate_classes_of_cyclic_master():
     master, res = cyclic_develop(catalog_entry("3-(30,15,65)").base)
     assert verify_resolution(master, res)
