@@ -218,10 +218,15 @@ class CyclicBaseSpec:
     base_class: tuple[Block, ...]
 
     def __post_init__(self) -> None:
-        """Check the blocks as a design's (_block_array), then the cover."""
+        """Check the block size and the blocks as a design's
+        (_block_array), then the cover."""
         v = self.v
         if not self.base_class:
             raise InvalidBaseClass("base class has no blocks")
+        if not 2 <= self.k < v:
+            raise InvalidBaseClass(
+                f"block size must satisfy 2 <= k < v (k={self.k}, v={v})"
+            )
         try:
             members = _block_array(self.base_class, self.k, v)
         except DesignError as exc:

@@ -9,14 +9,17 @@ exactly alpha blocks; resolutions free of such swaps make the union
 construction produce simple designs.
 
 Only the resolution search searches.  It completes one parallel class at
-a time over bitsets of block indices (Python ints): `through[p]` holds the
-blocks through point p and `avail` the blocks that may still be placed.
-The lowest uncovered point is filled with each block of
-`through[p] & avail` in increasing index order, and placing block i
-removes every block that meets it from `avail`, so no candidate is
-scanned and rejected.  Every placed block is one node of the search
-budget.  The PRP check reads the alphas of a class pair off the connected
-components of its 2w blocks, and charges 2w nodes per pair.
+a time over bitsets of block indices (Python ints) in descending order,
+block i of b at bit b-1-i, so the lowest block of a set is read off its
+bit_length (the floor of lg, Knuth TAOCP 4A §7.1.3) and no set is
+negated; points are stored the same way.  For the lowest uncovered point,
+`through` holds the blocks through it and `avail` the blocks that may
+still be placed.  The point is filled with each block of
+`through & avail` in increasing index order, and placing block i keeps in
+`avail` only the blocks that miss it (one AND with a precomputed mask), so
+no candidate is scanned and rejected.  Every placed block is one node of
+the search budget.  The PRP check reads the alphas of a class pair off the
+connected components of its 2w blocks, and charges 2w nodes per pair.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Design, DesignError, _columns, _ints, _replication
+from .core import Design, DesignError, _columns, _ints, _packed_rows, _replication
 
 __all__ = [
     "BadAlpha",
@@ -191,62 +194,100 @@ def _canonical_order(ranks, classes) -> list[tuple[tuple, tuple[int, ...]]]:
     return ordered
 
 
-# Bits of the memoized `meets` masks one resolution search keeps: each is b
-# bits, so a design with many blocks rebuilds the masks past this on use.
+# Bits of the `keep` masks one resolution search holds: each is b bits, so
+# a design with more than sqrt(MEETS_MEMO_BITS) blocks keeps the masks of
+# MEETS_MEMO_BITS // b of them and rebuilds the others on use.
 MEETS_MEMO_BITS = 1 << 26
 
 
-class _Meets(dict):
-    """meets[i]: the mask of the blocks that share a point with block i
-    (row i of `members`), i included, built from `through` on first
-    use."""
+class _Keep(dict):
+    """keep[n] for a design whose b x b bits exceed MEETS_MEMO_BITS: the
+    blocks that miss block b-n, built by _keep_mask on first use and
+    memoized while there is room."""
 
-    def __init__(self, members, through):
+    def __init__(self, members, through, full):
         super().__init__()
         self.members = members
         self.through = through
-        self.room = MEETS_MEMO_BITS // max(len(members), 1)
+        self.full = full
+        self.room = MEETS_MEMO_BITS // len(members)
 
-    def __missing__(self, i):
-        mask = 0
-        for p in self.members[i].tolist():
-            mask |= self.through[p]
+    def __missing__(self, n):
+        mask = _keep_mask(self.members[-n].tolist(), self.through, self.full)
         if len(self) < self.room:
-            self[i] = mask
+            self[n] = mask
         return mask
 
 
-def _class_completions(chosen, cover, full, masks, through, meets, avail, budget):
+def _keep_mask(block, through, full) -> int:
+    """The blocks of `full` that share no point with `block`; through[p]
+    holds the blocks through point p."""
+    meets = 0
+    for p in block:
+        meets |= through[p]
+    return full ^ meets
+
+
+def _search_masks(design: Design):
+    """(masks, through, keep): the search's sets in descending bit order.
+
+    Over v points, point p is bit v-1-p; over b blocks, block i is bit
+    b-1-i.  masks[i] holds the points of block i; through[m] the blocks
+    through point v-m (0 for a point in no block), read off the packed
+    column of the point over the blocks in reverse order; keep[n] the
+    blocks that miss block b-n, a list when all b masks fit in
+    MEETS_MEMO_BITS bits and a bounded memo (_Keep) when not.
+    """
+    members = design._members
+    v, b = design.points.size, len(members)
+    masks = _ints(_packed_rows(v - 1 - members, (v + 63) // 64))
+    through = [0] * v
+    present = np.flatnonzero(_replication(design))
+    columns = _ints(_columns(members[::-1], v, slice(0, 0)))
+    for p, mask in zip(present.tolist(), columns):
+        through[p] = mask
+    full = (1 << b) - 1
+    if b * b > MEETS_MEMO_BITS:
+        keep = _Keep(members, through, full)
+    else:
+        blocks = members[::-1].tolist()
+        keep = [0] + [_keep_mask(block, through, full) for block in blocks]
+    return masks, [0] + through[::-1], keep
+
+
+def _class_completions(chosen, uncovered, b, masks, through, keep, avail, budget):
     """Yield `chosen` once for each way to complete a partial parallel class.
 
-    Blocks are indices into `masks`, their point masks; sets of blocks are
-    Python-int bit masks over those indices.  `chosen` lists the blocks
-    placed so far, `cover` is the mask of the points they cover and `avail`
-    holds the blocks that may still be placed.  The lowest uncovered point
-    p is filled next with each block of `through[p] & avail` (the blocks
-    through p), in increasing index order.  Placing block i leaves
-    `avail & ~meets[i]`, where `meets[i]` holds i and every block that
-    meets i, so each candidate misses `cover`.  Every placed block costs
-    one node of the single-element counter `budget`; the search raises
-    SearchBudgetExceeded when the counter drops below zero.  `chosen` is
-    restored after each completion has been consumed.
+    Blocks are indices 0..b-1 into `masks`; sets of points and of blocks
+    are Python ints in the descending bit order of _search_masks, so the
+    lowest member of a set s is read off s.bit_length() and no set is
+    ever negated.  `chosen` lists the blocks placed so far, `uncovered`
+    holds the points they leave uncovered and `avail` the blocks that may
+    still be placed.  The lowest uncovered point, v - m for
+    m = uncovered.bit_length(), is filled next with each block of
+    `through[m] & avail` (the blocks through it), in increasing index
+    order: block b-n for n = candidates.bit_length().  Placing block b-n
+    leaves `avail & keep[n]`, where `keep[n]` holds the blocks that miss
+    it, so each candidate misses the points covered.  Every placed block
+    costs one node of the single-element counter `budget`; the search
+    raises SearchBudgetExceeded when the counter drops below zero.
+    `chosen` is restored after each completion has been consumed.
     """
-    if cover == full:
+    if not uncovered:
         yield chosen
         return
-    bit = ~cover & full
-    candidates = through[(bit & -bit).bit_length() - 1] & avail
+    candidates = through[uncovered.bit_length()] & avail
     while candidates:
-        low = candidates & -candidates
-        candidates ^= low
-        i = low.bit_length() - 1
+        n = candidates.bit_length()
+        candidates ^= 1 << (n - 1)
         budget[0] -= 1
         if budget[0] < 0:
             raise SearchBudgetExceeded(0, [], "class completion(s)")
+        i = b - n
         chosen.append(i)
         yield from _class_completions(
-            chosen, cover | masks[i], full, masks, through, meets,
-            avail & ~meets[i], budget,
+            chosen, uncovered ^ masks[i], b, masks, through, keep,
+            avail & keep[n], budget,
         )
         chosen.pop()
 
@@ -270,12 +311,11 @@ def find_resolutions(
     w = v // k
     if b == 0 or b % w:
         return []
-    through = _through(design)
-    meets = _Meets(members, through)
+    masks, through, keep = _search_masks(design)
     found: dict[tuple, Resolution] = {}
     try:
         _complete_resolution(
-            design, limit, design._masks, through, meets, (1 << b) - 1, [],
+            design, limit, masks, through, keep, (1 << b) - 1, [],
             [node_budget], found, _block_ranks(members).tolist(),
         )
     except SearchBudgetExceeded:
@@ -285,25 +325,13 @@ def find_resolutions(
     return list(found.values())
 
 
-def _through(design: Design) -> list[int]:
-    """through[p]: the mask of the blocks through point p, read off the
-    packed column of p over all blocks (0 for a point in no block)."""
-    v = design.points.size
-    through = [0] * v
-    present = np.flatnonzero(_replication(design))
-    columns = _ints(_columns(design._members, v, slice(0, 0)))
-    for p, mask in zip(present.tolist(), columns):
-        through[p] = mask
-    return through
-
-
 def _complete_resolution(
-    design, limit, masks, through, meets, unused, classes, budget, found, ranks
+    design, limit, masks, through, keep, unused, classes, budget, found, ranks
 ) -> bool:
     """Extend the classes in `classes` to resolutions using the blocks of
-    the mask `unused`, recording each new one in `found` under its content
-    key (`ranks` are the _block_ranks of the blocks); True once `limit`
-    are found."""
+    `unused` (descending bits, as in _class_completions), recording each
+    new one in `found` under its content key (`ranks` are the
+    _block_ranks of the blocks); True once `limit` are found."""
     if not unused:
         ordered = _canonical_order(ranks, classes)
         key = tuple(contents for contents, _ in ordered)
@@ -312,19 +340,20 @@ def _complete_resolution(
                 design, tuple(ParallelClass(refs) for _, refs in ordered)
             )
         return len(found) >= limit
-    # The lowest-indexed unused block must open the next class: classes
-    # are unordered, so fixing it prunes the r! class-order symmetry.
-    seed = (unused & -unused).bit_length() - 1
-    full = (1 << design.points.size) - 1
+    # The lowest-indexed unused block, the highest bit, must open the next
+    # class: classes are unordered, so fixing it prunes the r! class-order
+    # symmetry.
+    b, n = len(masks), unused.bit_length()
+    uncovered = ((1 << design.points.size) - 1) ^ masks[b - n]
     for chosen in _class_completions(
-        [seed], masks[seed], full, masks, through, meets, unused & ~meets[seed], budget
+        [b - n], uncovered, b, masks, through, keep, unused & keep[n], budget
     ):
         classes.append(tuple(chosen))
         rest = unused
         for i in chosen:
-            rest ^= 1 << i
+            rest ^= 1 << (b - 1 - i)
         done = _complete_resolution(
-            design, limit, masks, through, meets, rest, classes, budget, found,
+            design, limit, masks, through, keep, rest, classes, budget, found,
             ranks,
         )
         classes.pop()

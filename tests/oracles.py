@@ -137,6 +137,78 @@ def naive_resolutions(v, blocks) -> set:
     return solutions
 
 
+def naive_search_trace(v, blocks, limit) -> tuple[list, int]:
+    """The resolution search's documented order, on lists and sets.
+
+    The lowest unused block opens each class; the lowest uncovered point
+    is then filled with each free block through it that is disjoint from
+    the points covered, in increasing index; every block so placed is one
+    node (the block opening a class is not).  A resolution is recorded
+    under its content key (sorted classes of sorted blocks) the first time
+    it is completed, with its refs in canonical order: each class by
+    (block, index), the classes by (contents, refs).  The search stops
+    once `limit` are recorded.
+
+    Returns ([(key, classes, nodes), ...], total): each new resolution in
+    the order found, with the nodes spent when it was completed, and the
+    nodes spent in all.  A search on a budget of B nodes runs out exactly
+    when total > B, having found the entries with nodes <= B.  A design
+    whose block count is not a multiple of w = v/k has no resolution and
+    is not searched.
+    """
+    sets = [set(block) for block in blocks]
+    w = v // len(blocks[0])
+    if len(blocks) % w:
+        return [], 0
+    found: list = []
+    keys: set = set()
+    classes: list[list[int]] = []
+    nodes = 0
+
+    def completions(chosen, covered, unused):
+        nonlocal nodes
+        if len(covered) == v:
+            yield chosen
+            return
+        p = min(set(range(v)) - covered)
+        for i in sorted(unused):
+            if i not in chosen and p in sets[i] and not sets[i] & covered:
+                nodes += 1
+                chosen.append(i)
+                yield from completions(chosen, covered | sets[i], unused)
+                chosen.pop()
+
+    def record():
+        ordered = sorted(
+            (tuple(blocks[i] for i in refs), refs)
+            for refs in (
+                tuple(sorted(cls, key=lambda i: (tuple(blocks[i]), i)))
+                for cls in classes
+            )
+        )
+        key = tuple(sorted(tuple(sorted(tuple(sorted(blocks[i])) for i in cls))
+                           for cls in classes))
+        if key not in keys:
+            keys.add(key)
+            found.append((key, tuple(refs for _, refs in ordered), nodes))
+        return len(found) >= limit
+
+    def recurse(unused):
+        if not unused:
+            return record()
+        seed = min(unused)
+        for chosen in completions([seed], set(sets[seed]), unused):
+            classes.append(list(chosen))
+            done = recurse(unused - set(chosen))
+            classes.pop()
+            if done:
+                return True
+        return False
+
+    recurse(set(range(len(blocks))))
+    return found, nodes
+
+
 def naive_prp_witness(blocks_a, blocks_b, alpha, v) -> bool:
     """Check alpha-PRP by trying every w-subset of the 2w blocks."""
     pool = [frozenset(b) for b in blocks_a] + [frozenset(b) for b in blocks_b]

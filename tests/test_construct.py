@@ -124,17 +124,19 @@ def test_affine_16_golden_3_256_128_63():
 
 
 @st.composite
-def union_inputs(draw):
+def union_inputs(draw, widths=(3, 4, 5), resolvable=False):
     """(master resolution, its class refs, indexing design).
 
     The master is either all translates of a random base class through
     Z_n, perhaps twice over, carrying the shift and its square, or 0-5
     random parallel classes, perhaps with a class repeated, carrying
-    nothing.  Classes, positions in a class and the block list are
-    shuffled; the indexing design is trivial or a few random blocks.
+    nothing; its classes hold w blocks, w drawn from `widths`.  Classes,
+    positions in a class and the block list are shuffled.  The indexing
+    design is trivial or a few random blocks, or, when `resolvable`, the
+    union of 1-3 random parallel classes of the w points.
     """
     k = draw(st.integers(2, 3))
-    w = draw(st.integers(3, 5))
+    w = draw(st.sampled_from(widths))
     v = k * w
     if draw(st.booleans()):
         infinity = draw(st.booleans())
@@ -163,6 +165,13 @@ def union_inputs(draw):
     blocks = tuple(classes[i][j] for i, j in slots)
     master = Design(PointSet(v), blocks, k, automorphisms=generators)
     res = Resolution(master, tuple(ParallelClass(cls) for cls in refs))
+    if resolvable:
+        k_prime = draw(st.sampled_from([d for d in range(2, w) if w % d == 0]))
+        chosen = []
+        for _ in range(draw(st.integers(1, 3))):
+            points = draw(st.permutations(range(w)))
+            chosen += [points[i : i + k_prime] for i in range(0, w, k_prime)]
+        return res, refs, make_design(w, chosen, k=k_prime)
     k_prime = draw(st.integers(2, w - 1))
     if draw(st.booleans()):
         indexing = trivial_design(w, k_prime)
@@ -524,16 +533,12 @@ def test_inherited_resolution_catalog(repro):
     assert refs == naive_inherited_resolution(provenance, indexing_classes)
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
-@given(union_inputs())
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(union_inputs(widths=(4, 6), resolvable=True))
 def test_inherited_resolution_matches_naive_grouping(case):
-    # Only a w = 4, k' = 2 indexing design can be resolvable here, hence
-    # the many examples.
     res, refs, indexing = case
-    w, k_prime = indexing.points.size, indexing.k
-    found = find_resolutions(indexing, limit=1) if w % k_prime == 0 else []
-    if not found:
-        return
+    found = find_resolutions(indexing, limit=1)
+    assert found
     built = shrikhande_raghavarao(res, indexing)
     _, provenance, _ = naive_union(res.design.blocks, refs, indexing.blocks)
     indexing_classes = [cls.block_refs for cls in found[0].classes]

@@ -274,13 +274,17 @@ def test_base_class_validation():
     "base, message",
     [
         ((), "base class has no blocks"),
+        (((),), r"block size must satisfy 2 <= k < v \(k=0, v=4\)"),
         (((0, 1.5), (2, 3)), r"block \(0, 1.5\) has a point that is not an integer"),
         (((0, 1), (2, 3, 4)), r"block \(2, 3, 4\) has size 3, expected 2"),
         (((0, 1), (2, 4)), r"block \(2, 4\) has points outside 0..3"),
         (((0, 1), (1, 2)), "base class blocks are not disjoint"),
         (((0, 1),), "base class covers 2 of 4 points"),
     ],
-    ids=["empty", "float point", "wrong size", "out of range", "overlap", "short cover"],
+    ids=[
+        "empty", "empty block", "float point", "wrong size", "out of range",
+        "overlap", "short cover",
+    ],
 )
 def test_base_class_faults_are_named_as_a_design_names_them(base, message):
     # A point that is not an integer is refused, not truncated by the

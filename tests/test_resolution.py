@@ -25,7 +25,12 @@ from blockdesigns.resolution import (
     verify_resolution,
 )
 
-from oracles import naive_is_resolution, naive_prp_witness, naive_resolutions
+from oracles import (
+    naive_is_resolution,
+    naive_prp_witness,
+    naive_resolutions,
+    naive_search_trace,
+)
 
 K4_FACTORIZATION = [(0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2)]
 
@@ -344,6 +349,50 @@ def test_search_node_counts_are_pinned(name, nodes):
         search(nodes - 1)
 
 
+@st.composite
+def _search_inputs(draw):
+    """(design, limit): a small resolvable design whose later classes may
+    repeat blocks of earlier ones, its blocks shuffled and perhaps w
+    random blocks added; or a relabelled K_8 or K_12 embedding."""
+    if draw(st.booleans()):
+        n = draw(st.sampled_from([2, 3]))
+        seed = draw(st.integers(0, 999))
+        design, _ = _shuffled(*sub_factorization_embedding(n), seed)
+    else:
+        design, _ = draw(_random_resolutions(ks=(2, 3), ws=(2, 3), rs=(2, 4)))
+        v, k = design.points.size, design.k
+        blocks = list(design.blocks)
+        if draw(st.booleans()):
+            point = st.integers(0, v - 1)
+            subset = st.lists(point, min_size=k, max_size=k, unique=True)
+            blocks += [tuple(sorted(draw(subset))) for _ in range(v // k)]
+        design = make_design(v, draw(st.permutations(blocks)))
+    return design, draw(st.integers(1, 4))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_search_inputs())
+def test_search_follows_the_documented_order_at_every_budget(case):
+    # One node per placed block, in the order naive_search_trace spells
+    # out: on a budget of B nodes the search runs out exactly when the
+    # oracle needs more than B, with the oracle's results found by then.
+    design, limit = case
+    trace, total = naive_search_trace(design.points.size, design.blocks, limit)
+
+    def classes(found):
+        return [tuple(cls.block_refs for cls in res.classes) for res in found]
+
+    for budget in range(total + 2):
+        expected = [refs for _, refs, nodes in trace if nodes <= budget]
+        if budget < total:
+            with pytest.raises(SearchBudgetExceeded) as info:
+                find_resolutions(design, limit, node_budget=budget)
+            assert classes(info.value.found) == expected
+        else:
+            found = find_resolutions(design, limit, node_budget=budget)
+            assert classes(found) == expected
+
+
 def test_overlap_masks_past_the_memo_bound_are_rebuilt(monkeypatch):
     # A search keeps at most MEETS_MEMO_BITS bits of `meets` masks and
     # rebuilds the others on each use; the results do not depend on it.
@@ -450,10 +499,11 @@ def test_prp_violations_match_oracle_on_shared_contents(name):
 
 
 @st.composite
-def _random_resolutions(draw):
+def _random_resolutions(draw, ks=(2, 4), ws=(2, 6), rs=(2, 6)):
     """A resolution of k·w points into r classes, some of which repeat
-    blocks of an earlier class as new instances."""
-    k, w, r = draw(st.integers(2, 4)), draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    blocks of an earlier class as new instances; k, w and r are drawn from
+    the inclusive ranges ks, ws and rs."""
+    k, w, r = (draw(st.integers(*bounds)) for bounds in (ks, ws, rs))
     blocks, classes = [], []
     for _ in range(r):
         kept = []
