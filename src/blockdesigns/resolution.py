@@ -17,9 +17,13 @@ negated; points are stored the same way.  For the lowest uncovered point,
 still be placed.  The point is filled with each block of
 `through & avail` in increasing index order, and placing block i keeps in
 `avail` only the blocks that miss it (one AND with a precomputed mask), so
-no candidate is scanned and rejected.  Every placed block is one node of
-the search budget.  The PRP check reads the alphas of a class pair off the
-connected components of its 2w blocks, and charges 2w nodes per pair.
+no candidate is scanned and rejected.  The backtracking runs as one loop
+over an explicit stack of levels, as Knuth's Algorithm X does (TAOCP 4B
+§7.2.2.1), so the interpreter's recursion limit bounds neither the w
+blocks of a class nor the r classes of a resolution.  Every placed block
+is one node of the search budget.  The PRP check reads the alphas of a
+class pair off the connected components of its 2w blocks, and charges 2w
+nodes per pair.
 """
 
 from __future__ import annotations
@@ -177,23 +181,6 @@ def _block_ranks(members) -> np.ndarray:
     return rank
 
 
-def _canonical_order(ranks, classes) -> list[tuple[tuple, tuple[int, ...]]]:
-    """(contents, refs) of each class of block indices, in canonical order;
-    `ranks` are the _block_ranks of the blocks.
-
-    Refs are ordered by (block, index) and classes by (contents, refs),
-    contents being the ranks of the blocks of a class in that order, so
-    the contents of the returned classes, in order, are the content key
-    under which two resolutions are the same.
-    """
-    ordered = []
-    for refs in classes:
-        refs = tuple(sorted(refs, key=lambda i: (ranks[i], i)))
-        ordered.append((tuple(ranks[i] for i in refs), refs))
-    ordered.sort()
-    return ordered
-
-
 # Bits of the `keep` masks one resolution search holds: each is b bits, so
 # a design with more than sqrt(MEETS_MEMO_BITS) blocks keeps the masks of
 # MEETS_MEMO_BITS // b of them and rebuilds the others on use.
@@ -229,10 +216,11 @@ def _keep_mask(block, through, full) -> int:
 
 
 def _search_masks(design: Design):
-    """(masks, through, keep): the search's sets in descending bit order.
+    """(masks, through, keep): the search's sets in descending bit order,
+    each indexed by n for block b-n or by m for point v-m.
 
     Over v points, point p is bit v-1-p; over b blocks, block i is bit
-    b-1-i.  masks[i] holds the points of block i; through[m] the blocks
+    b-1-i.  masks[n] holds the points of block b-n; through[m] the blocks
     through point v-m (0 for a point in no block), read off the packed
     column of the point over the blocks in reverse order; keep[n] the
     blocks that miss block b-n, a list when all b masks fit in
@@ -240,7 +228,7 @@ def _search_masks(design: Design):
     """
     members = design._members
     v, b = design.points.size, len(members)
-    masks = _ints(_packed_rows(v - 1 - members, (v + 63) // 64))
+    masks = _ints(_packed_rows(v - 1 - members[::-1], (v + 63) // 64))
     through = [0] * v
     present = np.flatnonzero(_replication(design))
     columns = _ints(_columns(members[::-1], v, slice(0, 0)))
@@ -252,44 +240,7 @@ def _search_masks(design: Design):
     else:
         blocks = members[::-1].tolist()
         keep = [0] + [_keep_mask(block, through, full) for block in blocks]
-    return masks, [0] + through[::-1], keep
-
-
-def _class_completions(chosen, uncovered, b, masks, through, keep, avail, budget):
-    """Yield `chosen` once for each way to complete a partial parallel class.
-
-    Blocks are indices 0..b-1 into `masks`; sets of points and of blocks
-    are Python ints in the descending bit order of _search_masks, so the
-    lowest member of a set s is read off s.bit_length() and no set is
-    ever negated.  `chosen` lists the blocks placed so far, `uncovered`
-    holds the points they leave uncovered and `avail` the blocks that may
-    still be placed.  The lowest uncovered point, v - m for
-    m = uncovered.bit_length(), is filled next with each block of
-    `through[m] & avail` (the blocks through it), in increasing index
-    order: block b-n for n = candidates.bit_length().  Placing block b-n
-    leaves `avail & keep[n]`, where `keep[n]` holds the blocks that miss
-    it, so each candidate misses the points covered.  Every placed block
-    costs one node of the single-element counter `budget`; the search
-    raises SearchBudgetExceeded when the counter drops below zero.
-    `chosen` is restored after each completion has been consumed.
-    """
-    if not uncovered:
-        yield chosen
-        return
-    candidates = through[uncovered.bit_length()] & avail
-    while candidates:
-        n = candidates.bit_length()
-        candidates ^= 1 << (n - 1)
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise SearchBudgetExceeded(0, [], "class completion(s)")
-        i = b - n
-        chosen.append(i)
-        yield from _class_completions(
-            chosen, uncovered ^ masks[i], b, masks, through, keep,
-            avail & keep[n], budget,
-        )
-        chosen.pop()
+    return (0, *masks), [0] + through[::-1], keep
 
 
 def find_resolutions(
@@ -300,7 +251,27 @@ def find_resolutions(
     Results are canonically deduplicated: two instance-partitions that are
     equal as multisets of classes-of-block-sets count once.  An empty list
     means the search completed without finding any resolution.  Raises
-    SearchBudgetExceeded when the node budget runs out first.
+    SearchBudgetExceeded, carrying the resolutions found so far, when the
+    node budget runs out first.
+
+    The lowest unused block opens each class: classes are unordered, so
+    fixing it prunes the r! class-order symmetry.  The lowest uncovered
+    point of the class is then filled with each free block through it
+    that misses the points covered, in increasing index order, and each
+    block so placed costs one node.
+
+    The search is one loop over an explicit stack, not a recursion, so
+    its depth is limited by neither w nor r.  The current level is
+    (candidates, uncovered, avail): the blocks still to try at the lowest
+    uncovered point, the points the class leaves uncovered and the blocks
+    that may still join it, as bitsets in the descending order of
+    _search_masks.  A level is pushed, with the block it placed, only
+    when that block leaves candidates, so a dead end costs its node and
+    nothing more.  The current class is (unused, opener, base): the
+    blocks of no earlier class, the n of the block b-n that opened it and
+    the stack height where its levels start; it is pushed on `opened`
+    when the next class opens.  Each class's (contents, refs) is built
+    once, when it completes (_class_key).
     """
     if limit < 1:
         return []
@@ -312,54 +283,82 @@ def find_resolutions(
     if b == 0 or b % w:
         return []
     masks, through, keep = _search_masks(design)
+    # key[n] orders block b-n by (contents, index) as one int: comparing
+    # keys compares the blocks as point tuples, ties going to the index.
+    key = [0] + (_block_ranks(members) * b + np.arange(b))[::-1].tolist()
+    points = (1 << v) - 1
+    classes: list = [None] * (b // w)
     found: dict[tuple, Resolution] = {}
-    try:
-        _complete_resolution(
-            design, limit, masks, through, keep, (1 << b) - 1, [],
-            [node_budget], found, _block_ranks(members).tolist(),
-        )
-    except SearchBudgetExceeded:
-        raise SearchBudgetExceeded(
-            node_budget, found.values(), "resolution(s)"
-        ) from None
-    return list(found.values())
+    nodes = node_budget
+    stack: list[tuple[int, int, int, int]] = []
+    opened: list[tuple[int, int, int]] = []
+    # Block 0, the highest bit, opens the first class; k < v leaves it
+    # points to cover.
+    unused, opener, base = (1 << b) - 1, b, 0
+    uncovered = points ^ masks[b]
+    avail = keep[b]
+    candidates = through[uncovered.bit_length()] & avail
+    while True:
+        while candidates:
+            n = candidates.bit_length()
+            candidates ^= 1 << (n - 1)
+            nodes -= 1
+            if nodes < 0:
+                raise SearchBudgetExceeded(
+                    node_budget, found.values(), "resolution(s)"
+                )
+            left = uncovered ^ masks[n]
+            if left:
+                narrowed = avail & keep[n]
+                nxt = through[left.bit_length()] & narrowed
+                if nxt:
+                    stack.append((candidates, uncovered, avail, n))
+                    candidates, uncovered, avail = nxt, left, narrowed
+                continue
+            # Block b-n completes the class: its blocks are the opener,
+            # the block each of its stacked levels placed, and b-n.
+            placed = [opener, n] + [level[3] for level in stack[base:]]
+            rest = unused
+            for m in placed:
+                rest ^= 1 << (m - 1)
+            if rest:
+                first = rest.bit_length()
+                left = points ^ masks[first]
+                narrowed = rest & keep[first]
+                nxt = through[left.bit_length()] & narrowed
+                if not nxt:
+                    continue
+            # Class c of r leaves (r-1-c)·w blocks in `rest`.
+            classes[-1 - rest.bit_count() // w] = _class_key(placed, key, b)
+            if rest:
+                stack.append((candidates, uncovered, avail, n))
+                opened.append((unused, opener, base))
+                unused, opener, base = rest, first, len(stack)
+                candidates, uncovered, avail = nxt, left, narrowed
+                continue
+            ordered = sorted(classes)
+            contents = tuple([c for c, _ in ordered])
+            if contents not in found:
+                found[contents] = Resolution(
+                    design, tuple([ParallelClass(refs) for _, refs in ordered])
+                )
+                if len(found) >= limit:
+                    return list(found.values())
+        if not stack:
+            return list(found.values())
+        candidates, uncovered, avail, _ = stack.pop()
+        if len(stack) < base:
+            unused, opener, base = opened.pop()
 
 
-def _complete_resolution(
-    design, limit, masks, through, keep, unused, classes, budget, found, ranks
-) -> bool:
-    """Extend the classes in `classes` to resolutions using the blocks of
-    `unused` (descending bits, as in _class_completions), recording each
-    new one in `found` under its content key (`ranks` are the
-    _block_ranks of the blocks); True once `limit` are found."""
-    if not unused:
-        ordered = _canonical_order(ranks, classes)
-        key = tuple(contents for contents, _ in ordered)
-        if key not in found:
-            found[key] = Resolution(
-                design, tuple(ParallelClass(refs) for _, refs in ordered)
-            )
-        return len(found) >= limit
-    # The lowest-indexed unused block, the highest bit, must open the next
-    # class: classes are unordered, so fixing it prunes the r! class-order
-    # symmetry.
-    b, n = len(masks), unused.bit_length()
-    uncovered = ((1 << design.points.size) - 1) ^ masks[b - n]
-    for chosen in _class_completions(
-        [b - n], uncovered, b, masks, through, keep, unused & keep[n], budget
-    ):
-        classes.append(tuple(chosen))
-        rest = unused
-        for i in chosen:
-            rest ^= 1 << (b - 1 - i)
-        done = _complete_resolution(
-            design, limit, masks, through, keep, rest, classes, budget, found,
-            ranks,
-        )
-        classes.pop()
-        if done:
-            return True
-    return False
+def _class_key(placed: list[int], key: list[int], b: int) -> tuple[tuple, tuple]:
+    """(contents, refs) of the class of blocks b-n for n in `placed`:
+    refs in increasing `key` order, (block, index), and contents the
+    ranks of those blocks, so classes sort by (contents, refs) and the
+    contents of the sorted classes are the content key under which two
+    resolutions are the same."""
+    keys = sorted([key[n] for n in placed])
+    return tuple([x // b for x in keys]), tuple([x % b for x in keys])
 
 
 def _replacement_alphas(masks_a: list[int], masks_b: list[int], k: int) -> int:

@@ -6,6 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from blockdesigns.catalog import catalog_names
+from blockdesigns.core import make_design
 from blockdesigns.generators import (
     affine_hyperplane_design,
     sub_factorization_embedding,
@@ -43,3 +44,19 @@ def k8_subfac():
 @pytest.fixture(scope="session")
 def trivial_4_2():
     return trivial_design(4, 2)
+
+
+@pytest.fixture(scope="session")
+def wide_classes():
+    """A 3000-point design of pairs with w = 1500 blocks per class: the two
+    perfect matchings of the 3000-cycle, each class found by a chain of
+    1499 forced placements."""
+    v = 3000
+    return make_design(v, [(p, (p + 1) % v) for p in range(v)])
+
+
+@pytest.fixture(scope="session")
+def many_classes():
+    """A 4-point design whose one parallel class is repeated 1200 times
+    (r = 1200)."""
+    return make_design(4, [(0, 1), (2, 3)] * 1200)

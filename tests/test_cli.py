@@ -319,6 +319,17 @@ def test_zero_budget_is_a_valid_search_budget(capsys, tmp_path):
     assert "search budget of 0 nodes exhausted" in out
 
 
+def test_resolve_a_class_of_1500_blocks(capsys, tmp_path, wide_classes):
+    # A search recursing once per placed block ended here in a
+    # RecursionError traceback.
+    design = tmp_path / "wide.design"
+    save_design(wide_classes, design)
+    code, out, err = run(capsys, "resolve", str(design), "--limit", "1")
+    assert code == 0
+    assert "resolutions found: 1 (limit 1)" in out
+    assert err == ""
+
+
 # --- prp ------------------------------------------------------------------------
 
 def test_prp_free(capsys, tmp_path):

@@ -281,11 +281,16 @@ def test_search_budget_raises():
         find_resolutions(design, limit=10_000, node_budget=20)
 
 
-def test_search_depth_does_not_grow_with_block_count():
-    # AG(2,32) has 1056 blocks; a search recursing once per block would
-    # exceed the interpreter's default recursion limit.
-    design, _ = affine_hyperplane_design(2, 32)
-    assert len(find_resolutions(design, limit=1)) == 1
+def test_search_depth_does_not_grow_with_block_count(wide_classes, many_classes):
+    # A search recursing once per placed block, or once per class, would
+    # exceed the interpreter's default recursion limit on a class of 1500
+    # blocks or on 1200 classes; the loop's stack is a list.
+    for design, shape in ((wide_classes, (2, 1500)), (many_classes, (1200, 2))):
+        found = find_resolutions(design, limit=1)
+        assert len(found) == 1
+        assert verify_resolution(design, found[0])
+        classes = found[0].classes
+        assert (len(classes), len(classes[0].block_refs)) == shape
 
 
 @pytest.mark.parametrize("node_budget, found", [(1000, 51), (10_000, 407)])
@@ -391,6 +396,21 @@ def test_search_follows_the_documented_order_at_every_budget(case):
         else:
             found = find_resolutions(design, limit, node_budget=budget)
             assert classes(found) == expected
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_search_inputs())
+def test_bounded_keep_memo_follows_the_documented_order(case):
+    # The documented-order property again with room for two `keep` masks,
+    # so the search reads them from the bounded memo (_Keep), which
+    # rebuilds most of them on use, node for node at every budget.
+    design, _ = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(resolution, "MEETS_MEMO_BITS", 2 * len(design.blocks))
+        assert isinstance(resolution._search_masks(design)[2], resolution._Keep)
+        test_search_follows_the_documented_order_at_every_budget.hypothesis.inner_test(
+            case
+        )
 
 
 def test_overlap_masks_past_the_memo_bound_are_rebuilt(monkeypatch):
