@@ -155,10 +155,12 @@ def affine_hyperplane_design(m: int, q: int) -> tuple[Design, Resolution]:
     generators of the translation group, which maps every hyperplane to a
     parallel one.
 
-    The q^m x m array of coordinate ranks is built once; each direction's
-    dot products are reduced through the field's rank tables, and one
-    stable argsort splits the points into the q hyperplanes of q^(m-1)
-    points each, in increasing order.
+    The q^m x m array of coordinate ranks is built once; the dot products
+    of all directions with all points are reduced through the field's
+    rank tables one coordinate at a time, as one directions x points
+    array, and one stable argsort along its rows splits each direction's
+    points into the q hyperplanes of q^(m-1) points each, in increasing
+    order.
     """
     if m < 2:
         raise DesignError(f"need dimension m >= 2, got {m}")
@@ -180,12 +182,11 @@ def affine_hyperplane_design(m: int, q: int) -> tuple[Design, Resolution]:
     coords = (np.arange(v)[:, None] // weights % q).astype(add.dtype)
     # Rank 1 is the field's one: keep vectors whose first nonzero rank is 1.
     first = coords[np.arange(v), (coords != 0).argmax(axis=1)]
-    classes = []
-    for normal in coords[first == 1]:
-        total = mul[normal[0], coords[:, 0]]
-        for c in range(1, m):
-            total = add[total, mul[normal[c], coords[:, c]]]
-        classes.append(np.argsort(total, kind="stable").reshape(q, v // q))
+    normals = coords[first == 1]
+    total = mul[normals[:, :1], coords[:, 0]]
+    for c in range(1, m):
+        total = add[total, mul[normals[:, c:c + 1], coords[:, c]]]
+    classes = np.argsort(total, axis=1, kind="stable").reshape(-1, q, v // q)
     translations = []
     for c in range(m):
         old = coords[:, c].astype(np.intp)

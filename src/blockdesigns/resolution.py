@@ -23,7 +23,10 @@ over an explicit stack of levels, as Knuth's Algorithm X does (TAOCP 4B
 blocks of a class nor the r classes of a resolution.  Every placed block
 is one node of the search budget.  The PRP check reads the alphas of a
 class pair off the connected components of its 2w blocks, and charges 2w
-nodes per pair.
+nodes per pair.  When k >= w, it first decides at once every pair in
+which the first block of one class meets all w blocks of the other, from
+one table of the position of the block through each point in each class:
+those 2w blocks are one component, which admits no swap.
 """
 
 from __future__ import annotations
@@ -372,7 +375,9 @@ def _replacement_alphas(masks_a: list[int], masks_b: list[int], k: int) -> int:
     either side; in a larger component no class_b block equals a class_a
     block, so it adds its class_a block count or 0.  Alpha counts block
     contents: neither S nor class_a repeats a block.  The components are
-    grown as point masks, and each class_a block count is its size over k.
+    grown as point masks, and each class_a block count is its size over k;
+    the growing stops at the first class_b block whose component takes in
+    every class_a block.
     """
     parts = list(masks_a)
     for b in masks_b:
@@ -382,6 +387,11 @@ def _replacement_alphas(masks_a: list[int], masks_b: list[int], k: int) -> int:
                 merged |= part
             else:
                 rest.append(part)
+        if not rest:
+            # One component holds every class_a block, so it covers every
+            # point and the class_b blocks still to come lie inside it.
+            parts = [merged]
+            break
         rest.append(merged)
         parts = rest
     shared, sums = 0, 1
@@ -394,6 +404,30 @@ def _replacement_alphas(masks_a: list[int], masks_b: list[int], k: int) -> int:
     return sums << shared
 
 
+def _one_component_pairs(members, refs) -> list[list[bool]]:
+    """For the r x w array refs of a resolution's block indices, the r x r
+    booleans true at (i, j) when the first block of class i or of class j
+    meets all w blocks of the other class.  The 2w blocks of such a pair
+    form one component, whose alphas are 0 and w only.
+
+    The owner table holds, for class i and point p, the position within
+    class i of the block through p, in the smallest unsigned type that
+    holds w-1; it is stored point-major, so one step per class i gathers
+    the k rows of its first block's points and counts, with one bincount
+    over positions offset by class, which blocks of every class they
+    meet.
+    """
+    (r, w), k = refs.shape, members.shape[1]
+    owner = np.empty((w * k, r), dtype=np.min_scalar_type(w - 1))
+    owner[members[refs].reshape(r, w * k), np.arange(r)[:, None]] = np.arange(w).repeat(k)
+    offsets = np.arange(r) * w
+    meets_all = np.empty((r, r), dtype=bool)
+    for i, first in enumerate(members[refs[:, 0]].astype(np.intp)):
+        hits = np.bincount((owner[first] + offsets).ravel(), minlength=r * w)
+        meets_all[i] = hits.reshape(r, w).all(axis=1)
+    return (meets_all | meets_all.T).tolist()
+
+
 def prp_violations(
     design: Design,
     res: Resolution,
@@ -404,8 +438,16 @@ def prp_violations(
 
     alpha_filter restricts the reported alphas (default: all of 1..w-1).
     An empty list certifies the resolution (alpha-)PRP-free.  Each class
-    pair costs 2w nodes of `node_budget`; on exhaustion the raised error
-    carries the violations found so far.
+    pair costs 2w nodes of `node_budget`, in pair order; on exhaustion the
+    raised error carries the violations found so far.
+
+    When k >= w, a pair in which the first block of one class meets every
+    block of the other is one component and satisfies no alpha-PRP; all
+    such pairs are found at once from a point-owner table
+    (_one_component_pairs), as every pair of an affine hyperplane
+    resolution is.  A block of k < w points meets fewer than w blocks, so
+    the table is not built then.  The other pairs go through
+    _replacement_alphas.
     """
     check = verify_resolution(design, res)
     if not check:
@@ -415,17 +457,23 @@ def prp_violations(
     for alpha in allowed:
         if not 1 <= alpha <= w - 1:
             raise BadAlpha(f"alpha must be in 1..{w - 1}, got {alpha}")
-    masks = [[design._masks[ref] for ref in cls.block_refs] for cls in res.classes]
+    classes = [cls.block_refs for cls in res.classes]
+    r = len(classes)
+    decided = (_one_component_pairs(design._members, np.array(classes, dtype=np.intp))
+               if design.k >= w and r > 1 else None)
+    masks = [[design._masks[ref] for ref in refs] for refs in classes]
     alphas_wanted = sorted(allowed)
     out: list[tuple[int, int, int]] = []
     budget = node_budget
-    for i in range(len(masks)):
-        for j in range(i + 1, len(masks)):
+    for i in range(r):
+        for j in range(i + 1, r):
             # 2w nodes: what a search placing one block per node spends on
             # the two trivial replacements, S = class_i and S = class_j.
             budget -= 2 * w
             if budget < 0:
                 raise SearchBudgetExceeded(node_budget, out, "PRP violation(s)")
+            if decided and decided[i][j]:
+                continue
             alphas = _replacement_alphas(masks[i], masks[j], design.k)
             out.extend((i, j, alpha) for alpha in alphas_wanted if alphas >> alpha & 1)
     return out

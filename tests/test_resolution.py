@@ -328,6 +328,7 @@ PINNED_SEARCHES = {
     "sub3 limit=1000": lambda: _resolving(1000, sub_factorization_embedding(3)),
     "prp sub4": lambda: _prp_checking(sub_factorization_embedding(4)),
     "prp (30,3,2)": lambda: _prp_checking(_catalog_master(30, 3, 2)),
+    "prp AG(2,4)": lambda: _prp_checking(affine_hyperplane_design(2, 4)),
 }
 
 
@@ -335,7 +336,8 @@ PINNED_SEARCHES = {
 # placed block, counted on the list-scanning search that the block-bitset
 # one replaced: both place the same blocks in the same order, so the
 # exhaustion points do not move.  A PRP check spends 2w per class pair,
-# C(r,2)·2w in all: 105·2·8 for sub4 and 406·2·10 for (30,3,2).
+# C(r,2)·2w in all: 105·2·8 for sub4, 406·2·10 for (30,3,2) and 10·2·4
+# for AG(2,4), whose pairs (k >= w) are all decided from the owner table.
 @pytest.mark.parametrize(
     "name, nodes",
     [
@@ -344,6 +346,7 @@ PINNED_SEARCHES = {
         ("sub3 limit=1000", 17961),
         ("prp sub4", 1680),
         ("prp (30,3,2)", 8120),
+        ("prp AG(2,4)", 80),
     ],
 )
 def test_search_node_counts_are_pinned(name, nodes):
@@ -540,18 +543,20 @@ def _random_resolutions(draw, ks=(2, 4), ws=(2, 6), rs=(2, 6)):
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(_random_resolutions())
-def test_prp_violations_match_oracle_on_random_resolutions(design_and_res):
-    design, res = design_and_res
-    assert verify_resolution(design, res)
-    violations = prp_violations(design, res)
-    expected = [
-        (i, j, alpha)
-        for i in range(len(res.classes))
-        for j in range(i + 1, len(res.classes))
-        for alpha in sorted(_oracle_alphas(design, res, i, j))
-    ]
-    assert violations == expected
+@given(_random_resolutions(), _random_resolutions(ks=(4, 6), ws=(2, 4)))
+def test_prp_violations_match_oracle_on_random_resolutions(small_k, large_k):
+    # The second draw has k >= w, so prp_violations decides some of its
+    # pairs from the owner table and the rest by components.
+    for design, res in (small_k, large_k):
+        assert verify_resolution(design, res)
+        violations = prp_violations(design, res)
+        expected = [
+            (i, j, alpha)
+            for i in range(len(res.classes))
+            for j in range(i + 1, len(res.classes))
+            for alpha in sorted(_oracle_alphas(design, res, i, j))
+        ]
+        assert violations == expected
 
 
 def test_prp_with_more_than_256_blocks_per_class():
@@ -565,6 +570,16 @@ def test_prp_with_more_than_256_blocks_per_class():
         ParallelClass(tuple(range(300))), ParallelClass(tuple(range(300, 600)))
     ))
     assert prp_violations(design, res) == [(0, 1, 2), (0, 1, 298)]
+    # The rows and the columns of a 256 x 256 grid, w = k = 256: each row
+    # meets every column, so the pair is one component, and the owner
+    # table's positions fill all of uint8.
+    rows = [tuple(range(256 * a, 256 * a + 256)) for a in range(256)]
+    columns = [tuple(range(a, 256 * 256, 256)) for a in range(256)]
+    design = make_design(256 * 256, rows + columns)
+    res = Resolution(design, (
+        ParallelClass(tuple(range(256))), ParallelClass(tuple(range(256, 512)))
+    ))
+    assert prp_violations(design, res) == []
 
 
 def test_prp_alpha_filter(k8_subfac):
