@@ -30,6 +30,7 @@ from .core import (
     _block_permutation,
     _row_matching,
     _row_order,
+    _row_ranks,
     lambda_j,
     t_coverage_spectrum,
     verify_ibd,
@@ -37,7 +38,6 @@ from .core import (
 from .resolution import (
     ParallelClass,
     Resolution,
-    _block_ranks,
     prp_violations,
     verify_resolution,
 )
@@ -304,7 +304,7 @@ def _kept_automorphisms(
     _, moves = master._permutations
     if not moves or not len(refs):
         return (), ()
-    ranks = _block_ranks(master._members)
+    ranks = _row_ranks(master._members)
     positions = np.argsort(ranks[refs], axis=1)
     rows = np.sort(ranks[refs], axis=1)
     order = _row_order(rows)

@@ -200,10 +200,12 @@ class PointSet:
 @dataclass(frozen=True)
 class _Orbits:
     """The orbits of a permutation group on 0..n-1: the least element of
-    each orbit, ascending, and the orbit sizes."""
+    each orbit, ascending, the orbit sizes, and the least element of the
+    orbit of each of 0..n-1."""
 
     reps: np.ndarray
     sizes: np.ndarray
+    least: np.ndarray
 
 
 @dataclass(frozen=True, init=False, repr=False, eq=False)
@@ -586,7 +588,7 @@ def _orbits(perms, n: int) -> _Orbits:
             break
         label = new
     reps = np.flatnonzero(label == np.arange(n))
-    return _Orbits(reps, np.bincount(label)[reps])
+    return _Orbits(reps, np.bincount(label)[reps], label)
 
 
 def is_automorphism(design: Design, perm) -> bool:
@@ -598,6 +600,117 @@ def is_automorphism(design: Design, perm) -> bool:
     members = design._members
     order = _row_order(members)
     return _block_permutation(members, perm, order, members[order]) is not None
+
+
+def _row_ranks(rows) -> np.ndarray:
+    """The rank of each row of a 2-D integer array in the lexicographic
+    order of the rows, equal rows sharing one rank: comparing ranks
+    compares the rows."""
+    order = np.lexsort(rows.T[::-1])
+    listed = rows[order]
+    rank = np.zeros(len(rows), dtype=np.intp)
+    rank[order[1:]] = np.cumsum((listed[1:] != listed[:-1]).any(axis=1))
+    return rank
+
+
+def _find_automorphism(design: Design, accept, spend) -> tuple[np.ndarray, np.ndarray] | None:
+    """A point automorphism of design that moves some point and whose
+    block permutation `accept` takes, as (point images, block
+    permutation), or None when the search below finds none.
+
+    Individualisation and refinement (B. D. McKay, "Practical graph
+    isomorphism", Congr. Numer. 30, 1981) on the point-block incidences.
+    A round of refinement recolours every block by its colour and the
+    sorted colours of its points, then every point by its colour and the
+    sorted colours of its blocks; a colour is the rank of such a
+    signature, so it does not depend on the labels, and an automorphism
+    maps each point and block to one of the same colour.  Rounds repeat
+    until one splits no colour class.  The first path gives the least
+    point of the smallest point class of more than one point a colour of
+    its own and refines, until every point has its own colour.  Then,
+    from the deepest level up, every other point of the class chosen at a
+    level is tried in its place, and below it every point of the class
+    the first path chose at each later level.  A branch is cut as soon as
+    a round's numbers of colours, or a level's class sizes, differ from
+    the first path's.  At a leaf the map from the points of the first
+    leaf to the points of the same colour is checked exactly
+    (_block_permutation), and the first map that passes and that
+    `accept` takes is returned.
+
+    spend() is called before every round, so a caller can charge the work
+    and stop it by raising.  A design whose points lie in different
+    numbers of blocks is not searched.
+    """
+    members = design._members
+    v, b = design.points.size, len(members)
+    replication = _replication(design)
+    if b == 0 or (replication != replication[0]).any():
+        return None
+    through = design._incidences[0].reshape(v, -1)
+    order = _row_order(members)
+    listed = members[order]
+
+    def refine(points, blocks, expected=None):
+        """The equitable colouring under (points, blocks) and the numbers
+        of colours after each round; None as soon as those differ from
+        `expected`."""
+        counts = []
+        before = (int(points.max()) + 1, int(blocks.max()) + 1)
+        while True:
+            spend()
+            blocks = _row_ranks(np.column_stack([blocks, np.sort(points[members], axis=1)]))
+            points = _row_ranks(np.column_stack([points, np.sort(blocks[through], axis=1)]))
+            after = (int(points.max()) + 1, int(blocks.max()) + 1)
+            counts.append(after)
+            if expected is not None and expected[len(counts) - 1 : len(counts)] != [after]:
+                return None
+            if after == before:
+                return points, blocks, counts
+            before = after
+
+    def individualised(points, blocks, p, expected=None):
+        points = points.copy()
+        points[p] = v  # above every colour
+        return refine(points, blocks, expected)
+
+    def sizes(points, blocks) -> bytes:
+        return np.bincount(points).tobytes() + np.bincount(blocks).tobytes()
+
+    # The first path: per level, the colouring, the class chosen and its
+    # point, and the rounds and class sizes of the refinement below it.
+    points, blocks, _ = refine(np.zeros(v, dtype=np.intp), np.zeros(b, dtype=np.intp))
+    path = []
+    while True:
+        classes = np.bincount(points)
+        if classes.max() == 1:
+            break
+        colour = int(np.argmin(np.where(classes > 1, classes, v + 1)))
+        chosen = int(np.argmax(points == colour))
+        below = individualised(points, blocks, chosen)
+        path.append((points, blocks, colour, chosen, below[2], sizes(*below[:2])))
+        points, blocks = below[:2]
+    leaf = np.argsort(points)
+    for depth in range(len(path) - 1, -1, -1):
+        points, blocks, colour, chosen, _, _ = path[depth]
+        tries = [(depth, points, blocks, p)
+                 for p in np.flatnonzero(points == colour)[::-1].tolist() if p != chosen]
+        while tries:
+            level, points, blocks, p = tries.pop()
+            below = individualised(points, blocks, p, path[level][4])
+            if below is None or sizes(*below[:2]) != path[level][5]:
+                continue
+            points, blocks = below[:2]
+            if level + 1 < len(path):
+                colour = path[level + 1][2]
+                tries.extend((level + 1, points, blocks, q)
+                             for q in np.flatnonzero(points == colour)[::-1].tolist())
+                continue
+            perm = np.empty(v, dtype=np.intp)
+            perm[leaf] = np.argsort(points)
+            block_perm = _block_permutation(members, perm, order, listed)
+            if block_perm is not None and accept(block_perm):
+                return perm, block_perm
+    return None
 
 
 def make_design(v, blocks, labels=None, k=None) -> Design:

@@ -21,7 +21,21 @@ no candidate is scanned and rejected.  The backtracking runs as one loop
 over an explicit stack of levels, as Knuth's Algorithm X does (TAOCP 4B
 §7.2.2.1), so the interpreter's recursion limit bounds neither the w
 blocks of a class nor the r classes of a resolution.  Every placed block
-is one node of the search budget.  The PRP check reads the alphas of a
+is one node of the search budget.
+
+A search that has spent SYMMETRY_AFTER = 8192 nodes without finding a
+resolution runs one symmetry stage there, as the 1-rotational masters
+need once their points are relabelled.  It looks for a point automorphism
+sigma whose block orbits all have one length m > 1 dividing r, by
+individualisation and refinement (core._find_automorphism), at b nodes per
+round of refinement.  Then the same loop, with each block's sigma-orbit
+dropped from `keep` and each completed class taking its m images, looks
+for a resolution whose classes fall into sigma-orbits of m classes, at one
+node per block placed; the first one found is the first result, and the
+plain search goes on with the budget left.  A search that finishes, or
+finds its first resolution, within 8192 nodes is unchanged by the stage.
+
+The PRP check reads the alphas of a
 class pair off the connected components of its 2w blocks, and charges 2w
 nodes per pair.  When k >= w, it first decides at once every pair in
 which the first block of one class meets all w blocks of the other, from
@@ -36,7 +50,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Design, DesignError, _columns, _ints, _packed_rows, _replication
+from .core import (
+    Design,
+    DesignError,
+    _columns,
+    _find_automorphism,
+    _ints,
+    _orbits,
+    _packed_rows,
+    _replication,
+    _row_ranks,
+)
 
 __all__ = [
     "BadAlpha",
@@ -44,6 +68,7 @@ __all__ = [
     "DEFAULT_NODE_BUDGET",
     "ParallelClass",
     "Resolution",
+    "SYMMETRY_AFTER",
     "SearchBudgetExceeded",
     "find_resolutions",
     "prp_violations",
@@ -90,6 +115,14 @@ class Resolution:
 
     design: Design
     classes: tuple[ParallelClass, ...]
+
+    @classmethod
+    def _from_search(cls, design: Design, classes: tuple[ParallelClass, ...]) -> "Resolution":
+        """The resolution of design into classes whose refs the search
+        took from the design's own blocks, so they are not checked again."""
+        res = cls.__new__(cls)
+        res.__dict__.update(design=design, classes=classes)
+        return res
 
     def __post_init__(self) -> None:
         b = len(self.design._members)
@@ -173,17 +206,6 @@ def _partitions_blocks(design: Design, res: Resolution) -> bool:
     return bool((np.bincount(points.ravel(), minlength=len(refs) * v) == 1).all())
 
 
-def _block_ranks(members) -> np.ndarray:
-    """The rank of each block in the lexicographic order of the blocks as
-    point tuples, equal blocks sharing one rank: comparing ranks compares
-    the blocks."""
-    order = np.lexsort(members.T[::-1])
-    listed = members[order]
-    rank = np.zeros(len(members), dtype=np.intp)
-    rank[order[1:]] = np.cumsum((listed[1:] != listed[:-1]).any(axis=1))
-    return rank
-
-
 # Bits of the `keep` masks one resolution search holds: each is b bits, so
 # a design with more than sqrt(MEETS_MEMO_BITS) blocks keeps the masks of
 # MEETS_MEMO_BITS // b of them and rebuilds the others on use.
@@ -246,6 +268,13 @@ def _search_masks(design: Design):
     return (0, *masks), [0] + through[::-1], keep
 
 
+# Nodes the plain search spends before it runs its one symmetry stage,
+# when it has found no resolution by then: more than five times the 1,535
+# nodes that the slowest of the benchmark's other search inputs (seeds
+# 1-3), a relabelled (24,4,3), needs for its first resolution.
+SYMMETRY_AFTER = 8192
+
+
 def find_resolutions(
     design: Design, limit: int, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> list[Resolution]:
@@ -263,7 +292,39 @@ def find_resolutions(
     that misses the points covered, in increasing index order, and each
     block so placed costs one node.
 
-    The search is one loop over an explicit stack, not a recursion, so
+    When SYMMETRY_AFTER nodes have gone by and no resolution has been
+    found, one symmetry stage runs (_Search.symmetry_stage) before the
+    search goes on with the budget left.  It looks for a point
+    automorphism sigma whose block orbits all have one length m > 1 that
+    divides r (core._find_automorphism), charging b nodes for each round
+    of refinement, and then, on the same loop, for a resolution whose
+    classes fall into sigma-orbits of m classes, charging one node per
+    block placed; the first it finds is the first result.  With no such
+    sigma, or no such resolution, the stage adds nothing.  A search that
+    finishes, or finds its first resolution, within SYMMETRY_AFTER nodes
+    never runs the stage and returns what it returned without it.  The
+    stage is skipped when the b x b masks of `keep` exceed
+    MEETS_MEMO_BITS, since it builds a second table of them.
+    """
+    if limit < 1:
+        return []
+    v, k, b = design.points.size, design.k, len(design._members)
+    if v % k:
+        raise DesignError(f"block size {k} does not divide {v}")
+    w = v // k
+    if b == 0 or b % w:
+        return []
+    search = _Search(design, w, node_budget)
+    search.run(search.keep, None, 1, limit, node_budget,
+               max(node_budget - SYMMETRY_AFTER, 0))
+    return list(search.found.values())
+
+
+class _Search:
+    """One resolution search: the tables of _search_masks, the key of
+    each block, the resolutions found so far and the node budget.
+
+    `run` is the search loop, on an explicit stack, not a recursion, so
     its depth is limited by neither w nor r.  The current level is
     (candidates, uncovered, avail): the blocks still to try at the lowest
     uncovered point, the points the class leaves uncovered and the blocks
@@ -275,83 +336,153 @@ def find_resolutions(
     the stack height where its levels start; it is pushed on `opened`
     when the next class opens.  Each class's (contents, refs) is built
     once, when it completes (_class_key).
+
+    `run` is given `keep` and `sigma`, a block permutation whose cycles
+    all have length m, as sigma[n] = n' for blocks b-n and b-n'.  The
+    plain search passes the keep masks of _search_masks, no permutation
+    and m = 1.  The symmetry stage passes keep masks that also drop the
+    other blocks of each block's orbit, and the block permutation of an
+    automorphism: a completed class then takes its blocks' whole orbits
+    out of `unused`, and fills m slots, one for each of its images.
     """
-    if limit < 1:
-        return []
-    members = design._members
-    v, k, b = design.points.size, design.k, len(members)
-    if v % k:
-        raise DesignError(f"block size {k} does not divide {v}")
-    w = v // k
-    if b == 0 or b % w:
-        return []
-    masks, through, keep = _search_masks(design)
-    # key[n] orders block b-n by (contents, index) as one int: comparing
-    # keys compares the blocks as point tuples, ties going to the index.
-    key = [0] + (_block_ranks(members) * b + np.arange(b))[::-1].tolist()
-    points = (1 << v) - 1
-    classes: list = [None] * (b // w)
-    found: dict[tuple, Resolution] = {}
-    nodes = node_budget
-    stack: list[tuple[int, int, int, int]] = []
-    opened: list[tuple[int, int, int]] = []
-    # Block 0, the highest bit, opens the first class; k < v leaves it
-    # points to cover.
-    unused, opener, base = (1 << b) - 1, b, 0
-    uncovered = points ^ masks[b]
-    avail = keep[b]
-    candidates = through[uncovered.bit_length()] & avail
-    while True:
-        while candidates:
-            n = candidates.bit_length()
-            candidates ^= 1 << (n - 1)
-            nodes -= 1
-            if nodes < 0:
-                raise SearchBudgetExceeded(
-                    node_budget, found.values(), "resolution(s)"
-                )
-            left = uncovered ^ masks[n]
-            if left:
-                narrowed = avail & keep[n]
-                nxt = through[left.bit_length()] & narrowed
-                if nxt:
-                    stack.append((candidates, uncovered, avail, n))
-                    candidates, uncovered, avail = nxt, left, narrowed
-                continue
-            # Block b-n completes the class: its blocks are the opener,
-            # the block each of its stacked levels placed, and b-n.
-            placed = [opener, n] + [level[3] for level in stack[base:]]
-            rest = unused
-            for m in placed:
-                rest ^= 1 << (m - 1)
-            if rest:
-                first = rest.bit_length()
-                left = points ^ masks[first]
-                narrowed = rest & keep[first]
-                nxt = through[left.bit_length()] & narrowed
-                if not nxt:
+
+    def __init__(self, design: Design, w: int, node_budget: int):
+        members = design._members
+        v, b = design.points.size, len(members)
+        self.design, self.b, self.w, self.node_budget = design, b, w, node_budget
+        self.masks, self.through, self.keep = _search_masks(design)
+        # key[n] orders block b-n by (contents, index) as one int: comparing
+        # keys compares the blocks as point tuples, ties going to the index.
+        self.key = [0] + (_row_ranks(members) * b + np.arange(b))[::-1].tolist()
+        self.points = (1 << v) - 1
+        self.found: dict[tuple, Resolution] = {}
+
+    def exhausted(self) -> SearchBudgetExceeded:
+        return SearchBudgetExceeded(self.node_budget, self.found.values(), "resolution(s)")
+
+    def run(self, keep, sigma, m: int, limit: int, nodes: int, checkpoint: int) -> int:
+        """Search until `limit` resolutions are found or the tree is
+        done, and return the nodes left of `nodes`.  When `nodes` falls
+        below `checkpoint` > 0, the symmetry stage runs if nothing has been
+        found; below 0, the budget is exhausted."""
+        masks, through, key, points = self.masks, self.through, self.key, self.points
+        design, b, w, found = self.design, self.b, self.w, self.found
+        classes: list = [None] * (b // w)
+        stack: list[tuple[int, int, int, int]] = []
+        opened: list[tuple[int, int, int]] = []
+        # Block 0, the highest bit, opens the first class; k < v leaves it
+        # points to cover.
+        unused, opener, base = (1 << b) - 1, b, 0
+        uncovered = points ^ masks[b]
+        avail = keep[b]
+        candidates = through[uncovered.bit_length()] & avail
+        while True:
+            while candidates:
+                n = candidates.bit_length()
+                candidates ^= 1 << (n - 1)
+                nodes -= 1
+                if nodes < checkpoint:
+                    if checkpoint and not found:
+                        nodes = self.symmetry_stage(nodes)
+                        if len(found) >= limit:
+                            return nodes
+                    checkpoint = 0
+                    if nodes < 0:
+                        raise self.exhausted()
+                left = uncovered ^ masks[n]
+                if left:
+                    narrowed = avail & keep[n]
+                    nxt = through[left.bit_length()] & narrowed
+                    if nxt:
+                        stack.append((candidates, uncovered, avail, n))
+                        candidates, uncovered, avail = nxt, left, narrowed
                     continue
-            # Class c of r leaves (r-1-c)·w blocks in `rest`.
-            classes[-1 - rest.bit_count() // w] = _class_key(placed, key, b)
-            if rest:
-                stack.append((candidates, uncovered, avail, n))
-                opened.append((unused, opener, base))
-                unused, opener, base = rest, first, len(stack)
-                candidates, uncovered, avail = nxt, left, narrowed
-                continue
-            ordered = sorted(classes)
-            contents = tuple([c for c, _ in ordered])
-            if contents not in found:
-                found[contents] = Resolution(
-                    design, tuple([ParallelClass(refs) for _, refs in ordered])
-                )
-                if len(found) >= limit:
-                    return list(found.values())
-        if not stack:
-            return list(found.values())
-        candidates, uncovered, avail, _ = stack.pop()
-        if len(stack) < base:
-            unused, opener, base = opened.pop()
+                # Block b-n completes the class: its blocks are the opener,
+                # the block each of its stacked levels placed, and b-n.
+                placed = [opener, n] + [level[3] for level in stack[base:]]
+                rest = unused
+                for x in placed:
+                    rest ^= 1 << (x - 1)
+                if m > 1:
+                    images = [placed]
+                    for _ in range(m - 1):
+                        images.append([sigma[x] for x in images[-1]])
+                        for x in images[-1]:
+                            rest ^= 1 << (x - 1)
+                if rest:
+                    first = rest.bit_length()
+                    left = points ^ masks[first]
+                    narrowed = rest & keep[first]
+                    nxt = through[left.bit_length()] & narrowed
+                    if not nxt:
+                        continue
+                # The plain search's class c of r leaves (r-1-c)·w blocks
+                # in `rest` and fills slot c; a class and its m-1 images
+                # fill the m slots before the last rest/w.
+                slot = -m - rest.bit_count() // w
+                if m > 1:
+                    for cls in images[1:]:
+                        classes[slot] = _class_key(cls, key, b)
+                        slot += 1
+                classes[slot] = _class_key(placed, key, b)
+                if rest:
+                    stack.append((candidates, uncovered, avail, n))
+                    opened.append((unused, opener, base))
+                    unused, opener, base = rest, first, len(stack)
+                    candidates, uncovered, avail = nxt, left, narrowed
+                    continue
+                ordered = sorted(classes)
+                contents = tuple([c for c, _ in ordered])
+                if contents not in found:
+                    found[contents] = Resolution._from_search(
+                        design, tuple([ParallelClass(refs) for _, refs in ordered])
+                    )
+                    if len(found) >= limit:
+                        return nodes
+            if not stack:
+                return nodes
+            candidates, uncovered, avail, _ = stack.pop()
+            if len(stack) < base:
+                unused, opener, base = opened.pop()
+
+    def symmetry_stage(self, nodes: int) -> int:
+        """Look for a resolution invariant under an automorphism sigma of
+        the design, add the first one found, and return the nodes left.
+
+        sigma is the first automorphism core._find_automorphism finds
+        whose block orbits all have one length m > 1 dividing r; each
+        round of its refinement costs b nodes.  The search for an
+        invariant resolution is `run` with keep masks that also drop each
+        block's orbit and with sigma's block permutation, so it finds the
+        resolutions whose classes fall into sigma-orbits of m distinct
+        classes, one node per block placed.
+        """
+        b, r = self.b, self.b // self.w
+        if not isinstance(self.keep, list):
+            return nodes
+
+        def spend():
+            nonlocal nodes
+            nodes -= b
+            if nodes < 0:
+                raise self.exhausted()
+
+        def accept(blocks) -> bool:
+            sizes = _orbits([blocks], b).sizes
+            return sizes[0] > 1 and r % sizes[0] == 0 and (sizes == sizes[0]).all()
+
+        automorphism = _find_automorphism(self.design, accept, spend)
+        if automorphism is None:
+            return nodes
+        blocks = automorphism[1]
+        orbits = _orbits([blocks], b)
+        least = orbits.least.tolist()
+        drop: dict[int, int] = {}
+        for i, rep in enumerate(least):
+            drop[rep] = drop.get(rep, 0) | 1 << (b - 1 - i)
+        keep = [0] + [mask & ~drop[rep] for mask, rep in zip(self.keep[1:], least[::-1])]
+        sigma = [0] + (b - blocks[::-1]).tolist()
+        return self.run(keep, sigma, int(orbits.sizes[0]), 1, nodes, 0)
 
 
 def _class_key(placed: list[int], key: list[int], b: int) -> tuple[tuple, tuple]:

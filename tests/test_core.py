@@ -943,6 +943,87 @@ def test_replace_drops_supplied_block_permutations():
             design._symmetry
 
 
+# --- finding an automorphism by individualisation and refinement -------------
+
+def _relabelled(design, seed):
+    """design with its points relabelled and its blocks shuffled."""
+    rng = random.Random(seed)
+    v = design.points.size
+    perm = list(range(v))
+    rng.shuffle(perm)
+    blocks = [[perm[p] for p in block] for block in design.blocks]
+    rng.shuffle(blocks)
+    return make_design(v, blocks)
+
+
+def _spent(design, accept=lambda blocks: True):
+    """(what _find_automorphism returns, the rounds it spent)."""
+    rounds = 0
+
+    def spend():
+        nonlocal rounds
+        rounds += 1
+
+    return core._find_automorphism(design, accept, spend), rounds
+
+
+@pytest.mark.parametrize(
+    "design",
+    [
+        _relabelled(cyclic_develop(catalog_entry("3-(24,12,175)").base)[0], seed=1),
+        _relabelled(cyclic_develop(catalog_entry("3-(24,12,15)").base)[0], seed=2),
+        _relabelled(trivial_design(6, 2), seed=3),
+        make_design(7, [_translate((0, 1, 3), t, 7) for t in range(7)]),
+    ],
+    ids=["(24,3,2)", "(24,6,5)", "K_6", "Fano"],
+)
+def test_found_automorphisms_hold_with_their_block_permutations(design):
+    (perm, blocks), rounds = _spent(design)
+    assert rounds > 0
+    v = design.points.size
+    assert perm.tolist() != list(range(v))
+    assert naive_is_automorphism(v, design.blocks, perm.tolist(), blocks.tolist())
+
+
+def test_automorphism_search_takes_only_what_accept_takes():
+    # The first automorphism of the Fano plane the search meets fixes a
+    # point; asked for a 7-cycle of the lines, it goes on to one.
+    fano = make_design(7, [_translate((0, 1, 3), t, 7) for t in range(7)])
+
+    def seven_cycle(blocks):
+        i, length = blocks[0], 1
+        while i != 0:
+            i, length = blocks[i], length + 1
+        return length == 7
+
+    (_, first), _ = _spent(fano)
+    assert not seven_cycle(first)
+    (perm, blocks), _ = _spent(fano, seven_cycle)
+    assert seven_cycle(blocks)
+    assert naive_is_automorphism(7, fano.blocks, perm.tolist(), blocks.tolist())
+    assert _spent(fano, lambda blocks: False)[0] is None
+
+
+def test_automorphism_search_skips_designs_of_unequal_replication():
+    assert _spent(make_design(4, [(0, 1), (0, 2), (0, 3)])) == (None, 0)
+
+
+def test_automorphism_search_stops_when_spend_raises():
+    design = _relabelled(cyclic_develop(catalog_entry("3-(24,12,175)").base)[0], seed=1)
+    _, rounds = _spent(design)
+    spent = 0
+
+    def spend():
+        nonlocal spent
+        spent += 1
+        if spent == rounds:
+            raise RuntimeError("out of rounds")
+
+    with pytest.raises(RuntimeError, match="out of rounds"):
+        core._find_automorphism(design, lambda blocks: True, spend)
+    assert spent == rounds
+
+
 # --- the paper's nontriviality bound (an oracle closed form) ------------------
 
 def test_bound_examples():

@@ -227,6 +227,23 @@ def test_load_design_or_resolution_reads_either_flavor(tmp_path):
         load_design_or_resolution(tmp_path / "bad.txt")
 
 
+def test_out_of_range_class_refs_raise_through_both_loaders(tmp_path):
+    # Only the search builds resolutions without checking their refs; the
+    # public constructor and the loaders still check every one.
+    _, res = round_robin_one_factorization(4)
+    data = resolution_to_dict(res)
+    data["classes"][0][0] = 99
+    (tmp_path / "bad.json").write_text(json.dumps(data))
+    message = r"block reference 99 out of range 0\.\.5"
+    with pytest.raises(DesignError, match=message):
+        Resolution(res.design, (ParallelClass((99, 1)),))
+    with pytest.raises(DesignError, match=message):
+        resolution_from_dict(data)
+    for load in (load_resolution, load_design_or_resolution):
+        with pytest.raises(DesignError, match=message):
+            load(tmp_path / "bad.json")
+
+
 def _point_by_point(blocks):
     """The blocks of a JSON object read one point at a time, or the
     message of the first point that is not an int (bools are not)."""

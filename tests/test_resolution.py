@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockdesigns import resolution
+from blockdesigns import core, resolution
 from blockdesigns.catalog import catalog_entry, catalog_names
 from blockdesigns.core import DesignError, make_design
 from blockdesigns.generators import (
@@ -26,6 +26,7 @@ from blockdesigns.resolution import (
 )
 
 from oracles import (
+    naive_is_automorphism,
     naive_is_resolution,
     naive_prp_witness,
     naive_resolutions,
@@ -326,6 +327,9 @@ PINNED_SEARCHES = {
     "(24,4,3) limit=2": lambda: _resolving(2, _catalog_master(24, 4, 3)),
     "(30,5,4) limit=2": lambda: _resolving(2, _catalog_master(30, 5, 4)),
     "sub3 limit=1000": lambda: _resolving(1000, sub_factorization_embedding(3)),
+    "relabelled (24,3,2) limit=1": lambda: _resolving(
+        1, _shuffled(*_catalog_master(24, 3, 2), seed=0)
+    ),
     "prp sub4": lambda: _prp_checking(sub_factorization_embedding(4)),
     "prp (30,3,2)": lambda: _prp_checking(_catalog_master(30, 3, 2)),
     "prp AG(2,4)": lambda: _prp_checking(affine_hyperplane_design(2, 4)),
@@ -335,7 +339,11 @@ PINNED_SEARCHES = {
 # Nodes each search spends in all.  A resolution search spends one per
 # placed block, counted on the list-scanning search that the block-bitset
 # one replaced: both place the same blocks in the same order, so the
-# exhaustion points do not move.  A PRP check spends 2w per class pair,
+# exhaustion points do not move.  The relabelled (24,3,2) finds nothing in
+# its first SYMMETRY_AFTER + 1 = 8193 nodes, so its symmetry stage runs
+# there: 107 rounds of refinement at b = 184 nodes each (19,688) find an
+# automorphism of order 23, and the invariant search then places 144
+# blocks.  A PRP check spends 2w per class pair,
 # C(r,2)·2w in all: 105·2·8 for sub4, 406·2·10 for (30,3,2) and 10·2·4
 # for AG(2,4), whose pairs (k >= w) are all decided from the owner table.
 @pytest.mark.parametrize(
@@ -344,6 +352,7 @@ PINNED_SEARCHES = {
         ("(24,4,3) limit=2", 2243),
         ("(30,5,4) limit=2", 1221),
         ("sub3 limit=1000", 17961),
+        ("relabelled (24,3,2) limit=1", 8193 + 107 * 184 + 144),
         ("prp sub4", 1680),
         ("prp (30,3,2)", 8120),
         ("prp AG(2,4)", 80),
@@ -355,6 +364,125 @@ def test_search_node_counts_are_pinned(name, nodes):
     assert result == search(10 * nodes)
     with pytest.raises(SearchBudgetExceeded):
         search(nodes - 1)
+
+
+def _rotation(v, n, seed):
+    """The point map x -> x+1 mod n, fixing n, of a 1-rotational master
+    over Z_n and n, carried over to its copy _shuffled(..., seed), which
+    relabels point p as perm[p]."""
+    perm = list(range(v))
+    random.Random(seed).shuffle(perm)  # the first draw _shuffled makes
+    rotation = [0] * v
+    for p in range(v):
+        rotation[perm[p]] = perm[(p + 1) % n if p < n else p]
+    return rotation
+
+
+def _class_sets(design, res):
+    return {frozenset(frozenset(design.blocks[i]) for i in cls.block_refs)
+            for cls in res.classes}
+
+
+@pytest.mark.parametrize("master", [(24, 3, 2), (30, 3, 2)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_relabelled_hard_masters_are_resolved_through_an_automorphism(master, seed):
+    # The plain search runs 250,000 nodes on these copies without finding
+    # a resolution; the symmetry stage finds one that the copy's hidden
+    # rotation, of prime order n, maps onto itself class by class.
+    design, _ = _shuffled(*_catalog_master(*master), seed)
+    v, n = design.points.size, design.points.size - 1
+    (res,) = find_resolutions(design, limit=1, node_budget=250_000)
+    assert verify_resolution(design, res)
+    classes = [cls.block_refs for cls in res.classes]
+    assert naive_is_resolution(v, design.blocks, classes)
+    rotation = _rotation(v, n, seed)
+    assert naive_is_automorphism(v, design.blocks, rotation)
+    image = {frozenset(frozenset(rotation[p] for p in block) for block in cls)
+             for cls in _class_sets(design, res)}
+    assert image == _class_sets(design, res)
+
+
+def test_search_results_equal_their_checked_construction():
+    # The search builds its results without re-checking their refs; the
+    # public constructor, which checks them, accepts and equals each.
+    hard, _ = _shuffled(*_catalog_master(24, 3, 2), seed=0)
+    found = (find_resolutions(hard, limit=1, node_budget=250_000)
+             + find_resolutions(SHUFFLED["K_8 embedding"]()[0], limit=10))
+    assert len(found) > 2
+    for res in found:
+        assert Resolution(res.design, res.classes) == res
+
+
+def _random_classes(v, k, r, seed):
+    """r parallel classes of k-sets on v points, each a random partition,
+    with the blocks of all of them shuffled: a resolvable design whose
+    automorphisms are almost always trivial."""
+    rng = random.Random(seed)
+    blocks = []
+    for _ in range(r):
+        points = list(range(v))
+        rng.shuffle(points)
+        blocks += [points[i : i + k] for i in range(0, v, k)]
+    rng.shuffle(blocks)
+    return make_design(v, blocks)
+
+
+def test_symmetry_stage_without_an_automorphism_only_adds_its_charge():
+    # The plain search of this design finds its first resolution after
+    # more than SYMMETRY_AFTER nodes and the design has no nontrivial
+    # automorphism, so the stage finds none, charges b nodes per round of
+    # refinement and leaves the plain search's result and order as they
+    # were, its exhaustion point moved by that charge.
+    design = _random_classes(18, 3, 10, seed=2)
+    b = len(design.blocks)
+    trace, total = naive_search_trace(design.points.size, design.blocks, 1)
+    assert total > resolution.SYMMETRY_AFTER
+
+    rounds = 0
+
+    def spend():
+        nonlocal rounds
+        rounds += 1
+
+    assert core._find_automorphism(design, lambda blocks: True, spend) is None
+    budget = total + rounds * b
+    found = find_resolutions(design, limit=1, node_budget=budget)
+    assert [tuple(cls.block_refs for cls in res.classes) for res in found] == [
+        refs for _, refs, _ in trace
+    ]
+    with pytest.raises(SearchBudgetExceeded) as info:
+        find_resolutions(design, limit=1, node_budget=budget - 1)
+    assert info.value.found == []
+
+
+# A 1-rotational master over Z_17 and 17 (the base class, developed): a
+# relabelled copy whose plain search finds its first resolution only
+# after 28,909 nodes.
+ROTATIONAL_18 = CyclicBaseSpec(
+    n=17, has_infinity=True,
+    base_class=((7, 12, 14), (0, 6, 17), (3, 8, 9), (4, 10, 11), (5, 13, 15), (1, 2, 16)),
+)
+
+
+def test_limit_two_adds_the_plain_search_resolution_after_the_invariant_one(monkeypatch):
+    design, _ = _shuffled(*cyclic_develop(ROTATIONAL_18), seed=1)
+    (invariant,) = find_resolutions(design, limit=1)
+    found = find_resolutions(design, limit=2)
+    monkeypatch.setattr(resolution, "SYMMETRY_AFTER", 10**9)  # no stage
+    (plain,) = find_resolutions(design, limit=1)
+    assert found == [invariant, plain]
+    assert _class_sets(design, invariant) != _class_sets(design, plain)
+    assert all(verify_resolution(design, res) for res in found)
+
+
+def test_limit_two_on_a_hard_master_keeps_the_invariant_resolution():
+    # The plain search finds nothing more within the budget, so the search
+    # runs out holding the stage's resolution alone.
+    design, _ = _shuffled(*_catalog_master(24, 3, 2), seed=0)
+    first = find_resolutions(design, limit=1, node_budget=250_000)
+    with pytest.raises(SearchBudgetExceeded) as info:
+        find_resolutions(design, limit=2, node_budget=250_000)
+    assert info.value.found == first
 
 
 @st.composite
