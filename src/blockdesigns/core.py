@@ -68,6 +68,7 @@ __all__ = [
     "DesignError",
     "DesignParams",
     "IntersectionProfile",
+    "MAX_COMB_BITS",
     "MAX_POINTS",
     "MAX_ROW_WORDS",
     "MAX_SPECTRUM_WORDS",
@@ -126,6 +127,14 @@ MAX_POINTS = 1 << 20
 # 3-(64,32,75) at t=3 417 K (3.7 ms instead of 12.8 ms), while an
 # STS(999) would need 1.3 G words at t=2 and stays point by point.
 MAX_SPECTRUM_WORDS = 1 << 28
+
+# Most bits of C(v, t), the number of t-subsets a spectrum accounts for,
+# checked with _capped_comb before the exact binomial is computed; C(v, t)
+# < 2^v, so only v above the bound needs the check.  On a 2-core Xeon the
+# check takes at most about 0.3 s (C(80000, 40000)), and a binomial within
+# the bound at most about 0.1 s (C(65536, 32768), 65,528 bits: 78 ms),
+# against 10-15 s for C(2^20, 2^19), which has 1,048,566 bits.
+MAX_COMB_BITS = 1 << 16
 
 # Time of one word counted (packing, AND, popcount and bincount) in
 # elements the point path scans, for every t; at t >= 3 a boolean the
@@ -613,6 +622,29 @@ def _row_ranks(rows) -> np.ndarray:
     return rank
 
 
+def _packed_words(rows: np.ndarray, bits: int) -> np.ndarray:
+    """The rows of a 2-D int64 array of values below 2**bits, packed into
+    as many int64 words as a row needs, 63 // bits values to a word, the
+    first value most significant and the last word padded with zeros.
+    Comparing two word rows compares the rows, so _row_ranks of the words
+    is _row_ranks of the rows."""
+    scales = _word_scales(bits)
+    per = len(scales)
+    n, width = rows.shape
+    if width % per:
+        rows = np.pad(rows, ((0, 0), (0, per - width % per)))
+    return rows.reshape(n, -1, per) @ scales
+
+
+@cache
+def _word_scales(bits: int) -> np.ndarray:
+    """2**(bits * i) for i from 63 // bits - 1 down to 0, read-only: the
+    place of each value in a word of _packed_words."""
+    scales = np.left_shift(1, bits * np.arange(63 // bits - 1, -1, -1), dtype=np.int64)
+    scales.flags.writeable = False
+    return scales
+
+
 def _find_automorphism(design: Design, accept, spend) -> tuple[np.ndarray, np.ndarray] | None:
     """A point automorphism of design that moves some point and whose
     block permutation `accept` takes, as (point images, block
@@ -624,7 +656,11 @@ def _find_automorphism(design: Design, accept, spend) -> tuple[np.ndarray, np.nd
     sorted colours of its points, then every point by its colour and the
     sorted colours of its blocks; a colour is the rank of such a
     signature, so it does not depend on the labels, and an automorphism
-    maps each point and block to one of the same colour.  Rounds repeat
+    maps each point and block to one of the same colour.  Each round
+    writes the signatures as int64 rows into two buffers made once per
+    call, packs each row into words of 63 // bits colours, bits the bit
+    length of max(v, b), above every colour (_packed_words), and ranks the
+    words, which gives the ranks _row_ranks gives the rows.  Rounds repeat
     until one splits no colour class.  The first path gives the least
     point of the smallest point class of more than one point a colour of
     its own and refines, until every point has its own colour.  Then,
@@ -649,6 +685,26 @@ def _find_automorphism(design: Design, accept, spend) -> tuple[np.ndarray, np.nd
     through = design._incidences[0].reshape(v, -1)
     order = _row_order(members)
     listed = members[order]
+    block_points = members.astype(np.intp)  # faster to index with than uint8
+    # Every colour is at most max(v, b): a rank below v or b, or v for an
+    # individualised point.  Each round writes its signature rows into
+    # these buffers, padded to whole words with columns that stay zero.
+    bits = max(v, b).bit_length()
+    per = 63 // bits
+
+    def buffer(n, width):
+        return np.zeros((n, -(-width // per) * per), dtype=np.int64)
+
+    block_rows, point_rows = buffer(b, 1 + design.k), buffer(v, 1 + through.shape[1])
+
+    def recoloured(rows, colours, neighbours, their_colours):
+        """The ranks of the rows (colour, sorted colours of the
+        neighbours), as _row_ranks of the rows packed into words."""
+        rows[:, 0] = colours
+        signature = rows[:, 1 : neighbours.shape[1] + 1]
+        signature[...] = their_colours[neighbours]
+        signature.sort(axis=1)
+        return _row_ranks(_packed_words(rows, bits))
 
     def refine(points, blocks, expected=None):
         """The equitable colouring under (points, blocks) and the numbers
@@ -658,8 +714,8 @@ def _find_automorphism(design: Design, accept, spend) -> tuple[np.ndarray, np.nd
         before = (int(points.max()) + 1, int(blocks.max()) + 1)
         while True:
             spend()
-            blocks = _row_ranks(np.column_stack([blocks, np.sort(points[members], axis=1)]))
-            points = _row_ranks(np.column_stack([points, np.sort(blocks[through], axis=1)]))
+            blocks = recoloured(block_rows, blocks, block_points, points)
+            points = recoloured(point_rows, points, through, blocks)
             after = (int(points.max()) + 1, int(blocks.max()) + 1)
             counts.append(after)
             if expected is not None and expected[len(counts) - 1 : len(counts)] != [after]:
@@ -832,12 +888,19 @@ def t_coverage_spectrum(design: Design, t: int) -> dict[int, int]:
     through one point x of each point orbit P are counted, as hist_x; the
     coverage is constant on orbits, so hist = sum over P of |P| hist_x / t.
     Raises DesignError before packing anything when a bound on the words
-    to count exceeds MAX_SPECTRUM_WORDS.
+    to count exceeds MAX_SPECTRUM_WORDS, or when C(v, t) has more than
+    MAX_COMB_BITS bits.
     """
     k = design.k
     if not 1 <= t <= k:
         raise DesignError(f"need 1 <= t <= k, got t={t} k={k}")
     v, b = design.points.size, len(design._members)
+    cap = (1 << MAX_COMB_BITS) - 1
+    if v > MAX_COMB_BITS and _capped_comb(v, t, cap) > cap:
+        raise DesignError(
+            f"the t={t} spectrum of a design with v={v} accounts for C({v}, {t}) "
+            f"subsets, a number of more than {MAX_COMB_BITS} bits, above the limit"
+        )
     replication = _replication(design)
     symmetry = design._symmetry if t >= 2 else None
     if symmetry is None:

@@ -335,7 +335,7 @@ class _Search:
     blocks of no earlier class, the n of the block b-n that opened it and
     the stack height where its levels start; it is pushed on `opened`
     when the next class opens.  Each class's (contents, refs) is built
-    once, when it completes (_class_key).
+    once, when it completes (_class_key), with its ParallelClass.
 
     `run` is given `keep` and `sigma`, a block permutation whose cycles
     all have length m, as sigma[n] = n' for blocks b-n and b-n'.  The
@@ -432,10 +432,10 @@ class _Search:
                     candidates, uncovered, avail = nxt, left, narrowed
                     continue
                 ordered = sorted(classes)
-                contents = tuple([c for c, _ in ordered])
+                contents = tuple([entry[0] for entry in ordered])
                 if contents not in found:
                     found[contents] = Resolution._from_search(
-                        design, tuple([ParallelClass(refs) for _, refs in ordered])
+                        design, tuple([entry[2] for entry in ordered])
                     )
                     if len(found) >= limit:
                         return nodes
@@ -485,14 +485,18 @@ class _Search:
         return self.run(keep, sigma, int(orbits.sizes[0]), 1, nodes, 0)
 
 
-def _class_key(placed: list[int], key: list[int], b: int) -> tuple[tuple, tuple]:
-    """(contents, refs) of the class of blocks b-n for n in `placed`:
-    refs in increasing `key` order, (block, index), and contents the
-    ranks of those blocks, so classes sort by (contents, refs) and the
-    contents of the sorted classes are the content key under which two
-    resolutions are the same."""
+def _class_key(placed: list[int], key: list[int], b: int) -> tuple[tuple, tuple, ParallelClass]:
+    """(contents, refs, class) of the class of blocks b-n for n in
+    `placed`: refs in increasing `key` order, (block, index), contents the
+    ranks of those blocks, and the ParallelClass of the refs, made once
+    per completed class and shared by every resolution that holds it.
+    Classes sort by (contents, refs), and the contents of the sorted
+    classes are the content key under which two resolutions are the same;
+    the refs of the classes of one resolution are distinct blocks, so the
+    sort never compares two ParallelClass objects."""
     keys = sorted([key[n] for n in placed])
-    return tuple([x // b for x in keys]), tuple([x % b for x in keys])
+    refs = tuple([x % b for x in keys])
+    return tuple([x // b for x in keys]), refs, ParallelClass(refs)
 
 
 def _replacement_alphas(masks_a: list[int], masks_b: list[int], k: int) -> int:

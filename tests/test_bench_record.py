@@ -40,24 +40,32 @@ def _traced(spectrum_s):
 
 def test_record_adds_the_self_times_of_one_traced_run_at_the_first_seed(
         monkeypatch, tmp_path):
-    calls = []
+    # Once from this tree, and once from a root without .git, as in an
+    # export made with `git archive`, where the commit is not known.
+    for root in (bench_record.ROOT, tmp_path / "export"):
+        monkeypatch.setattr(bench_record, "ROOT", root)
+        calls = []
 
-    def run_seed(seed, seconds, trace=0):
-        calls.append((seed, seconds, trace))
-        if trace:
-            return {"catalog": _traced(0.014), "search": _traced(0.0)}
-        return {"catalog": _result(0.05), "search": _result(1.2)}
+        def run_seed(seed, seconds, trace=0):
+            calls.append((seed, seconds, trace))
+            if trace:
+                return {"catalog": _traced(0.014), "search": _traced(0.0)}
+            return {"catalog": _result(0.05), "search": _result(1.2)}
 
-    monkeypatch.setattr(bench_record, "run_seed", run_seed)
-    out = tmp_path / "BENCH_99.json"
-    assert bench_record.main(["--pr", "99", "--seeds", "4", "5", "--seconds", "2",
-                              "--out", str(out)]) == 0
-    record = json.loads(out.read_text())
-    assert calls == [(4, 2.0, 0), (5, 2.0, 0), (4, 2.0, 1)]
-    assert record["per_layer"] == {
-        "catalog": {"core.t_coverage_spectrum.self_s": 0.014,
-                    "core.Design.validate_s": 0.001},
-        "search": {"core.t_coverage_spectrum.self_s": 0.0,
-                   "core.Design.validate_s": 0.001},
-    }
-    assert record["workloads"]["catalog"]["metrics"]["wall_s"]["median"] == 0.05
+        monkeypatch.setattr(bench_record, "run_seed", run_seed)
+        out = tmp_path / "BENCH_99.json"
+        assert bench_record.main(["--pr", "99", "--seeds", "4", "5", "--seconds", "2",
+                                  "--out", str(out)]) == 0
+        record = json.loads(out.read_text())
+        assert calls == [(4, 2.0, 0), (5, 2.0, 0), (4, 2.0, 1)]
+        assert record["per_layer"] == {
+            "catalog": {"core.t_coverage_spectrum.self_s": 0.014,
+                        "core.Design.validate_s": 0.001},
+            "search": {"core.t_coverage_spectrum.self_s": 0.0,
+                       "core.Design.validate_s": 0.001},
+        }
+        assert record["workloads"]["catalog"]["metrics"]["wall_s"]["median"] == 0.05
+        if (root / ".git").exists():
+            assert len(record["git_sha"]) == 40 and isinstance(record["git_dirty"], bool)
+        else:
+            assert (record["git_sha"], record["git_dirty"]) == (None, None)

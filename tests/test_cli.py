@@ -473,6 +473,20 @@ def test_verify_halves_of_the_largest_point_set(capsys, tmp_path):
     assert out.endswith("simple: yes\ntrivial: no\n")
 
 
+def test_verify_refuses_a_binomial_past_the_bit_bound(capsys, tmp_path, monkeypatch):
+    # C(2^20, 2^19) has 1,048,566 bits; computing it took 14.6 s, and the
+    # run exited 0 after 16 s.  It is refused before any binomial is built.
+    def small_comb(n, r, comb=math.comb):
+        assert min(r, n - r) < 1000, "a large binomial was computed"
+        return comb(n, r)
+
+    path = _halves(tmp_path, MAX_POINTS)
+    monkeypatch.setattr(core.math, "comb", small_comb)
+    code, out, err = run(capsys, "verify", path, "--t", str(MAX_POINTS // 2))
+    assert (code, out) == (2, "")
+    assert f"a number of more than {core.MAX_COMB_BITS} bits, above the limit" in err
+
+
 @pytest.mark.parametrize("as_json", [False, True])
 def test_verify_prints_counts_of_any_length(capsys, tmp_path, as_json):
     # C(16384, 8192) - 2 uncovered 8192-subsets: 4930 digits, past the

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -439,6 +440,22 @@ def test_spectrum_guard_stops_summing_past_the_bound(monkeypatch):
         f"would count more than {core.MAX_SPECTRUM_WORDS} words, above the limit"
     )):
         t_coverage_spectrum(_halves(1 << 16), 3000)
+
+
+def test_spectrum_guard_bounds_the_bits_of_the_binomial(monkeypatch):
+    # C(12, 6) = 924 has 10 bits.
+    monkeypatch.setattr(core, "MAX_COMB_BITS", 10)
+    assert t_coverage_spectrum(_halves(12), 6) == {0: 922, 1: 2}
+    monkeypatch.setattr(core, "MAX_COMB_BITS", 9)
+    with pytest.raises(DesignError, match=(
+        r"accounts for C\(12, 6\) subsets, a number of more than 9 bits, above the limit$"
+    )):
+        t_coverage_spectrum(_halves(12), 6)
+    # C(2^20, 2^19) has 1,048,566 bits; refused before any binomial is built.
+    monkeypatch.undo()
+    monkeypatch.setattr(core.math, "comb", _no_comb)
+    with pytest.raises(DesignError, match=f"more than {core.MAX_COMB_BITS} bits"):
+        t_coverage_spectrum(_halves(1 << 20), 1 << 19)
 
 
 def test_spectrum_guard_states_an_exact_sum(monkeypatch):
@@ -967,22 +984,87 @@ def _spent(design, accept=lambda blocks: True):
     return core._find_automorphism(design, accept, spend), rounds
 
 
+def _digest(blocks) -> str:
+    return hashlib.sha256(str(blocks.tolist()).encode()).hexdigest()[:16]
+
+
+# (rounds, point images, digest of the block permutation) that the search
+# returned when each round ranked its rows unpacked, with np.column_stack;
+# packing the rows into words keeps every colouring, so every one of them.
 @pytest.mark.parametrize(
-    "design",
+    "design, pinned",
     [
-        _relabelled(cyclic_develop(catalog_entry("3-(24,12,175)").base)[0], seed=1),
-        _relabelled(cyclic_develop(catalog_entry("3-(24,12,15)").base)[0], seed=2),
-        _relabelled(trivial_design(6, 2), seed=3),
-        make_design(7, [_translate((0, 1, 3), t, 7) for t in range(7)]),
+        (_relabelled(cyclic_develop(catalog_entry("3-(24,12,175)").base)[0], seed=1),
+         (104, [1, 16, 20, 2, 4, 9, 7, 19, 18, 0, 6, 17, 14, 10, 3, 8, 22, 13, 11, 12, 23,
+                5, 15, 21], "b53a9399b5b5b295")),
+        (_relabelled(cyclic_develop(catalog_entry("3-(30,15,819)").base)[0], seed=4),
+         (113, [1, 5, 17, 4, 25, 11, 3, 7, 21, 15, 18, 10, 22, 9, 16, 0, 19, 8, 12, 24, 6,
+                20, 28, 2, 23, 29, 27, 13, 14, 26], "a963086c77faf387")),
+        (_relabelled(cyclic_develop(catalog_entry("3-(24,12,15)").base)[0], seed=2),
+         (153, [2, 1, 5, 0, 12, 6, 10, 22, 18, 23, 13, 8, 15, 19, 7, 11, 17, 3, 16, 14, 4,
+                20, 9, 21], "e0ea7251ba98e166")),
+        (_relabelled(trivial_design(6, 2), seed=3),
+         (13, [0, 1, 2, 3, 5, 4], "d9a4760f77b5be63")),
+        (make_design(7, [_translate((0, 1, 3), t, 7) for t in range(7)]),
+         (9, [0, 1, 4, 3, 2, 6, 5], "97d34e302cc32431")),
     ],
-    ids=["(24,3,2)", "(24,6,5)", "K_6", "Fano"],
+    ids=["(24,3,2)", "(30,3,2)", "(24,6,5)", "K_6", "Fano"],
 )
-def test_found_automorphisms_hold_with_their_block_permutations(design):
+def test_found_automorphisms_hold_with_their_block_permutations(design, pinned):
     (perm, blocks), rounds = _spent(design)
-    assert rounds > 0
+    assert (rounds, perm.tolist(), _digest(blocks)) == pinned
     v = design.points.size
     assert perm.tolist() != list(range(v))
     assert naive_is_automorphism(v, design.blocks, perm.tolist(), blocks.tolist())
+
+
+def test_refinement_rows_fit_the_bits_they_are_packed_in(monkeypatch):
+    # Every row a round packs holds colours below 2**bits, so its words
+    # rank as the rows do; block colours reach past v on these designs.
+    packed = []
+
+    def checked(rows, bits):
+        words = packed_words(rows, bits)
+        assert 0 <= rows.min() and rows.max() < 1 << bits
+        assert core._row_ranks(words).tolist() == core._row_ranks(rows).tolist()
+        packed.append(int(rows.max()))
+        return words
+
+    packed_words = core._packed_words
+    monkeypatch.setattr(core, "_packed_words", checked)
+    for design in (
+        _relabelled(cyclic_develop(catalog_entry("3-(30,15,819)").base)[0], seed=4),
+        make_design(7, [_translate(block, t, 7) for block in ((0, 1, 2), (0, 1, 3), (0, 2, 3))
+                        for t in range(7)]),
+    ):
+        packed.clear()
+        _spent(design)
+        assert max(packed) > design.points.size
+
+
+@st.composite
+def rows_to_pack(draw):
+    """(rows, bits): an int64 array of values at most a drawn bound, which
+    has `bits` bits, as wide as one, two or three words of 63 // bits
+    values.  Values are often 0, 1 or the bound, so rows tie often."""
+    bound = draw(st.integers(1, 1 << 20))
+    bits = bound.bit_length()
+    per = 63 // bits
+    words = draw(st.integers(1, 3))
+    width = draw(st.integers((words - 1) * per + 1, words * per))
+    value = st.sampled_from([0, 1, bound]) | st.integers(0, bound)
+    rows = draw(st.lists(st.lists(value, min_size=width, max_size=width),
+                         min_size=1, max_size=12))
+    return np.array(rows, dtype=np.int64), bits
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(rows_to_pack())
+def test_packed_words_rank_as_the_rows(case):
+    rows, bits = case
+    words = core._packed_words(rows, bits)
+    assert words.shape == (len(rows), -(-rows.shape[1] // (63 // bits)))
+    assert core._row_ranks(words).tolist() == core._row_ranks(rows).tolist()
 
 
 def test_automorphism_search_takes_only_what_accept_takes():

@@ -8,7 +8,8 @@ Runs ``perfbench/run.py --workload all`` once per seed, each workload in
 its own process, and writes the median over the seeds of every end-to-end
 metric of every workload, with the values of each seed, whether every run
 was correct, and the git commit, CPU count and Python and numpy versions
-that produced them.  One more run with ``--trace 1``, at the first seed,
+that produced them; the commit and whether the tree was dirty are null
+outside a git checkout.  One more run with ``--trace 1``, at the first seed,
 adds the per-layer self times of each workload under ``per_layer``.  The
 file goes to the root of the checkout unless ``--out`` names another path.
 """
@@ -29,7 +30,11 @@ import numpy
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _git(*args: str) -> str:
+def _git(*args: str) -> str | None:
+    """What git prints in ROOT, or None outside a git checkout (an export
+    made with `git archive`, or a tarball)."""
+    if not (ROOT / ".git").exists():
+        return None
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
                           check=True).stdout.strip()
 
@@ -86,10 +91,11 @@ def main(argv=None) -> int:
         print(f"seed {seed} done", file=sys.stderr)
     traced = run_seed(args.seeds[0], args.seconds, trace=1)
     print(f"traced seed {args.seeds[0]} done", file=sys.stderr)
+    status = _git("status", "--porcelain", "--untracked-files=no")
     record = {
         "pr": args.pr,
         "git_sha": _git("rev-parse", "HEAD"),
-        "git_dirty": bool(_git("status", "--porcelain", "--untracked-files=no")),
+        "git_dirty": None if status is None else bool(status),
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
