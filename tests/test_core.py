@@ -988,9 +988,9 @@ def _digest(blocks) -> str:
     return hashlib.sha256(str(blocks.tolist()).encode()).hexdigest()[:16]
 
 
-# (rounds, point images, digest of the block permutation) that the search
-# returned when each round ranked its rows unpacked, with np.column_stack;
-# packing the rows into words keeps every colouring, so every one of them.
+# (rounds, point images, digest of the block permutation) as the search
+# returned them when each round ranked its rows unpacked; packing the rows
+# into words keeps every colouring, so it keeps all three.
 @pytest.mark.parametrize(
     "design, pinned",
     [
