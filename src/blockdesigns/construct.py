@@ -7,8 +7,9 @@ positions named by C.  Constructed block i * b' + c, b' the indexing
 blocks, is the pair (master class i, indexing block c): its provenance,
 the inherited resolutions and the kept master automorphisms (classes
 matched by block content) are arithmetic on that order.  This module
-builds those designs, predicts their parameters exactly, and applies the
-PRP criterion for simplicity.  One formula, triple_coverage_by_alpha,
+builds those designs, predicts their parameters exactly, and decides
+simplicity exactly: by the PRP criterion where it applies, else by
+building the design.  One formula, triple_coverage_by_alpha,
 gives the constructed coverage of a triple from alpha, the number of
 master blocks through it; the result is a 3-design when that value does
 not depend on alpha, which classify_three_design decides from the
@@ -31,6 +32,7 @@ from .core import (
     _row_matching,
     _row_order,
     _row_ranks,
+    is_simple,
     lambda_j,
     t_coverage_spectrum,
     verify_ibd,
@@ -185,8 +187,8 @@ class ThreeDesignCase(Enum):
 
 class SimplicityVerdict(Enum):
     SIMPLE_GUARANTEED = "simple-guaranteed"
+    SIMPLE = "simple"
     NOT_SIMPLE = "not-simple"
-    UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
@@ -231,6 +233,18 @@ def _pair_coverage(params: DesignParams) -> int:
     return int(lam2)
 
 
+def _indexing_width(master: Design, indexing: Design) -> int:
+    """w = v/k, the blocks of a master class; raises DimensionMismatch
+    unless the indexing design has w points."""
+    w = master.points.size // master.k
+    if indexing.points.size != w:
+        raise DimensionMismatch(
+            f"indexing design has {indexing.points.size} points, "
+            f"but master classes hold w={w} blocks"
+        )
+    return w
+
+
 def shrikhande_raghavarao(
     master_res: Resolution, indexing: Design
 ) -> ConstructedDesign:
@@ -248,12 +262,7 @@ def shrikhande_raghavarao(
     check = verify_resolution(master, master_res)
     if not check:
         raise DesignError(f"master resolution invalid: {check.reason}")
-    w = master.points.size // master.k
-    if indexing.points.size != w:
-        raise DimensionMismatch(
-            f"indexing design has {indexing.points.size} points, "
-            f"but master classes hold w={w} blocks"
-        )
+    w = _indexing_width(master, indexing)
     refs = np.array(
         [cls.block_refs for cls in master_res.classes], dtype=np.intp
     ).reshape(len(master_res.classes), w)
@@ -482,16 +491,31 @@ def inherited_resolution(
 
 
 def simplicity_verdict(
-    master_res: Resolution, k_prime: int, indexing_is_trivial: bool
+    master_res: Resolution, indexing: Design
 ) -> SimplicityVerdict:
-    """Apply the replacement-property criterion: a k'-PRP-free master
-    resolution guarantees a simple constructed design, and with a trivial
-    indexing design the converse holds as well."""
-    violations = prp_violations(
-        master_res.design, master_res, alpha_filter={k_prime}
-    )
-    if not violations:
+    """Whether the union construction of master_res and indexing is simple.
+
+    SIMPLE_GUARANTEED is the replacement-property criterion, decided
+    without building anything: the master and the indexing design are
+    simple, and the master resolution has no k'-PRP, k' the indexing
+    block size.  Two equal constructed blocks from one class then come
+    from two equal indexing blocks, and two from classes i != j union k'
+    blocks of each over the same points, which is a k'-PRP as the
+    classes share no block.  The master must be simple because
+    prp_violations counts block contents: a block that two classes share
+    adds to alpha on either side, so a repeated class has no PRP and
+    still repeats every constructed block.  Otherwise the design is
+    built, and is_simple decides between SIMPLE and NOT_SIMPLE.
+    """
+    master = master_res.design
+    _indexing_width(master, indexing)
+    if (
+        is_simple(indexing)
+        and is_simple(master)
+        and not prp_violations(master, master_res, alpha_filter={indexing.k})
+    ):
         return SimplicityVerdict.SIMPLE_GUARANTEED
-    if indexing_is_trivial:
-        return SimplicityVerdict.NOT_SIMPLE
-    return SimplicityVerdict.UNKNOWN
+    built = shrikhande_raghavarao(master_res, indexing)
+    if is_simple(built.design):
+        return SimplicityVerdict.SIMPLE
+    return SimplicityVerdict.NOT_SIMPLE

@@ -17,13 +17,13 @@ array only when it is read; no verifier, construction or writer reads it.
 Every other form is cached from the array on first use.
 ``Design._rows`` packs the blocks into 64-bit words over the points that
 lie in some block, one row per block; ``Design._masks`` holds each block
-as a Python int over 0..v-1 for the searches; ``Design._incidences``
-orders the point-block incidences by point.  Replication counts are point
-counts over the blocks.  A t-subset coverage spectrum takes each point p
-in turn and packs the columns of the later points over the blocks
-through p only (read off ``_incidences``, or found by one scan of the
-array for each point orbit), so its cost follows the
-replication rather than the block count; coverages are popcounts of
+as a Python int, point p at bit v-1-p, for the searches;
+``Design._incidences`` orders the point-block incidences by point.
+Replication counts are point counts over the blocks.  A t-subset
+coverage spectrum takes each point p in turn and packs the columns of
+the later points over the blocks through p only (read off
+``_incidences``, or found by one scan of the array for each point
+orbit), so its cost follows the replication rather than the block count; coverages are popcounts of
 ANDed columns.  The t-subsets of a dense design are counted at once
 instead, on the columns of all points over all blocks; triples are
 counted by their last point, as its column ANDed with the meets of all
@@ -331,11 +331,12 @@ class Design:
 
     @cached_property
     def _masks(self) -> tuple[int, ...]:
-        """Block i as the Python int with bit p set for each of its points
-        p: the form the resolution and PRP searches combine.  Each is read
-        off the bytes of the block's row packed over 0..v-1."""
-        rows = _packed_rows(self._members, (self.points.size + 63) // 64)
-        return _ints(rows)
+        """Block i as the Python int with bit v-1-p set for each of its
+        points p, the resolution search's descending bit order: the form
+        the resolution and PRP searches combine.  Each is read off the
+        bytes of the block's row packed over the points v-1-p."""
+        v = self.points.size
+        return _ints(_packed_rows(v - 1 - self._members, (v + 63) // 64))
 
     @cached_property
     def _incidences(self) -> tuple[np.ndarray, np.ndarray]:

@@ -57,7 +57,6 @@ from .core import (
     _find_automorphism,
     _ints,
     _orbits,
-    _packed_rows,
     _replication,
     _row_ranks,
 )
@@ -245,15 +244,15 @@ def _search_masks(design: Design):
     each indexed by n for block b-n or by m for point v-m.
 
     Over v points, point p is bit v-1-p; over b blocks, block i is bit
-    b-1-i.  masks[n] holds the points of block b-n; through[m] the blocks
-    through point v-m (0 for a point in no block), read off the packed
-    column of the point over the blocks in reverse order; keep[n] the
-    blocks that miss block b-n, a list when all b masks fit in
-    MEETS_MEMO_BITS bits and a bounded memo (_Keep) when not.
+    b-1-i.  masks[n] holds the points of block b-n, as design._masks
+    does; through[m] the blocks through point v-m (0 for a point in no
+    block), read off the packed column of the point over the blocks in
+    reverse order; keep[n] the blocks that miss block b-n, a list when
+    all b masks fit in MEETS_MEMO_BITS bits and a bounded memo (_Keep)
+    when not.
     """
     members = design._members
     v, b = design.points.size, len(members)
-    masks = _ints(_packed_rows(v - 1 - members[::-1], (v + 63) // 64))
     through = [0] * v
     present = np.flatnonzero(_replication(design))
     columns = _ints(_columns(members[::-1], v, slice(0, 0)))
@@ -265,7 +264,7 @@ def _search_masks(design: Design):
     else:
         blocks = members[::-1].tolist()
         keep = [0] + [_keep_mask(block, through, full) for block in blocks]
-    return (0, *masks), [0] + through[::-1], keep
+    return (0, *design._masks[::-1]), [0] + through[::-1], keep
 
 
 # Nodes the plain search spends before it runs its one symmetry stage,

@@ -1,14 +1,18 @@
 """The public API: every name a module lists in ``__all__`` exists, the
 package exports only names that some module lists there, and the README's
-library example runs."""
+library example and its construction run from files both run."""
 
 import importlib
 import pkgutil
 import re
+import shlex
 import types
 from pathlib import Path
 
 import blockdesigns
+from blockdesigns import cli
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 MODULES = [
     importlib.import_module(f"blockdesigns.{info.name}")
@@ -36,6 +40,19 @@ def test_package_exports_come_from_module_lists():
 
 
 def test_readme_library_example_runs():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    (example,) = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    (example,) = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
     exec(compile(example, "README.md", "exec"), {})
+
+
+def test_readme_cli_example_runs(tmp_path, monkeypatch, capsys):
+    (example,) = re.findall(
+        r"^A typical construction run from files:\n\n```sh\n(.*?)^```",
+        README.read_text(), re.M | re.S,
+    )
+    monkeypatch.chdir(tmp_path)
+    lines = example.splitlines()
+    assert lines
+    for line in lines:
+        program, *argv = shlex.split(line, comments=True)
+        assert program == "blockdesigns"
+        assert cli.main(argv) == 0, (line, capsys.readouterr())

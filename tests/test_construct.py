@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockdesigns import core
+from blockdesigns import construct, core
 from blockdesigns.catalog import catalog_entry, catalog_names
 from blockdesigns.construct import (
     DimensionMismatch,
@@ -42,6 +42,7 @@ from blockdesigns.generators import (
     CyclicBaseSpec,
     affine_hyperplane_design,
     cyclic_develop,
+    sub_factorization_embedding,
     trivial_design,
 )
 from blockdesigns.resolution import (
@@ -556,10 +557,15 @@ def test_inherited_resolution_rejects_non_resolution(repro):
 
 # --- simplicity verdict -----------------------------------------------------------
 
-def test_verdict_ag28_guaranteed(ag28):
+def test_verdict_ag28_guaranteed(ag28, monkeypatch):
     _, res = ag28
+
+    def refuse(*args):
+        raise AssertionError("the guaranteed verdict built the design")
+
+    monkeypatch.setattr(construct, "shrikhande_raghavarao", refuse)
     assert (
-        simplicity_verdict(res, 4, indexing_is_trivial=True)
+        simplicity_verdict(res, trivial_design(8, 4))
         is SimplicityVerdict.SIMPLE_GUARANTEED
     )
 
@@ -567,27 +573,91 @@ def test_verdict_ag28_guaranteed(ag28):
 def test_verdict_k8_not_simple(k8_subfac):
     _, res = k8_subfac
     assert (
-        simplicity_verdict(res, 2, indexing_is_trivial=True)
+        simplicity_verdict(res, trivial_design(4, 2))
         is SimplicityVerdict.NOT_SIMPLE
     )
     built = shrikhande_raghavarao(res, trivial_design(4, 2))
     assert not is_simple(built.design)
 
 
-def test_verdict_unknown_for_nontrivial_indexing(k8_subfac):
-    _, res = k8_subfac
-    assert (
-        simplicity_verdict(res, 2, indexing_is_trivial=False)
-        is SimplicityVerdict.UNKNOWN
-    )
-
-
 def test_verdict_forward_direction_nontrivial_indexing(ag23):
     _, res = ag23
+    indexing = make_design(3, [(0, 1), (1, 2)], k=2)
     assert (
-        simplicity_verdict(res, 2, indexing_is_trivial=False)
+        simplicity_verdict(res, indexing)
         is SimplicityVerdict.SIMPLE_GUARANTEED
     )
+
+
+def test_verdict_repeated_indexing_block_is_not_simple(ag23):
+    """AG(2,3) has no 2-PRP, but a repeated indexing block repeats a
+    constructed block."""
+    _, res = ag23
+    indexing = make_design(3, [(0, 1), (0, 1), (1, 2), (0, 2)], k=2)
+    assert not prp_violations(res.design, res, alpha_filter={2})
+    assert simplicity_verdict(res, indexing) is SimplicityVerdict.NOT_SIMPLE
+    assert not is_simple(shrikhande_raghavarao(res, indexing).design)
+
+
+def test_verdict_k16_embedding_with_ag32_is_not_simple(ag32):
+    _, res = sub_factorization_embedding(4)
+    indexing, _ = ag32
+    assert not core.is_trivial(indexing)
+    assert simplicity_verdict(res, indexing) is SimplicityVerdict.NOT_SIMPLE
+    assert not is_simple(shrikhande_raghavarao(res, indexing).design)
+
+
+def test_verdict_simple_despite_prp():
+    """Positions {0, 1} of the two classes cover the same four points, a
+    2-PRP; an indexing design that never selects both keeps the result
+    simple, which only building it shows."""
+    master = make_design(
+        8, [(0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (1, 3), (4, 6), (5, 7)]
+    )
+    res = Resolution(
+        master, (ParallelClass((0, 1, 2, 3)), ParallelClass((4, 5, 6, 7)))
+    )
+    indexing = make_design(4, [(0, 2), (1, 3)], k=2)
+    assert prp_violations(master, res, alpha_filter={2})
+    assert simplicity_verdict(res, indexing) is SimplicityVerdict.SIMPLE
+    assert is_simple(shrikhande_raghavarao(res, indexing).design)
+
+
+def test_verdict_master_block_in_two_classes_is_not_simple():
+    """Block 01 lies in both classes, so prp_violations, counting block
+    contents, sees alphas 1 and 3 only; positions {1, 2} still union to
+    2345 in both classes."""
+    master = make_design(6, [(0, 1), (2, 3), (4, 5), (0, 1), (2, 4), (3, 5)])
+    res = Resolution(
+        master, (ParallelClass((0, 1, 2)), ParallelClass((3, 4, 5)))
+    )
+    assert not prp_violations(master, res, alpha_filter={2})
+    assert (
+        simplicity_verdict(res, trivial_design(3, 2))
+        is SimplicityVerdict.NOT_SIMPLE
+    )
+
+
+def test_verdict_rejects_indexing_on_wrong_points(ag28):
+    _, res = ag28
+    with pytest.raises(DimensionMismatch, match=r"has 4 points, .* hold w=8 blocks"):
+        simplicity_verdict(res, trivial_design(4, 2))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(union_inputs())
+def test_verdict_agrees_with_built_design(case):
+    res, _, indexing = case
+    verdict = simplicity_verdict(res, indexing)
+    simple = is_simple(shrikhande_raghavarao(res, indexing).design)
+    assert (verdict is not SimplicityVerdict.NOT_SIMPLE) == simple
+    prp = prp_violations(res.design, res, alpha_filter={indexing.k})
+    if verdict is SimplicityVerdict.SIMPLE_GUARANTEED:
+        assert is_simple(res.design) and is_simple(indexing) and not prp
+    if core.is_trivial(indexing) and prp:
+        # The converse of the criterion: a k'-PRP swaps k' positions of
+        # two classes, and trivial indexing selects both sets.
+        assert verdict is SimplicityVerdict.NOT_SIMPLE
 
 
 # --- indexing params ---------------------------------------------------------------
