@@ -167,7 +167,7 @@ def cmd_verify(args) -> int:
                _spectrum_text(spectrum))
     if args.expect_simple:
         expect("simple", simple, "no repeated blocks" if simple else "repeated block")
-    if args.expect_params:
+    if args.expect_params is not None:
         try:
             wanted = tuple(int(x) for x in args.expect_params.split(","))
         except ValueError:
@@ -412,7 +412,7 @@ def cmd_profile(args) -> int:
     report.add(f"pairs: {profile.pair_count}", pairs=profile.pair_count)
     report.add(f"simple: {'yes' if profile.simple else 'no'}", simple=profile.simple)
     ok = True
-    if args.expect:
+    if args.expect is not None:
         try:
             wanted = tuple(int(x) for x in args.expect.split(","))
         except ValueError:
@@ -425,12 +425,11 @@ def cmd_profile(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    if args.all:
-        names = catalog_names()
-    elif args.names:
-        names = args.names
-    else:
+    if args.all and args.names:
+        raise DesignError("pass entry names or --all, not both")
+    if not (args.all or args.names):
         raise DesignError("pass entry names or --all")
+    names = catalog_names() if args.all else args.names
     report = _Report(command="reproduce")
     entries = []
     for name in names:

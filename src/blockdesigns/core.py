@@ -15,9 +15,11 @@ generators and the union construction) builds the design through
 array only when it is read; no verifier, construction or writer reads it.
 
 Every other form is cached from the array on first use.
-``Design._rows`` packs the blocks into 64-bit words over the points that
-lie in some block, one row per block; ``Design._masks`` holds each block
-as a Python int, point p at bit v-1-p, for the searches;
+``Design._rows`` packs the blocks into 64-bit words over the s points
+that lie in some block, one row per block, the j-th of them at bit
+s-1-j; it is the only packing of the blocks, bounded by MAX_ROW_WORDS.
+``Design._masks`` reads each row as a Python int for the resolution and
+PRP searches, point p at bit v-1-p when every point lies in some block;
 ``Design._incidences`` orders the point-block incidences by point.
 Replication counts are point counts over the blocks.  A t-subset
 coverage spectrum takes each point p in turn and packs the columns of
@@ -307,36 +309,35 @@ class Design:
     @cached_property
     def _rows(self) -> np.ndarray:
         """Block i as the bits of row i, in ceil(s/64) read-only uint64
-        words with zero padding bits, packed on first use.  Bit j stands
-        for the j-th of the s points that lie in some block, so points in
-        no block cost nothing.
+        words with zero padding bits, packed on first use.  The j-th of
+        the s points that lie in some block is bit s-1-j, the resolution
+        search's descending order, so points in no block cost nothing.
 
         Raises DesignError before packing when the rows would hold more
         than MAX_ROW_WORDS words.
         """
         members = self._members
         support = np.flatnonzero(_replication(self))
-        nwords = (len(support) + 63) // 64
+        s = len(support)
+        nwords = (s + 63) // 64
         if len(members) * nwords > MAX_ROW_WORDS:
             raise DesignError(
-                f"the rows of {len(members)} blocks over {len(support)} points "
+                f"the rows of {len(members)} blocks over {s} points "
                 f"would hold {len(members) * nwords} words, above the limit of "
                 f"{MAX_ROW_WORDS}"
             )
-        if len(support) < self.points.size:
+        if s < self.points.size:
             members = np.searchsorted(support, members)
-        rows = _packed_rows(members, nwords)
+        rows = _packed_rows(s - 1 - members, nwords)
         rows.flags.writeable = False
         return rows
 
     @cached_property
     def _masks(self) -> tuple[int, ...]:
-        """Block i as the Python int with bit v-1-p set for each of its
-        points p, the resolution search's descending bit order: the form
-        the resolution and PRP searches combine.  Each is read off the
-        bytes of the block's row packed over the points v-1-p."""
-        v = self.points.size
-        return _ints(_packed_rows(v - 1 - self._members, (v + 63) // 64))
+        """Block i as a Python int, the bits of row i of `_rows`: the form
+        the resolution and PRP searches combine.  When every point lies
+        in some block, point p is bit v-1-p."""
+        return _ints(self._rows)
 
     @cached_property
     def _incidences(self) -> tuple[np.ndarray, np.ndarray]:
@@ -426,7 +427,7 @@ def _ints(rows: np.ndarray) -> tuple[int, ...]:
     data = rows.astype("<u8", copy=False).tobytes()
     return tuple(
         int.from_bytes(data[lo : lo + width], "little")
-        for lo in range(0, len(data), width)
+        for lo in range(0, len(data), max(width, 1))  # no words: no data
     )
 
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from .core import (MAX_POINTS, Block, Design, DesignError, PointSet, _block_array,
                    _capped_comb)
-from .galois import GaloisError, field
+from .galois import _BUILTIN_MODULI, field
 from .resolution import ParallelClass, Resolution
 
 __all__ = [
@@ -173,10 +173,12 @@ def affine_hyperplane_design(m: int, q: int) -> tuple[Design, Resolution]:
     # directions.
     directions = sum(q**i for i in range(m))
     _check_size(f"AG({m}, {q})", v, q * directions, q ** (m - 1))
-    try:
-        spec = field(q)
-    except GaloisError as exc:
-        raise UnsupportedField(str(exc)) from exc
+    if q not in _BUILTIN_MODULI:
+        orders = ", ".join(map(str, _BUILTIN_MODULI))
+        raise UnsupportedField(
+            f"no built-in field of order {q}; AG(m, q) is built for q in {orders}"
+        )
+    spec = field(q)
     add, mul = spec.add_table, spec.mul_table
     weights = q ** np.arange(m - 1, -1, -1)
     coords = (np.arange(v)[:, None] // weights % q).astype(add.dtype)

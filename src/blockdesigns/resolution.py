@@ -12,7 +12,9 @@ Only the resolution search searches.  It completes one parallel class at
 a time over bitsets of block indices (Python ints) in descending order,
 block i of b at bit b-1-i, so the lowest block of a set is read off its
 bit_length (the floor of lg, Knuth TAOCP 4A §7.1.3) and no set is
-negated; points are stored the same way.  For the lowest uncovered point,
+negated.  Points are stored the same way: a block's points are its
+packed row, core.Design._masks, which the PRP check reads too, under the
+rows' bound core.MAX_ROW_WORDS.  For the lowest uncovered point,
 `through` holds the blocks through it and `avail` the blocks that may
 still be placed.  The point is filled with each block of
 `through & avail` in increasing index order, and placing block i keeps in
@@ -152,12 +154,8 @@ def _class_check(design: Design, refs: tuple[int, ...]) -> str | None:
         return f"class repeats a block instance: {refs}"
     if len(refs) != w:
         return f"class has {len(refs)} blocks, expected {w}"
-    cover = 0
-    for ref in refs:
-        mask = design._masks[ref]
-        if cover & mask:
-            return f"blocks in class {refs} are not pairwise disjoint"
-        cover |= mask
+    if np.unique(design._members[list(refs)]).size < v:
+        return f"blocks in class {refs} are not pairwise disjoint"
     return None  # w disjoint blocks of size k cover all v = wk points
 
 
@@ -241,30 +239,28 @@ def _keep_mask(block, through, full) -> int:
 
 def _search_masks(design: Design):
     """(masks, through, keep): the search's sets in descending bit order,
-    each indexed by n for block b-n or by m for point v-m.
+    each indexed by n for block b-n or by m for point v-m, for a design
+    whose points all lie in some block.
 
     Over v points, point p is bit v-1-p; over b blocks, block i is bit
-    b-1-i.  masks[n] holds the points of block b-n, as design._masks
-    does; through[m] the blocks through point v-m (0 for a point in no
-    block), read off the packed column of the point over the blocks in
+    b-1-i.  masks[n] holds the points of block b-n, design._masks, read
+    before any column is packed; through[m] the blocks through point
+    v-m, read off the packed column of the point over the blocks in
     reverse order; keep[n] the blocks that miss block b-n, a list when
     all b masks fit in MEETS_MEMO_BITS bits and a bounded memo (_Keep)
     when not.
     """
+    masks = design._masks
     members = design._members
-    v, b = design.points.size, len(members)
-    through = [0] * v
-    present = np.flatnonzero(_replication(design))
-    columns = _ints(_columns(members[::-1], v, slice(0, 0)))
-    for p, mask in zip(present.tolist(), columns):
-        through[p] = mask
+    b = len(members)
+    through = _ints(_columns(members[::-1], design.points.size, slice(0, 0)))
     full = (1 << b) - 1
     if b * b > MEETS_MEMO_BITS:
         keep = _Keep(members, through, full)
     else:
         blocks = members[::-1].tolist()
         keep = [0] + [_keep_mask(block, through, full) for block in blocks]
-    return (0, *design._masks[::-1]), [0] + through[::-1], keep
+    return (0, *masks[::-1]), [0, *through[::-1]], keep
 
 
 # Nodes the plain search spends before it runs its one symmetry stage,
@@ -281,9 +277,10 @@ def find_resolutions(
 
     Results are canonically deduplicated: two instance-partitions that are
     equal as multisets of classes-of-block-sets count once.  An empty list
-    means the search completed without finding any resolution.  Raises
-    SearchBudgetExceeded, carrying the resolutions found so far, when the
-    node budget runs out first.
+    means the search completed without finding any resolution, or found
+    a point in no block before placing any.  Raises SearchBudgetExceeded,
+    carrying the resolutions found so far, when the node budget runs out
+    first, and DesignError when the rows exceed core.MAX_ROW_WORDS.
 
     The lowest unused block opens each class: classes are unordered, so
     fixing it prunes the r! class-order symmetry.  The lowest uncovered
@@ -311,7 +308,7 @@ def find_resolutions(
     if v % k:
         raise DesignError(f"block size {k} does not divide {v}")
     w = v // k
-    if b == 0 or b % w:
+    if b == 0 or b % w or not _replication(design).all():
         return []
     search = _Search(design, w, node_budget)
     search.run(search.keep, None, 1, limit, node_budget,

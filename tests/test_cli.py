@@ -9,11 +9,11 @@ from pathlib import Path
 import pytest
 
 import blockdesigns
-from blockdesigns import cli, core
+from blockdesigns import cli, core, resolution
 from blockdesigns.cli import main
 from blockdesigns.core import MAX_POINTS, make_design, t_coverage_spectrum
-from blockdesigns.formats import load_design, load_resolution, save_design
-from blockdesigns.generators import trivial_design
+from blockdesigns.formats import load_design, load_resolution, save_design, save_resolution
+from blockdesigns.generators import affine_hyperplane_design, trivial_design
 
 
 def run(capsys, *argv):
@@ -538,6 +538,39 @@ def test_profile_expect(capsys, tmp_path, master_24, idx42, monkeypatch):
     assert code == 1
 
 
+def test_empty_expectations_are_refused(capsys, tri63):
+    # An empty --expect or --expect-params is a malformed expectation,
+    # not a missing one.
+    code, out, err = run(capsys, "profile", tri63, "--expect", "")
+    assert (code, out, err) == (2, "", "error: --expect wants integers, got ''\n")
+    code, out, err = run(capsys, "verify", tri63, "--expect-params", "")
+    assert (code, out, err) == (2, "", "error: --expect-params wants 'v,b,r,k', got ''\n")
+
+
+def test_searches_refuse_rows_above_the_bound(capsys, tmp_path, monkeypatch):
+    # The resolution and PRP searches read the blocks off the verifiers'
+    # packed rows, so they share the rows' bound: 12 rows of one word
+    # each are refused before any column is packed.
+    master, res = affine_hyperplane_design(2, 3)
+    ag23, plain = tmp_path / "ag23.res", tmp_path / "ag23.design"
+    save_resolution(res, ag23)
+    save_design(master, plain)
+    save_design(trivial_design(3, 2), tmp_path / "t32.design")
+
+    def refuse(*args):
+        raise AssertionError("a column was packed")
+
+    monkeypatch.setattr(core, "MAX_ROW_WORDS", 3)
+    monkeypatch.setattr(resolution, "_columns", refuse)
+    message = ("error: the rows of 12 blocks over 9 points would hold 12 words, "
+               "above the limit of 3\n")
+    for argv in (["prp", str(ag23)], ["resolve", str(plain)],
+                 ["construct", str(plain), str(tmp_path / "t32.design"),
+                  "--auto-resolve", "--out", str(tmp_path / "x.design")]):
+        assert run(capsys, *argv) == (2, "", message), argv
+    assert not (tmp_path / "x.design").exists()
+
+
 # --- reproduce ------------------------------------------------------------------
 
 def test_reproduce_single_entry(capsys):
@@ -550,6 +583,11 @@ def test_reproduce_single_entry(capsys):
 def test_reproduce_unknown(capsys):
     code, _, err = run(capsys, "reproduce", "nope")
     assert code == 2
+
+
+def test_reproduce_refuses_names_with_all(capsys):
+    code, out, err = run(capsys, "reproduce", "--all", "nope")
+    assert (code, out, err) == (2, "", "error: pass entry names or --all, not both\n")
 
 
 def test_reproduce_json(capsys):

@@ -189,6 +189,12 @@ COMMANDS = [
     ["gen", "trivial", "20000", "10000"],
     ["gen", "trivial", "1048576", "524288"],
     ["verify", "halves.design", "--t", "3000"],
+    # empty expectations and entry names next to --all are refused, and a
+    # field order with no built-in modulus names the orders gen affine takes
+    ["reproduce", "--all", "nope"],
+    ["profile", "built.design", "--expect", ""],
+    ["verify", "t63.design", "--expect-params", ""],
+    ["gen", "affine", "2", "17"],
 ]
 
 

@@ -128,18 +128,34 @@ def test_affine_16_golden_3_256_128_63():
 def union_inputs(draw, widths=(3, 4, 5), resolvable=False):
     """(master resolution, its class refs, indexing design).
 
-    The master is either all translates of a random base class through
-    Z_n, perhaps twice over, carrying the shift and its square, or 0-5
-    random parallel classes, perhaps with a class repeated, carrying
-    nothing; its classes hold w blocks, w drawn from `widths`.  Classes,
-    positions in a class and the block list are shuffled.  The indexing
-    design is trivial or a few random blocks, or, when `resolvable`, the
-    union of 1-3 random parallel classes of the w points.
+    The master is all translates of a random base class through Z_n,
+    perhaps twice over, carrying the shift and its square; or 0-5 random
+    parallel classes, perhaps with a class repeated, carrying nothing;
+    their classes hold w blocks, w drawn from `widths`.  Or it is the
+    one-factorization of K_4n with a sub-one-factorization
+    (sub_factorization_embedding, n = 2 or 3, w = 2n), its points
+    relabelled, carrying nothing: a simple master with k'-PRPs for many
+    k'.  Classes, positions in a class and the block list are shuffled.
+    The indexing design is trivial or a few random blocks, or, when
+    `resolvable`, the union of 1-3 random parallel classes of the w
+    points.
     """
-    k = draw(st.integers(2, 3))
-    w = draw(st.sampled_from(widths))
-    v = k * w
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["cyclic", "random", "embedding"]))
+    if kind == "embedding":
+        embedded, embedded_res = sub_factorization_embedding(draw(st.integers(2, 3)))
+        k, v = 2, embedded.points.size
+        w = v // k
+        relabel = draw(st.permutations(range(v)))
+        classes = [
+            [tuple(sorted(relabel[p] for p in embedded.blocks[ref])) for ref in cls.block_refs]
+            for cls in embedded_res.classes
+        ]
+        generators = ()
+    else:
+        k = draw(st.integers(2, 3))
+        w = draw(st.sampled_from(widths))
+        v = k * w
+    if kind == "cyclic":
         infinity = draw(st.booleans())
         n = v - infinity
         points = draw(st.permutations(range(v)))
@@ -151,7 +167,7 @@ def union_inputs(draw, widths=(3, 4, 5), resolvable=False):
         ] * draw(st.integers(1, 2))
         shift = developed.automorphisms[0]
         generators = (shift, tuple(shift[p] for p in shift))
-    else:
+    elif kind == "random":
         classes = []
         for _ in range(draw(st.integers(0, 5))):
             points = draw(st.permutations(range(v)))

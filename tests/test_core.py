@@ -575,6 +575,24 @@ def test_simple_and_trivial_match_the_oracles_on_rows_and_members(case):
     assert "blocks" not in vars(design) and "blocks" not in vars(rows_refused)
 
 
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(designs_with_repeats())
+def test_masks_are_the_rows_in_descending_support_order(case):
+    # One packing serves the verifiers and the searches: the j-th of the s
+    # points in some block is bit s-1-j of a block's row and of its mask.
+    design, blocks = case
+    support = sorted({p for block in blocks for p in block})
+    rank = {p: j for j, p in enumerate(support)}
+    s = len(support)
+    expected = tuple(sum(1 << (s - 1 - rank[p]) for p in block) for block in blocks)
+    with mock.patch.object(core, "_packed_rows", wraps=core._packed_rows) as packed:
+        assert design._masks == expected
+        assert design._rows.shape == (len(blocks), (s + 63) // 64)
+        assert tuple(int.from_bytes(row.astype("<u8").tobytes(), "little")
+                     for row in design._rows) == expected
+    assert packed.call_count == 1
+
+
 @pytest.mark.parametrize("v", [6, 300])  # one- and two-byte points
 def test_designs_from_tuples_and_from_members_are_equal(v):
     blocks = ((0, 1, 2), (3, 4, 5), (0, 1, 2), (1, 3, v - 1))

@@ -232,6 +232,16 @@ def test_affine_rejects_bad_field():
         affine_hyperplane_design(2, 6)
 
 
+def test_affine_names_the_orders_it_supports():
+    # GF(17) is a field, but no modulus for it is built in, and
+    # affine_hyperplane_design takes none: the error lists what it takes.
+    with pytest.raises(UnsupportedField, match=(
+        r"^no built-in field of order 17; AG\(m, q\) is built for q in "
+        r"2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 49, 64$"
+    )):
+        affine_hyperplane_design(2, 17)
+
+
 def test_affine_needs_dimension_at_least_2():
     with pytest.raises(DesignError, match="need dimension m >= 2, got 1"):
         affine_hyperplane_design(1, 2)

@@ -73,6 +73,9 @@ def test_verify_rejects_overlapping_class():
     classes = (ParallelClass((0, 2)),) * 1
     result = verify_resolution(design, Resolution(design, classes))
     assert not result
+    assert result.reason == "class 0: blocks in class (0, 2) are not pairwise disjoint"
+    # The verdict and its wording read the members; nothing is packed.
+    assert "_masks" not in vars(design) and "_rows" not in vars(design)
 
 
 def test_verify_rejects_missing_block():
@@ -158,6 +161,14 @@ def test_ag23_unique_resolution(ag23):
 def test_non_resolvable_design_yields_nothing():
     design = make_design(6, NON_RESOLVABLE_632)
     assert find_resolutions(design, limit=5) == []
+
+
+def test_a_point_in_no_block_ends_the_search_before_a_node():
+    # K_4 on points 0..3 of 6: b = 6 blocks fill r = 2 classes of w = 3 in
+    # count, but no class covers points 4 and 5, so no block is placed.
+    design = make_design(6, K4_FACTORIZATION)
+    assert find_resolutions(design, limit=1, node_budget=0) == []
+    assert "_masks" not in vars(design)
 
 
 def test_trivial_6_3_resolution_is_forced():
