@@ -35,6 +35,17 @@ are equal.  Derived coverage numbers use ``fractions.Fraction``.
 Binomials that are only compared with a bound are computed no further
 than the bound (``_capped_comb``).
 
+A design on v = 2k points may be closed under complement: its blocks are
+the n = b/2 blocks through point 0 and their complements
+(``Design._halves``, checked exactly on the packed rows).  The
+abstract's 3-designs built from trivial(w, w/2) or AG(m, 2) indexing are.
+Such a design is counted on that half alone.  A t-subset lies in B or in
+B's complement exactly when the columns of its points agree at B, so at
+t = 2 and t = 3 the spectrum needs only the popcounts of the XORed
+columns of all pairs over the n blocks; and each pair of the n, meeting
+in x points, stands for four pairs of the design, two meeting in x and
+two in k - x, so the profile meets only the n rows.
+
 A design may carry point permutations that map its blocks onto themselves
 (``Design.automorphisms``; the generators and the union construction
 supply them, design files never do).  They are checked exactly on first
@@ -127,7 +138,18 @@ MAX_POINTS = 1 << 20
 # checked first, so the kernel never counts what that bound refuses.
 # 3-(256,128,127) at t=2 counts 261 K words (4 ms instead of 32 ms) and
 # 3-(64,32,75) at t=3 417 K (3.7 ms instead of 12.8 ms), while an
-# STS(999) would need 1.3 G words at t=2 and stays point by point.
+# STS(999) would need 1.3 G words at t=2 and stays point by point.  A
+# design closed under complement, with no automorphisms, is counted on
+# the columns of all v points over its n = b/2 blocks through point 0
+# when C(v, 2) * ceil(n/64) words of XORed pairs, plus at t = 3 the
+# C(v, 3) sums of three pair counts, are within this bound (_half_words):
+# 3-(1024,512,255) from a file, with no automorphisms, needs 8.4 M + 178 M
+# (`verify --t 3` of the file takes 1.3 s, interpreter start included).
+# Past it such a design takes the paths above.  The intersection profile
+# is bounded by the same number, in words of ANDed rows: C(m, 2) *
+# ceil(s/64), or with automorphisms the block orbits times m * ceil(s/64),
+# m = b or b/2 for a closed design; the written AG(2,16) x trivial(16,8)
+# design (218,790 blocks) would need 2.4e10 and is refused.
 MAX_SPECTRUM_WORDS = 1 << 28
 
 # Most bits of C(v, t), the number of t-subsets a spectrum accounts for,
@@ -338,6 +360,38 @@ class Design:
         the resolution and PRP searches combine.  When every point lies
         in some block, point p is bit v-1-p."""
         return _ints(self._rows)
+
+    @cached_property
+    def _halves(self) -> np.ndarray | None:
+        """The indices of the n = b/2 blocks through point 0, ascending and
+        read-only, when the design is closed under complement: v = 2k,
+        every point lies in n blocks (so the rows span all v points), and
+        the rows of the blocks that miss point 0, XORed with the row of all
+        points, are the rows through point 0 as a multiset (one _row_order
+        on each half).  Otherwise None, as also when the rows are refused
+        (MAX_ROW_WORDS).
+
+        The blocks are then these n and their complements, so a t-subset
+        lies in B or in B's complement exactly when B holds all of it or
+        none of it, and a pair of blocks of the design meets as a pair of
+        these blocks does, or in k less as many points.
+        """
+        members = self._members
+        v, b = self.points.size, len(members)
+        if v != 2 * self.k or not b or b % 2 or (_replication(self) != b // 2).any():
+            return None
+        try:
+            rows = self._rows
+        except DesignError:
+            return None
+        through = members[:, 0] == 0
+        inside = rows[through]
+        outside = rows[~through] ^ _packed_rows(np.arange(v)[None], rows.shape[1])
+        if not np.array_equal(inside[_row_order(inside)], outside[_row_order(outside)]):
+            return None
+        halves = np.flatnonzero(through)
+        halves.flags.writeable = False
+        return halves
 
     @cached_property
     def _incidences(self) -> tuple[np.ndarray, np.ndarray]:
@@ -884,14 +938,19 @@ def t_coverage_spectrum(design: Design, t: int) -> dict[int, int]:
     of {p} plus a (t-1)-subset of later points is the popcount of the AND
     of their columns over those blocks.  With no automorphisms, when that
     is cheaper (see _cheaper_at_once), every t-subset is counted at once
-    on the columns of all points over all blocks.
+    on the columns of all points over all blocks.  With no automorphisms,
+    a design closed under complement (Design._halves) is counted at t = 2
+    and t = 3 on the columns of all points over the b/2 blocks through
+    point 0 (_add_halves), when those words are within MAX_SPECTRUM_WORDS
+    (_half_words).
 
     When the design carries automorphisms and t >= 2, only the subsets
     through one point x of each point orbit P are counted, as hist_x; the
     coverage is constant on orbits, so hist = sum over P of |P| hist_x / t.
-    Raises DesignError before packing anything when a bound on the words
-    to count exceeds MAX_SPECTRUM_WORDS, or when C(v, t) has more than
-    MAX_COMB_BITS bits.
+    Raises DesignError before packing anything, except the block rows
+    that Design._halves checks when the half path's words are within the
+    bound, when a bound on the words to count exceeds MAX_SPECTRUM_WORDS,
+    or when C(v, t) has more than MAX_COMB_BITS bits.
     """
     k = design.k
     if not 1 <= t <= k:
@@ -905,6 +964,18 @@ def t_coverage_spectrum(design: Design, t: int) -> dict[int, int]:
         )
     replication = _replication(design)
     symmetry = design._symmetry if t >= 2 else None
+    # Counts of the covered t-subsets by coverage; the uncovered ones are
+    # what is left of C(v, t) (a Python int, which may exceed 64 bits).
+    # Bin 0 collects pairs of uncovered points and is never read.
+    hist = np.zeros(b + 1, dtype=np.int64)
+    # A design closed under complement is counted on half of its blocks
+    # when those words are within the bound; otherwise, or when it is not
+    # closed, the paths below count or refuse it.
+    if (symmetry is None and t in (2, 3)
+            and _half_words(v, b // 2, t) <= MAX_SPECTRUM_WORDS
+            and design._halves is not None):
+        _add_halves(hist, design, t)
+        return _spectrum(hist, v, t)
     if symmetry is None:
         # The least point of a covered t-subset has t-1 later points in
         # one of its blocks: it is among the first k-t+1 of that block.
@@ -931,10 +1002,6 @@ def t_coverage_spectrum(design: Design, t: int) -> dict[int, int]:
             )
         at_once = (symmetry is None and t >= 3
                    and _cheaper_at_once(design, replication, t, starts, work))
-    # Counts of the covered t-subsets by coverage; the uncovered ones are
-    # what is left of C(v, t) (a Python int, which may exceed 64 bits).
-    # Bin 0 collects pairs of uncovered points and is never read.
-    hist = np.zeros(b + 1, dtype=np.int64)
     members = design._members
     if t == 1:
         hist += np.bincount(replication, minlength=b + 1)
@@ -961,9 +1028,74 @@ def t_coverage_spectrum(design: Design, t: int) -> dict[int, int]:
                 f"the orbit counts of the t={t} spectrum are not divisible by t"
             )
         hist //= t
+    return _spectrum(hist, v, t)
+
+
+def _spectrum(hist, v: int, t: int) -> dict[int, int]:
+    """The spectrum whose covered t-subsets hist counts from bin 1 on."""
     spectrum = {int(c): int(hist[c]) for c in np.flatnonzero(hist[1:]) + 1}
     uncovered = math.comb(v, t) - sum(spectrum.values())
     return {0: uncovered, **spectrum} if uncovered else spectrum
+
+
+def _half_words(v: int, n: int, t: int) -> int:
+    """The work of _add_halves at t = 2 or 3: the C(v, 2) XORs of two
+    columns of ceil(n/64) words, and at t = 3 the C(v, 3) triple sums."""
+    return _pair_count(v) * ((n + 63) // 64) + (math.comb(v, 3) if t == 3 else 0)
+
+
+def _add_halves(hist, design: Design, t: int) -> None:
+    """Count into hist every t = 2 or 3 subset of a design closed under
+    complement, on the columns of all v points over the n blocks through
+    point 0 (Design._halves).
+
+    A t-subset lies in B or in B's complement exactly when B holds all of
+    it or none of it, that is when the columns of its points agree at B.
+    So a pair {p, q} is covered n - d(p, q) times, d the popcount of the
+    XOR of two columns, and a triple n - (d(x, y) + d(x, z) + d(y, z)) / 2
+    times: a block at which the three columns do not all agree adds 2 to
+    the sum of the three d, and one at which they agree adds 0.
+    """
+    halves = design._halves
+    n = len(halves)
+    columns = _columns(design._members[halves], design.points.size, slice(0, 0),
+                       every=True)
+    counts = np.zeros(n + 1, dtype=np.int64)
+    if t == 2:
+        _add_meets(counts, columns, np.bitwise_xor)
+    else:
+        _add_split_triples(counts, columns)
+    hist[: n + 1] += counts[::-1]
+
+
+def _add_split_triples(counts, columns) -> None:
+    """Count into counts, at (d(x, y) + d(x, z) + d(y, z)) / 2, every
+    triple x < y < z of the columns, d the popcount of the XOR of two
+    columns; counts has a bin for every value that can occur.
+
+    Triples are taken by their last column z, as _add_triples takes them.
+    The d of z with every earlier column is found in slices of about
+    _CHUNK_WORDS words and kept in the order of _pairs, so the pairs before
+    z are a prefix of the d found before it; each slice of _CHUNK_WORDS of
+    those pairs adds the d of its two columns with z, read off that order,
+    and the sums are binned.
+    """
+    v, nwords = columns.shape
+    inner, outer = _pairs(v)
+    apart = np.empty(_pair_count(v), dtype=np.intp)
+    sums = np.zeros(2 * len(counts) - 1, dtype=np.int64)
+    step = max(1, _CHUNK_WORDS // max(1, nwords))
+    for z in range(1, v):
+        before = _pair_count(z)
+        to_z = apart[before : before + z]
+        for lo in range(0, z, step):
+            hi = min(lo + step, z)
+            to_z[lo:hi] = _popcounts(columns[lo:hi] ^ columns[z])
+        for lo in range(0, before, _CHUNK_WORDS):
+            hi = min(lo + _CHUNK_WORDS, before)
+            split = apart[lo:hi] + to_z[inner[lo:hi]] + to_z[outer[lo:hi]]
+            sums += np.bincount(split, minlength=sums.size)
+    counts += sums[::2]
 
 
 def _cheaper_at_once(design: Design, replication, t: int, starts, work: int) -> bool:
@@ -1049,15 +1181,15 @@ def _add_all(hist, members, v, t) -> None:
     _add_coverages(hist, _columns(members, v, slice(0, 0)), t)
 
 
-def _columns(blocks: np.ndarray, v: int, dropped: slice) -> np.ndarray:
+def _columns(blocks: np.ndarray, v: int, dropped: slice, every=False) -> np.ndarray:
     """The columns over `blocks` (rows of points) of the points outside
-    `dropped` that lie in one of them, in uint64 words with zero padding
-    bits.
+    `dropped` that lie in one of them, or of all of them when `every`, in
+    uint64 words with zero padding bits.
 
     The booleans are packed in slices of blocks worth about _CHUNK_WORDS
     words (4 MB of booleans), or 64 blocks when the points alone fill more.
     """
-    present = np.zeros(v, dtype=bool)
+    present = np.full(v, every)
     present[blocks] = True
     present[dropped] = False
     row = np.cumsum(present) - 1
@@ -1120,8 +1252,9 @@ def _pair_count(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def _add_meets(hist, rows) -> None:
-    """Count into hist the popcount of rows[i] & rows[j] over all i < j.
+def _add_meets(hist, rows, op=np.bitwise_and) -> None:
+    """Count into hist the popcount of op(rows[i], rows[j]) over all i < j,
+    the AND of the two rows unless another op is given.
 
     A slice of rows meets every later row in one call, about _CHUNK_WORDS
     words, and the pairs inside the slice in another.
@@ -1131,7 +1264,7 @@ def _add_meets(hist, rows) -> None:
     for lo in range(0, n, step):
         chunk = rows[lo : lo + step]
         inner, outer = _pairs(len(chunk))
-        for meet in (chunk[inner] & chunk[outer], chunk[:, None] & rows[lo + step :]):
+        for meet in (op(chunk[inner], chunk[outer]), op(chunk[:, None], rows[lo + step :])):
             hist += np.bincount(_popcounts(meet).ravel(), minlength=hist.size)
 
 
@@ -1217,25 +1350,58 @@ def intersection_profile(design: Design) -> IntersectionProfile:
     meets, less the b meets of a block with itself.  The representatives
     are taken by orbit size, and the meets of those of one size are
     histogrammed together (_orbit_meets).
+
+    When the design is closed under complement (Design._halves), only the
+    n = b/2 blocks through point 0 are met.  Two of them meeting in x
+    points stand for four pairs: themselves and their complements meet in
+    x, and each with the other's complement in k - x; and each of them
+    meets its own complement in 0.  So with the histogram h of the
+    unordered pairs among the n, profile[x] = 2h[x] + 2h[k-x], plus n at
+    x = 0; a representative's meets with all blocks are its meets with
+    the n, h', as h'[x] + h'[k-x].
+
+    Raises DesignError before ANDing any rows when the words to AND pass
+    MAX_SPECTRUM_WORDS: C(m, 2) pairs of rows of w words, or, with
+    automorphisms, the representatives times m rows of w words, where m
+    is b, or n for a closed design.
     """
     k = design.k
     counts = np.zeros(k + 1, dtype=np.int64)
     symmetry = design._symmetry
+    rows, halves = design._rows, design._halves
+    b, nwords = rows.shape
+    met = rows if halves is None else rows[halves]
     if symmetry is None:
-        _add_meets(counts, design._rows)
+        work = _pair_count(len(met)) * nwords
+    else:
+        work = len(symmetry[1].reps) * len(met) * nwords
+    if work > MAX_SPECTRUM_WORDS:
+        raise DesignError(
+            f"the intersection profile of a design with v={design.points.size} "
+            f"and b={b} would count {work} words, above the limit of "
+            f"{MAX_SPECTRUM_WORDS}"
+        )
+    if symmetry is None:
+        _add_meets(counts, met)
+        if halves is not None:
+            counts = 2 * (counts + counts[::-1])
+            counts[0] += len(met)
         return IntersectionProfile(tuple(int(c) for c in counts))
-    rows, blocks = design._rows, symmetry[1]
+    blocks = symmetry[1]
     for size in np.unique(blocks.sizes).tolist():
-        counts += size * _orbit_meets(rows, blocks.reps[blocks.sizes == size], k)
-    counts[k] -= len(rows)
+        meets = _orbit_meets(rows[blocks.reps[blocks.sizes == size]], met, k)
+        if halves is not None:
+            meets = meets + meets[::-1]
+        counts += size * meets
+    counts[k] -= b
     if (counts % 2).any():
         raise DesignError("the orbit counts of the intersection profile are odd")
     return IntersectionProfile(tuple(int(c) // 2 for c in counts))
 
 
-def _orbit_meets(rows, reps, k: int) -> np.ndarray:
-    """The histogram (k+1 bins) of the popcounts of rows[i] & rows[j] over
-    every i in reps and every row j, i itself included.
+def _orbit_meets(reps, rows, k: int) -> np.ndarray:
+    """The histogram (k+1 bins) of the popcounts of reps[i] & rows[j] over
+    every row i of reps and every row j of rows.
 
     A slice of reps meets all rows in one call, about _CHUNK_WORDS words
     of ANDed rows, and its meets are popcounts in the smallest unsigned
@@ -1255,7 +1421,7 @@ def _orbit_meets(rows, reps, k: int) -> np.ndarray:
     pairs = np.zeros(1 << 16 if paired else 0, dtype=np.int64)
     step = max(1, _CHUNK_WORDS // max(1, n * nwords))
     for lo in range(0, len(reps), step):
-        counted = np.bitwise_count(rows[reps[lo : lo + step], None] & rows)
+        counted = np.bitwise_count(reps[lo : lo + step, None] & rows)
         if nwords == 1:  # a sum over one word costs more than the popcount
             meets = counted.ravel()
         else:

@@ -578,7 +578,9 @@ def prp_violations(
     (_one_component_pairs), as every pair of an affine hyperplane
     resolution is.  A block of k < w points meets fewer than w blocks, so
     the table is not built then.  The other pairs go through
-    _replacement_alphas.
+    _replacement_alphas, on the masks of design._masks, which are read
+    for the first of them: a resolution of one class, or one whose pairs
+    are all decided at once, is checked without packing any rows.
     """
     check = verify_resolution(design, res)
     if not check:
@@ -592,7 +594,7 @@ def prp_violations(
     r = len(classes)
     decided = (_one_component_pairs(design._members, np.array(classes, dtype=np.intp))
                if design.k >= w and r > 1 else None)
-    masks = [[design._masks[ref] for ref in refs] for refs in classes]
+    masks = None  # built for the first pair that needs them
     alphas_wanted = sorted(allowed)
     out: list[tuple[int, int, int]] = []
     budget = node_budget
@@ -605,6 +607,8 @@ def prp_violations(
                 raise SearchBudgetExceeded(node_budget, out, "PRP violation(s)")
             if decided and decided[i][j]:
                 continue
+            if masks is None:
+                masks = [[design._masks[ref] for ref in refs] for refs in classes]
             alphas = _replacement_alphas(masks[i], masks[j], design.k)
             out.extend((i, j, alpha) for alpha in alphas_wanted if alphas >> alpha & 1)
     return out

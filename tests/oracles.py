@@ -40,6 +40,15 @@ def naive_profile(blocks) -> list:
     return counts
 
 
+def naive_is_closed_under_complement(v, k, blocks) -> bool:
+    """v = 2k, there is a block, and the complements of the blocks are the
+    blocks, as a multiset of point sets."""
+    every = set(range(v))
+    listed = sorted(tuple(sorted(block)) for block in blocks)
+    complements = sorted(tuple(sorted(every - set(block))) for block in blocks)
+    return v == 2 * k and bool(blocks) and listed == complements
+
+
 def naive_is_simple(blocks) -> bool:
     """No two blocks are equal as point sets."""
     sets = [frozenset(block) for block in blocks]

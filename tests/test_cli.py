@@ -13,7 +13,12 @@ from blockdesigns import cli, core, resolution
 from blockdesigns.cli import main
 from blockdesigns.core import MAX_POINTS, make_design, t_coverage_spectrum
 from blockdesigns.formats import load_design, load_resolution, save_design, save_resolution
-from blockdesigns.generators import affine_hyperplane_design, trivial_design
+from blockdesigns.generators import (
+    affine_hyperplane_design,
+    round_robin_one_factorization,
+    trivial_design,
+)
+from blockdesigns.resolution import ParallelClass, Resolution
 
 
 def run(capsys, *argv):
@@ -549,13 +554,18 @@ def test_empty_expectations_are_refused(capsys, tri63):
 
 def test_searches_refuse_rows_above_the_bound(capsys, tmp_path, monkeypatch):
     # The resolution and PRP searches read the blocks off the verifiers'
-    # packed rows, so they share the rows' bound: 12 rows of one word
-    # each are refused before any column is packed.
+    # packed rows, so they share the rows' bound: the 12 rows of AG(2,3)
+    # and the 15 of K_6's one-factorization, one word each, are refused
+    # before any column is packed.
     master, res = affine_hyperplane_design(2, 3)
     ag23, plain = tmp_path / "ag23.res", tmp_path / "ag23.design"
     save_resolution(res, ag23)
     save_design(master, plain)
     save_design(trivial_design(3, 2), tmp_path / "t32.design")
+    k6, one = tmp_path / "k6.res", tmp_path / "one.res"
+    save_resolution(round_robin_one_factorization(6)[1], k6)
+    pairs = make_design(6, [(0, 1), (2, 3), (4, 5)])
+    save_resolution(Resolution(pairs, (ParallelClass((0, 1, 2)),)), one)
 
     def refuse(*args):
         raise AssertionError("a column was packed")
@@ -564,11 +574,21 @@ def test_searches_refuse_rows_above_the_bound(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(resolution, "_columns", refuse)
     message = ("error: the rows of 12 blocks over 9 points would hold 12 words, "
                "above the limit of 3\n")
-    for argv in (["prp", str(ag23)], ["resolve", str(plain)],
+    for argv in (["resolve", str(plain)],
                  ["construct", str(plain), str(tmp_path / "t32.design"),
                   "--auto-resolve", "--out", str(tmp_path / "x.design")]):
         assert run(capsys, *argv) == (2, "", message), argv
     assert not (tmp_path / "x.design").exists()
+    # K_6 has blocks of k = 2 < w = 3 points, so its class pairs need the
+    # rows; AG(2,3) (k >= w) has every pair decided at once, and one class
+    # has no pair, so neither packs a row.
+    assert run(capsys, "prp", str(k6)) == (
+        2, "", "error: the rows of 15 blocks over 6 points would hold 15 words, "
+        "above the limit of 3\n")
+    for path in (ag23, one):
+        code, out, err = run(capsys, "prp", str(path))
+        assert (code, err) == (0, ""), path
+        assert out.endswith("violations: none (PRP-free)\n")
 
 
 # --- reproduce ------------------------------------------------------------------

@@ -138,7 +138,9 @@ def union_inputs(draw, widths=(3, 4, 5), resolvable=False):
     k'.  Classes, positions in a class and the block list are shuffled.
     The indexing design is trivial or a few random blocks, or, when
     `resolvable`, the union of 1-3 random parallel classes of the w
-    points.
+    points.  Two times in three, an embedding takes trivial indexing with
+    a k' for which it has a k'-PRP: the converse of the PRP criterion,
+    where the built design repeats a block.
     """
     kind = draw(st.sampled_from(["cyclic", "random", "embedding"]))
     if kind == "embedding":
@@ -189,6 +191,10 @@ def union_inputs(draw, widths=(3, 4, 5), resolvable=False):
             points = draw(st.permutations(range(w)))
             chosen += [points[i : i + k_prime] for i in range(0, w, k_prime)]
         return res, refs, make_design(w, chosen, k=k_prime)
+    if kind == "embedding" and draw(st.integers(0, 2)) > 0:
+        violations = prp_violations(embedded, embedded_res)
+        k_prime = draw(st.sampled_from(sorted({alpha for _, _, alpha in violations})))
+        return res, refs, trivial_design(w, k_prime)
     k_prime = draw(st.integers(2, w - 1))
     if draw(st.booleans()):
         indexing = trivial_design(w, k_prime)
@@ -862,14 +868,20 @@ def test_construction_refuses_a_false_master_automorphism(ag23):
 
 
 def test_affine_32_golden_3_1024_512_255():
-    """AG(2,32) with AG(5,2) indexing: the plain t=3 spectrum is refused by
-    MAX_SPECTRUM_WORDS, and the orbits of the 1024 translations count it."""
+    """AG(2,32) with AG(5,2) indexing: the plain t=3 spectrum is counted on
+    the 1023 blocks through point 0, since the design is closed under
+    complement, and the orbits of the 1024 translations count it too.  With
+    one block repeated in place of another the design is not closed, and
+    MAX_SPECTRUM_WORDS refuses its plain t=3 spectrum."""
     _, res = affine_hyperplane_design(2, 32)
     indexing, _ = affine_hyperplane_design(5, 2)  # a 3-(32,16,7) design
     built = shrikhande_raghavarao(res, indexing).design
     assert len(built.blocks) == 2046 and len(built.automorphisms) == 10
+    assert t_coverage_spectrum(_plain(built), 3) == {255: 178_433_024}
+    unclosed = Design(built.points, built.blocks[1:2] + built.blocks[1:], built.k)
+    assert unclosed._halves is None
     with pytest.raises(DesignError, match="above the limit"):
-        t_coverage_spectrum(_plain(built), 3)
+        t_coverage_spectrum(unclosed, 3)
     mu = predicted_mu_affine(32, 2, 7)
     assert t_coverage_spectrum(built, 3) == {mu: 178_433_024} == {255: math.comb(1024, 3)}
     counts = intersection_profile(built).counts

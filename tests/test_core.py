@@ -39,6 +39,7 @@ from oracles import (
     naive_block_problem,
     naive_coverage,
     naive_is_automorphism,
+    naive_is_closed_under_complement,
     naive_is_simple,
     naive_is_trivial,
     naive_profile,
@@ -886,6 +887,132 @@ def test_is_automorphism_refuses_non_integer_images():
     assert not is_automorphism(design, (1.0, 0.0, 3.0, 2.0))
     assert not is_automorphism(design, (1, 0, 3, 4))
     assert not is_automorphism(design, ())
+
+
+# --- designs closed under complement -----------------------------------------
+
+@st.composite
+def closed_designs(draw):
+    """A random half of 1-10 blocks of k = 2..6 points, repeats likely, and
+    the complement of each, on v = 2k points; the blocks shuffled and the
+    points relabelled, and sometimes one block replaced by a random
+    k-subset, which most often leaves a design that is not closed."""
+    k = draw(st.integers(2, 6))
+    v = 2 * k
+    pool = draw(st.lists(
+        st.lists(st.integers(0, v - 1), min_size=k, max_size=k, unique=True),
+        min_size=1, max_size=6,
+    ))
+    half = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10))
+    blocks = half + [sorted(set(range(v)) - set(block)) for block in half]
+    blocks = draw(st.permutations(blocks))
+    relabel = draw(st.permutations(range(v)))
+    blocks = [[relabel[p] for p in block] for block in blocks]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(blocks) - 1))
+        blocks[i] = draw(st.lists(st.integers(0, v - 1), min_size=k, max_size=k,
+                                  unique=True))
+    return make_design(v, blocks, k=k)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(closed_designs(), st.sampled_from([1, 5, core._CHUNK_WORDS]))
+def test_closed_designs_match_the_naive_oracles(design, chunk):
+    # chunk words per slice: one pair or column at a time, a few, or all.
+    v, k, blocks = design.points.size, design.k, design.blocks
+    closed = naive_is_closed_under_complement(v, k, blocks)
+    assert (design._halves is not None) == closed
+    if closed:
+        assert design._halves.tolist() == [
+            i for i, block in enumerate(blocks) if 0 in block]
+    with mock.patch.object(core, "_CHUNK_WORDS", chunk):
+        for t in range(2, min(3, k) + 1):
+            assert t_coverage_spectrum(design, t) == naive_spectrum(v, blocks, t)
+        assert list(intersection_profile(design).counts) == naive_profile(blocks)
+
+
+def _closed(v, n, seed):
+    """n random blocks of v/2 points through point 0 and their complements,
+    shuffled."""
+    rng = random.Random(seed)
+    half = [[0] + rng.sample(range(1, v), v // 2 - 1) for _ in range(n)]
+    blocks = half + [sorted(set(range(v)) - set(block)) for block in half]
+    rng.shuffle(blocks)
+    return make_design(v, blocks)
+
+
+@pytest.mark.parametrize("v, n", [(130, 70), (66, 129)])
+def test_closed_designs_on_several_words_match_the_other_paths(v, n):
+    # Rows of three words and columns of two, or rows of two and columns
+    # of three; past the half path's bound the other paths count.
+    design = _closed(v, n, v * n)
+    assert design._halves is not None
+    counted = [t_coverage_spectrum(design, t) for t in (2, 3)]
+    assert list(intersection_profile(design).counts) == naive_profile(design.blocks)
+    with mock.patch.object(core, "_add_halves", _refuse), \
+            mock.patch.object(core, "_half_words", lambda *args: core.MAX_SPECTRUM_WORDS + 1):
+        assert [t_coverage_spectrum(design, t) for t in (2, 3)] == counted
+
+
+def test_half_path_takes_its_words_up_to_the_bound(monkeypatch):
+    # Two halves of 6 points: C(6, 2) pairs of one word and C(6, 3) triple
+    # sums are 35 words at t = 3.  The point path counts 2 words, through
+    # points 0 and 3, and refuses past its own bound.
+    d = make_design(6, [(0, 1, 2), (3, 4, 5)])
+    assert core._half_words(6, 1, 3) == 35 and core._half_words(6, 1, 2) == 15
+    expected = {0: 18, 1: 2}
+    monkeypatch.setattr(core, "MAX_SPECTRUM_WORDS", 35)
+    with mock.patch.object(core, "_add_through", _refuse), \
+            mock.patch.object(core, "_add_all", _refuse):
+        assert t_coverage_spectrum(d, 3) == expected
+    monkeypatch.setattr(core, "MAX_SPECTRUM_WORDS", 34)
+    with mock.patch.object(core, "_add_halves", _refuse):
+        assert t_coverage_spectrum(d, 3) == expected
+    monkeypatch.setattr(core, "MAX_SPECTRUM_WORDS", 1)
+    with pytest.raises(DesignError, match=(
+            "the t=3 spectrum of a design with v=6 and b=2 would count 2 words, "
+            "above the limit of 1$")):
+        t_coverage_spectrum(d, 3)
+
+
+def test_closed_design_with_automorphisms_counts_by_orbits():
+    # The trivial design on 6 points is closed, and x -> x+1 mod 6 splits
+    # its 20 blocks into orbits of 6, 6, 6 and 2; the spectrum keeps the
+    # orbit path, and the profile meets the representatives with the 10
+    # blocks through point 0.
+    blocks = trivial_design(6, 3).blocks
+    shift = (1, 2, 3, 4, 5, 0)
+    design = Design(PointSet(6), blocks, 3, automorphisms=(shift,))
+    assert design._halves is not None and len(design._symmetry[1].reps) == 4
+    with mock.patch.object(core, "_add_halves", _refuse):
+        assert t_coverage_spectrum(design, 3) == {1: 20}
+    assert list(intersection_profile(design).counts) == naive_profile(blocks)
+
+
+def _fano():
+    return tuple(_translate((0, 1, 3), s, 7) for s in range(7))
+
+
+@pytest.mark.parametrize("design, words", [
+    (make_design(7, _fano()), 21),  # C(7, 2) pairs of one word
+    (trivial_design(6, 3), 45),  # C(10, 2): the 10 blocks through point 0
+    (Design(PointSet(7), _fano(), 3, automorphisms=((1, 2, 3, 4, 5, 6, 0),)), 7),
+    (Design(PointSet(6), trivial_design(6, 3).blocks, 3,
+            automorphisms=((1, 2, 3, 4, 5, 0),)), 40),  # 4 reps x 10 blocks
+    (make_design(130, [range(100, 130)] * 3), 3),  # rows of one word
+])
+def test_profile_bound_counts_the_words_of_the_path_taken(monkeypatch, design, words):
+    expected = intersection_profile(design)
+    monkeypatch.setattr(core, "MAX_SPECTRUM_WORDS", words)
+    assert intersection_profile(design) == expected
+    monkeypatch.setattr(core, "MAX_SPECTRUM_WORDS", words - 1)
+    with mock.patch.object(core, "_add_meets", _refuse), \
+            mock.patch.object(core, "_orbit_meets", _refuse), \
+            pytest.raises(DesignError, match=(
+                f"the intersection profile of a design with v={design.points.size} "
+                f"and b={len(design.blocks)} would count {words} words, above the "
+                f"limit of {words - 1}$")):
+        intersection_profile(design)
 
 
 # --- block permutations supplied with the automorphisms ----------------------
