@@ -20,20 +20,20 @@ that lie in some block, one row per block, the j-th of them at bit
 s-1-j; it is the only packing of the blocks, bounded by MAX_ROW_WORDS.
 ``Design._masks`` reads each row as a Python int for the resolution and
 PRP searches, point p at bit v-1-p when every point lies in some block;
-``Design._incidences`` orders the point-block incidences by point.
-Replication counts are point counts over the blocks.  A t-subset
-coverage spectrum takes each point p in turn and packs the columns of
-the later points over the blocks through p only (read off
-``_incidences``, or found by one scan of the array for each point
-orbit), so its cost follows the replication rather than the block count; coverages are popcounts of
-ANDed columns.  The t-subsets of a dense design are counted at once
-instead, on the columns of all points over all blocks; triples are
-counted by their last point, as its column ANDed with the meets of all
-pairs before it.  The pairwise intersection histogram is popcounts of
-ANDed block rows, and a design is simple when no two of its sorted rows
-are equal.  Derived coverage numbers use ``fractions.Fraction``.
-Binomials that are only compared with a bound are computed no further
-than the bound (``_capped_comb``).
+``Design._incidences`` orders the point-block incidences by point, and
+``Design._replication`` counts the blocks through each point.  A t-subset
+coverage spectrum takes one of three paths.  A design with automorphisms
+is counted once per point orbit, one closed under complement on half of
+its blocks (both below), and any other takes each point p in turn and
+packs the columns of the later points over the blocks through p only
+(read off ``_incidences``), so its cost follows the replication rather
+than the block count.  Coverages are popcounts of
+ANDed columns, and triples of columns are counted by their last column,
+ANDed with the meets of all pairs before it.  The pairwise intersection
+histogram is popcounts of ANDed block rows, and a design is simple when
+no two of its sorted rows are equal.  Derived coverage numbers use
+``fractions.Fraction``.  Binomials that are only compared with a bound
+are computed no further than the bound (``_capped_comb``).
 
 A design on v = 2k points may be closed under complement: its blocks are
 the n = b/2 blocks through point 0 and their complements
@@ -130,26 +130,18 @@ MAX_POINTS = 1 << 20
 # design 44.5 M (1.3 s), AG(2,32) 178 M (2.0 s).  Counted once per point
 # orbit, the sum runs over one point p of each orbit with
 # u = min(v-1, r_p(k-1)): 3-(1024,512,255) built from AG(2,32) needs 8.4 M
-# words (0.1 s) instead of 2.85 G.  With no automorphisms all t-subsets
-# may be counted at once, on the columns of the s points in some block
-# over all b blocks: at most C(s,t) * ceil(b/64) words.  That kernel is
-# taken when those words are within this bound and cost less than the
-# point path (_cheaper_at_once).  At t >= 3 the bound on the point path is
-# checked first, so the kernel never counts what that bound refuses.
-# 3-(256,128,127) at t=2 counts 261 K words (4 ms instead of 32 ms) and
-# 3-(64,32,75) at t=3 417 K (3.7 ms instead of 12.8 ms), while an
-# STS(999) would need 1.3 G words at t=2 and stays point by point.  A
-# design closed under complement, with no automorphisms, is counted on
-# the columns of all v points over its n = b/2 blocks through point 0
-# when C(v, 2) * ceil(n/64) words of XORed pairs, plus at t = 3 the
-# C(v, 3) sums of three pair counts, are within this bound (_half_words):
-# 3-(1024,512,255) from a file, with no automorphisms, needs 8.4 M + 178 M
-# (`verify --t 3` of the file takes 1.3 s, interpreter start included).
-# Past it such a design takes the paths above.  The intersection profile
-# is bounded by the same number, in words of ANDed rows: C(m, 2) *
-# ceil(s/64), or with automorphisms the block orbits times m * ceil(s/64),
-# m = b or b/2 for a closed design; the written AG(2,16) x trivial(16,8)
-# design (218,790 blocks) would need 2.4e10 and is refused.
+# words (0.1 s) instead of 2.85 G.  A design closed under complement, with
+# no automorphisms, is counted on the columns of all v points over its
+# n = b/2 blocks through point 0 when C(v, 2) * ceil(n/64) words of XORed
+# pairs, plus at t = 3 the C(v, 3) sums of three pair counts, are within
+# this bound (_half_words): 3-(1024,512,255) from a file, with no
+# automorphisms, needs 8.4 M + 178 M (`verify --t 3` of the file takes
+# 1.3 s, interpreter start included).  Past it such a design is counted
+# point by point.  The intersection profile is bounded by the same number,
+# in words of ANDed rows: C(m, 2) * ceil(s/64), or with automorphisms the
+# block orbits times m * ceil(s/64), m = b or b/2 for a closed design; the
+# written AG(2,16) x trivial(16,8) design (218,790 blocks) would need
+# 2.4e10 and is refused.
 MAX_SPECTRUM_WORDS = 1 << 28
 
 # Most bits of C(v, t), the number of t-subsets a spectrum accounts for,
@@ -159,22 +151,6 @@ MAX_SPECTRUM_WORDS = 1 << 28
 # the bound at most about 0.1 s (C(65536, 32768), 65,528 bits: 78 ms),
 # against 10-15 s for C(2^20, 2^19), which has 1,048,566 bits.
 MAX_COMB_BITS = 1 << 16
-
-# Time of one word counted (packing, AND, popcount and bincount) in
-# elements the point path scans, for every t; at t >= 3 a boolean the
-# point path writes before packing its columns counts as a word.  Timed
-# at t=2 on 25 designs on a 2-core Xeon, the all-pairs kernel won on
-# every design with at most 0.14 words per element (AG(2,16): 2.6 ms
-# against 5.0 ms) and on K_64 at 0.246, and lost on every one from 0.25
-# on (AG(2,32): 45 ms against 33 ms; K_200, K_400), so the crossover is
-# taken at 1/5.  At t=3 (36 designs) and t=4 (32), among them the eight
-# catalog 3-designs without their automorphisms, union constructions on
-# AG(2,8) and AG(3,4), AG(m,q), trivial and random designs, this choice
-# took the faster kernel, or one within 10% of it, on 65 of the 68, and
-# 498 ms in all against 484 ms for the faster of each (670 ms point by
-# point, 866 ms at once).  It keeps AG(2,16) at t=3 (42 ms against
-# 201 ms) and AG(3,4) at t=4 point by point.
-_PAIR_WORD_COST = 5
 
 # Most uint64 words of packed block rows (128 MB), checked before packing:
 # b rows of ceil(s/64) words, s the points that lie in some block.  The
@@ -329,6 +305,14 @@ class Design:
                 f"blocks={self.blocks!r}, k={self.k!r})")
 
     @cached_property
+    def _replication(self) -> np.ndarray:
+        """The number of blocks through each point, counted on first use,
+        read-only."""
+        replication = np.bincount(self._members.ravel(), minlength=self.points.size)
+        replication.flags.writeable = False
+        return replication
+
+    @cached_property
     def _rows(self) -> np.ndarray:
         """Block i as the bits of row i, in ceil(s/64) read-only uint64
         words with zero padding bits, packed on first use.  The j-th of
@@ -339,7 +323,7 @@ class Design:
         than MAX_ROW_WORDS words.
         """
         members = self._members
-        support = np.flatnonzero(_replication(self))
+        support = np.flatnonzero(self._replication)
         s = len(support)
         nwords = (s + 63) // 64
         if len(members) * nwords > MAX_ROW_WORDS:
@@ -378,7 +362,7 @@ class Design:
         """
         members = self._members
         v, b = self.points.size, len(members)
-        if v != 2 * self.k or not b or b % 2 or (_replication(self) != b // 2).any():
+        if v != 2 * self.k or not b or b % 2 or (self._replication != b // 2).any():
             return None
         try:
             rows = self._rows
@@ -403,7 +387,7 @@ class Design:
         members = self._members
         blocks = np.argsort(members.ravel(), kind="stable") // self.k
         starts = np.zeros(self.points.size + 1, dtype=np.intp)
-        np.cumsum(_replication(self), out=starts[1:])
+        np.cumsum(self._replication, out=starts[1:])
         for array in (blocks, starts):
             array.flags.writeable = False
         return blocks, starts
@@ -735,7 +719,7 @@ def _find_automorphism(design: Design, accept, spend) -> tuple[np.ndarray, np.nd
     """
     members = design._members
     v, b = design.points.size, len(members)
-    replication = _replication(design)
+    replication = design._replication
     if b == 0 or (replication != replication[0]).any():
         return None
     through = design._incidences[0].reshape(v, -1)
@@ -913,7 +897,7 @@ def verify_ibd(design: Design) -> DesignParams:
 
     Raises NonConstantReplication naming the first deviating point.
     """
-    counts = _replication(design)
+    counts = design._replication
     r = int(counts[0])
     deviating = np.flatnonzero(counts != r)
     if deviating.size:
@@ -924,11 +908,6 @@ def verify_ibd(design: Design) -> DesignParams:
     )
 
 
-def _replication(design: Design) -> np.ndarray:
-    """The number of blocks through each point."""
-    return np.bincount(design._members.ravel(), minlength=design.points.size)
-
-
 def t_coverage_spectrum(design: Design, t: int) -> dict[int, int]:
     """Map coverage-count -> number of t-subsets with that coverage.
 
@@ -936,17 +915,18 @@ def t_coverage_spectrum(design: Design, t: int) -> dict[int, int]:
     coverage lam exactly when the result is {lam: C(v, t)}.  The subsets
     with least point p are counted on the blocks through p: the coverage
     of {p} plus a (t-1)-subset of later points is the popcount of the AND
-    of their columns over those blocks.  With no automorphisms, when that
-    is cheaper (see _cheaper_at_once), every t-subset is counted at once
-    on the columns of all points over all blocks.  With no automorphisms,
-    a design closed under complement (Design._halves) is counted at t = 2
-    and t = 3 on the columns of all points over the b/2 blocks through
-    point 0 (_add_halves), when those words are within MAX_SPECTRUM_WORDS
-    (_half_words).
+    of their columns over those blocks.
 
-    When the design carries automorphisms and t >= 2, only the subsets
-    through one point x of each point orbit P are counted, as hist_x; the
-    coverage is constant on orbits, so hist = sum over P of |P| hist_x / t.
+    The path follows the design.  When it carries automorphisms and
+    t >= 2, only the subsets through one point x of each point orbit P are
+    counted, as hist_x; the coverage is constant on orbits, so hist = sum
+    over P of |P| hist_x / t.  Otherwise a design closed under complement
+    (Design._halves) is counted at t = 2 and t = 3 on the columns of all
+    points over the b/2 blocks through point 0 (_add_halves), when those
+    words are within MAX_SPECTRUM_WORDS (_half_words).  Any other design is
+    counted point by point, through each point p that can be the least of
+    a covered t-subset.
+
     Raises DesignError before packing anything, except the block rows
     that Design._halves checks when the half path's words are within the
     bound, when a bound on the words to count exceeds MAX_SPECTRUM_WORDS,
@@ -962,7 +942,7 @@ def t_coverage_spectrum(design: Design, t: int) -> dict[int, int]:
             f"the t={t} spectrum of a design with v={v} accounts for C({v}, {t}) "
             f"subsets, a number of more than {MAX_COMB_BITS} bits, above the limit"
         )
-    replication = _replication(design)
+    replication = design._replication
     symmetry = design._symmetry if t >= 2 else None
     # Counts of the covered t-subsets by coverage; the uncovered ones are
     # what is left of C(v, t) (a Python int, which may exceed 64 bits).
@@ -970,7 +950,7 @@ def t_coverage_spectrum(design: Design, t: int) -> dict[int, int]:
     hist = np.zeros(b + 1, dtype=np.int64)
     # A design closed under complement is counted on half of its blocks
     # when those words are within the bound; otherwise, or when it is not
-    # closed, the paths below count or refuse it.
+    # closed, it is counted point by point.
     if (symmetry is None and t in (2, 3)
             and _half_words(v, b // 2, t) <= MAX_SPECTRUM_WORDS
             and design._halves is not None):
@@ -986,27 +966,17 @@ def t_coverage_spectrum(design: Design, t: int) -> dict[int, int]:
     else:
         points = symmetry[0]
         later = ((v - 1, r) for r in replication[points.reps].tolist() if r)
-    # Pairs are counted at once whenever that is cheaper, with no bound on
-    # the point path, which ANDs no columns at t = 2.  Past t = 2 the bound
-    # on the point path decides first.
-    at_once = (symmetry is None and t == 2
-               and _cheaper_at_once(design, replication, t, starts, 0))
-    if not at_once:
-        work, exact = _spectrum_words(later, k, t)
-        if work > MAX_SPECTRUM_WORDS:
-            raise DesignError(
-                f"the t={t} spectrum of a design with v={v} and b={b} would "
-                f"count {'' if exact else 'more than '}"
-                f"{work if exact else MAX_SPECTRUM_WORDS} words, above the "
-                f"limit of {MAX_SPECTRUM_WORDS}"
-            )
-        at_once = (symmetry is None and t >= 3
-                   and _cheaper_at_once(design, replication, t, starts, work))
+    work, exact = _spectrum_words(later, k, t)
+    if work > MAX_SPECTRUM_WORDS:
+        raise DesignError(
+            f"the t={t} spectrum of a design with v={v} and b={b} would "
+            f"count {'' if exact else 'more than '}"
+            f"{work if exact else MAX_SPECTRUM_WORDS} words, above the "
+            f"limit of {MAX_SPECTRUM_WORDS}"
+        )
     members = design._members
     if t == 1:
         hist += np.bincount(replication, minlength=b + 1)
-    elif at_once:
-        _add_all(hist, members, v, t)
     elif symmetry is None:
         incident, offsets = design._incidences
         for p in starts.tolist():
@@ -1098,34 +1068,6 @@ def _add_split_triples(counts, columns) -> None:
     counts += sums[::2]
 
 
-def _cheaper_at_once(design: Design, replication, t: int, starts, work: int) -> bool:
-    """True when the t >= 2 subsets are cheaper to count at once, on the
-    columns of all s points that lie in some block over all b blocks, than
-    through each of the points `starts` in turn (see _PAIR_WORD_COST), and
-    those C(s,t) * ceil(b/64) words are within MAX_SPECTRUM_WORDS.
-
-    The point path is charged the b x k members and v counters for each
-    of s points, the charge _PAIR_WORD_COST was timed with.  It spends
-    less (it gathers the r_p * k members of the blocks through p, read off
-    _incidences), so the charge leans towards the at-once kernel.  Past
-    t = 2 it also ANDs `work` words, and for each start p writes the
-    columns of the u later points over its r_p blocks as
-    (u+1) * 64 * ceil(r_p/64) booleans before packing them, u as in
-    _spectrum_words.
-    """
-    v, b, k = design.points.size, len(design._members), design.k
-    s = int(np.count_nonzero(replication))
-    nwords = (b + 63) // 64
-    words = _capped_comb(s, t, MAX_SPECTRUM_WORDS // max(1, nwords)) * nwords
-    point_words = work
-    if t >= 3:
-        r = replication[starts]
-        later = np.minimum(v - 1 - starts, r * (k - 1))
-        point_words += int((64 * ((r + 63) // 64) * (later + 1)).sum())
-    return (words <= MAX_SPECTRUM_WORDS and words * _PAIR_WORD_COST
-            < s * (b * k + v) + point_words * _PAIR_WORD_COST)
-
-
 def _spectrum_words(later, k: int, t: int) -> tuple[int, bool]:
     """(words, exact): the sum over the (u, r) pairs of `later` of
     C(min(u, r(k-1)), t-1) * ceil(r/64), stopped once it passes
@@ -1173,12 +1115,6 @@ def _add_through(hist, blocks, v, dropped: slice, t) -> None:
         hist += np.bincount(pairs, minlength=hist.size)
     else:
         _add_coverages(hist, _columns(blocks, v, dropped), t - 1)
-
-
-def _add_all(hist, members, v, t) -> None:
-    """Count into hist (from coverage 1) every t >= 2 subset of points, on
-    the columns of all points over all blocks."""
-    _add_coverages(hist, _columns(members, v, slice(0, 0)), t)
 
 
 def _columns(blocks: np.ndarray, v: int, dropped: slice, every=False) -> np.ndarray:

@@ -59,7 +59,6 @@ from .core import (
     _find_automorphism,
     _ints,
     _orbits,
-    _replication,
     _row_ranks,
 )
 
@@ -308,7 +307,7 @@ def find_resolutions(
     if v % k:
         raise DesignError(f"block size {k} does not divide {v}")
     w = v // k
-    if b == 0 or b % w or not _replication(design).all():
+    if b == 0 or b % w or not design._replication.all():
         return []
     search = _Search(design, w, node_budget)
     search.run(search.keep, None, 1, limit, node_budget,

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import blockdesigns
 from blockdesigns import cli, core, resolution
@@ -19,6 +24,8 @@ from blockdesigns.generators import (
     trivial_design,
 )
 from blockdesigns.resolution import ParallelClass, Resolution
+
+from oracles import naive_profile, naive_spectrum
 
 
 def run(capsys, *argv):
@@ -696,3 +703,60 @@ def test_readme_pipeline_builds_no_block_tuples(capsys, tmp_path, built_designs)
         assert run(capsys, *step.split())[0] == 0, step
     assert len(built_designs) >= 8
     assert not [d for d in built_designs if "blocks" in vars(d)]
+
+
+# --- generated files ------------------------------------------------------------
+
+@st.composite
+def design_files(draw):
+    """(text, v, blocks, t): a text design file on v = 3 to 12 points with
+    1 to 20 blocks, repeats likely, and a strength of 2 or 3; blocks is None
+    when one block line was replaced by a short line of digits, spaces,
+    signs and letters, which may or may not still parse."""
+    v = draw(st.integers(3, 12))
+    k = draw(st.integers(2, v - 1))
+    pool = draw(st.lists(
+        st.lists(st.integers(0, v - 1), min_size=k, max_size=k, unique=True).map(sorted),
+        min_size=1, max_size=6,
+    ))
+    blocks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=20))
+    lines = [f"design v={v} k={k} b={len(blocks)}"]
+    lines += [" ".join(map(str, block)) for block in blocks]
+    if draw(st.booleans()):
+        line = draw(st.integers(1, len(blocks)))
+        lines[line] = draw(st.text("0123456789 -x\t", max_size=12))
+        blocks = None
+    return "\n".join(lines) + "\n", v, blocks, draw(st.integers(2, 3))
+
+
+def _main(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    return code, out.getvalue().splitlines()
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(design_files())
+def test_verify_and_profile_of_generated_files_match_the_naive_oracles(case):
+    # Files carry no automorphisms, so every spectrum here is counted on
+    # half of the blocks or point by point.
+    text, v, blocks, t = case
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "generated.design")
+        Path(path).write_text(text)
+        verified = _main("verify", path, "--t", str(t))
+        profiled = _main("profile", path)
+    if blocks is None:
+        return
+    if t > len(blocks[0]):
+        assert verified[0] == 2
+    else:
+        spectrum = naive_spectrum(v, blocks, t)
+        assert verified[0] == 0
+        assert f"coverage t={t}: " + " ".join(
+            f"{c}:{n}" for c, n in spectrum.items()) in verified[1]
+    assert profiled[0] == 0
+    assert "profile: " + " ".join(map(str, naive_profile(blocks))) in profiled[1]

@@ -342,8 +342,7 @@ def test_spectrum_cost_follows_replication():
 @st.composite
 def pair_designs(draw):
     """Designs on up to 70 points, some in no block, with 0 to 140 blocks
-    of 2 to 8 points, repeats likely: the t=2 counts cross the word
-    boundary of the columns and of the later points."""
+    of 2 to 8 points, repeats likely."""
     v = draw(st.integers(3, 70))
     k = draw(st.integers(2, min(8, v - 1)))
     pool = draw(st.lists(
@@ -356,25 +355,30 @@ def pair_designs(draw):
 
 
 def _refuse(*args):
-    raise AssertionError("the other kernel ran")
+    raise AssertionError("another path ran")
+
+
+def _past_the_half_path(*args):
+    return core.MAX_SPECTRUM_WORDS + 1
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(pair_designs())
-def test_pair_spectrum_matches_naive_oracle_on_both_kernels(design):
-    expected = naive_spectrum(design.points.size, design.blocks, 2)
-    # A word cost of 0 takes every pair at once, a huge one point by point.
-    for cost, other in [(0, "_add_through"), (1 << 100, "_add_meets")]:
-        with mock.patch.object(core, "_PAIR_WORD_COST", cost), \
-                mock.patch.object(core, other, _refuse):
-            assert t_coverage_spectrum(design, 2) == expected
+def test_pair_spectrum_matches_naive_oracle_point_by_point(design):
+    # Past the half path's bound every design here, closed under
+    # complement or not, is counted point by point, which bins the pairs
+    # through each point without meeting any columns.
+    with mock.patch.object(core, "_half_words", _past_the_half_path), \
+            mock.patch.object(core, "_add_meets", _refuse):
+        assert t_coverage_spectrum(design, 2) == naive_spectrum(
+            design.points.size, design.blocks, 2)
 
 
 @st.composite
 def deep_designs(draw):
     """Designs on up to 16 points, some in no block, with 0 to 140 blocks
-    of 3 to 8 points, repeats likely: the columns over all blocks take up
-    to three words, those over the blocks through one point up to two."""
+    of 3 to 8 points, repeats likely: the columns over the blocks through
+    one point take up to three words."""
     v = draw(st.integers(4, 16))
     k = draw(st.integers(3, min(8, v - 1)))
     pool = draw(st.lists(
@@ -388,23 +392,19 @@ def deep_designs(draw):
 
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(deep_designs(), st.sampled_from([3, 4]))
-def test_deep_spectrum_matches_naive_oracle_on_both_kernels(design, t):
+def test_deep_spectrum_matches_naive_oracle_point_by_point(design, t):
     assume(t <= design.k)
-    expected = naive_spectrum(design.points.size, design.blocks, t)
-    for at_once, other in [(True, "_add_through"), (False, "_add_all")]:
-        with mock.patch.object(core, "_cheaper_at_once", lambda *args: at_once), \
-                mock.patch.object(core, other, _refuse):
-            assert t_coverage_spectrum(design, t) == expected
+    with mock.patch.object(core, "_half_words", _past_the_half_path):
+        assert t_coverage_spectrum(design, t) == naive_spectrum(
+            design.points.size, design.blocks, t)
 
 
-def test_spectrum_bound_refuses_before_the_column_kernel(monkeypatch):
-    # The columns of the 1000 block points over the one block hold
-    # C(1000, 3) words, within the bound, and a word cost of 0 would take
-    # them; the bound on the point path refuses first.
+def test_spectrum_bound_refuses_before_packing_columns(monkeypatch):
+    # The columns of the 1000 block points over the one block would hold
+    # C(1000, 3) words, within the bound; the bound on the point path, at
+    # C(999, 2) words through each of 998 points, refuses first.
     d = Design(PointSet(2000), (tuple(range(1000)),), 1000)
     assert math.comb(1000, 3) <= core.MAX_SPECTRUM_WORDS
-    monkeypatch.setattr(core, "_PAIR_WORD_COST", 0)
-    monkeypatch.setattr(core, "_add_all", _refuse)
     monkeypatch.setattr(core, "_columns", _refuse)
     with pytest.raises(DesignError, match="above the limit"):
         t_coverage_spectrum(d, 3)
@@ -962,8 +962,7 @@ def test_half_path_takes_its_words_up_to_the_bound(monkeypatch):
     assert core._half_words(6, 1, 3) == 35 and core._half_words(6, 1, 2) == 15
     expected = {0: 18, 1: 2}
     monkeypatch.setattr(core, "MAX_SPECTRUM_WORDS", 35)
-    with mock.patch.object(core, "_add_through", _refuse), \
-            mock.patch.object(core, "_add_all", _refuse):
+    with mock.patch.object(core, "_add_through", _refuse):
         assert t_coverage_spectrum(d, 3) == expected
     monkeypatch.setattr(core, "MAX_SPECTRUM_WORDS", 34)
     with mock.patch.object(core, "_add_halves", _refuse):
