@@ -34,6 +34,7 @@ from .core import (
     DesignError,
     DesignParams,
     NonConstantReplication,
+    _check_strength,
     intersection_profile,
     is_simple,
     is_trivial,
@@ -128,6 +129,21 @@ def _params_text(params: DesignParams) -> str:
 
 def cmd_verify(args) -> int:
     design, _ = load_design_or_resolution(args.file)
+    # Every argument is checked before anything is counted.
+    strengths = list(dict.fromkeys(args.t or []))  # each --t once, in order
+    for t in strengths:
+        _check_strength(t, design.k)
+    if args.expect_lambda is not None and len(strengths) != 1:
+        raise DesignError("--expect-lambda needs exactly one --t")
+    if args.expect_params is not None:
+        try:
+            wanted = tuple(int(x) for x in args.expect_params.split(","))
+        except ValueError:
+            raise DesignError(
+                f"--expect-params wants 'v,b,r,k', got {args.expect_params!r}"
+            ) from None
+        if len(wanted) != 4:
+            raise DesignError("--expect-params wants four integers 'v,b,r,k'")
     v, b = design.points.size, len(design._members)
     report = _Report(f"file: {args.file}", command="verify", file=args.file)
     report.add(f"v: {v}  k: {design.k}  b: {b}", v=v, k=design.k, b=b)
@@ -139,7 +155,6 @@ def cmd_verify(args) -> int:
         params = None
         report.add(f"ibd: FAIL ({exc})", ibd=None, ibd_error=str(exc))
 
-    strengths = list(dict.fromkeys(args.t or []))  # each --t once, in order
     spectra = {}
     for t in strengths:
         spectra[t] = t_coverage_spectrum(design, t)
@@ -159,8 +174,6 @@ def cmd_verify(args) -> int:
                    expectations=expectations)
 
     if args.expect_lambda is not None:
-        if len(strengths) != 1:
-            raise DesignError("--expect-lambda needs exactly one --t")
         spectrum = spectra[strengths[0]]
         ok = list(spectrum) == [args.expect_lambda]
         expect(f"lambda={args.expect_lambda} (t={strengths[0]})", ok,
@@ -168,14 +181,6 @@ def cmd_verify(args) -> int:
     if args.expect_simple:
         expect("simple", simple, "no repeated blocks" if simple else "repeated block")
     if args.expect_params is not None:
-        try:
-            wanted = tuple(int(x) for x in args.expect_params.split(","))
-        except ValueError:
-            raise DesignError(
-                f"--expect-params wants 'v,b,r,k', got {args.expect_params!r}"
-            ) from None
-        if len(wanted) != 4:
-            raise DesignError("--expect-params wants four integers 'v,b,r,k'")
         observed = params.as_tuple() if params else None
         expect("params", observed == wanted, f"observed {observed}")
 

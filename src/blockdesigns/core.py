@@ -809,6 +809,12 @@ def _find_automorphism(design: Design, accept, spend) -> tuple[np.ndarray, np.nd
     return None
 
 
+def _check_strength(t: int, k: int) -> None:
+    """Raise DesignError unless 1 <= t <= k."""
+    if not 1 <= t <= k:
+        raise DesignError(f"need 1 <= t <= k, got t={t} k={k}")
+
+
 def make_design(v, blocks, labels=None, k=None) -> Design:
     """Canonicalize raw block member lists (sorting each) into a Design."""
     canon = []
@@ -845,8 +851,7 @@ class DesignParams:
     def __post_init__(self) -> None:
         if not 2 <= self.k < self.v:
             raise DesignError(f"need 2 <= k < v, got k={self.k} v={self.v}")
-        if not 1 <= self.t <= self.k:
-            raise DesignError(f"need 1 <= t <= k, got t={self.t} k={self.k}")
+        _check_strength(self.t, self.k)
         if min(self.b, self.r, self.lam) < 0:
             raise DesignError("counts must be nonnegative")
         if self.b * self.k != self.v * self.r:
@@ -933,8 +938,7 @@ def t_coverage_spectrum(design: Design, t: int) -> dict[int, int]:
     or when C(v, t) has more than MAX_COMB_BITS bits.
     """
     k = design.k
-    if not 1 <= t <= k:
-        raise DesignError(f"need 1 <= t <= k, got t={t} k={k}")
+    _check_strength(t, k)
     v, b = design.points.size, len(design._members)
     cap = (1 << MAX_COMB_BITS) - 1
     if v > MAX_COMB_BITS and _capped_comb(v, t, cap) > cap:

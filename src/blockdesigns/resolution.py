@@ -49,6 +49,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -162,8 +163,9 @@ def verify_resolution(design: Design, res: Resolution) -> CheckResult:
     """Check that res partitions design's block instances into parallel
     classes; the result is falsy with a reason when it does not.
 
-    The verdict is one array check (_partitions_blocks); the classes are
-    looked at one by one only to word what fails."""
+    The verdict is one bincount over the block indices and the points of
+    each class (_partitions_blocks); the classes are looked at one by one
+    only to word what fails."""
     if res.design != design:
         return CheckResult(False, "resolution refers to a different design")
     if _partitions_blocks(design, res):
@@ -185,26 +187,29 @@ def verify_resolution(design: Design, res: Resolution) -> CheckResult:
 
 
 def _partitions_blocks(design: Design, res: Resolution) -> bool:
-    """True when the classes of res form an r x w array of block indices,
-    w = v/k, in which every block occurs once, and the blocks of each
-    class cover every point once: the points of class i, offset by i*v,
-    have a bincount of all ones."""
+    """True when the r classes of res hold w = v/k blocks each, r·w = b
+    in all, and one bincount of all ones says that every block occurs once
+    and the blocks of each class cover every point once: bins 0..b-1 count
+    the block indices, and bin b + i·v + p the blocks of class i through
+    point p."""
     v, k, b = design.points.size, design.k, len(design._members)
     w = v // k
-    if v % k or any(len(cls.block_refs) != w for cls in res.classes):
+    classes = [cls.block_refs for cls in res.classes]
+    r = len(classes)
+    if v % k or r * w != b or any(len(refs) != w for refs in classes):
         return False
-    refs = np.array([cls.block_refs for cls in res.classes], dtype=np.intp)
-    refs = refs.reshape(len(res.classes), w)
-    if refs.size != b or (np.bincount(refs.ravel(), minlength=b) != 1).any():
-        return False
-    offsets = np.arange(len(refs))[:, None, None] * v
-    points = design._members[refs] + offsets
-    return bool((np.bincount(points.ravel(), minlength=len(refs) * v) == 1).all())
+    bins = np.empty(b + r * v, dtype=np.intp)
+    refs = bins[:b]
+    refs[:] = np.fromiter(chain.from_iterable(classes), dtype=np.intp, count=b)
+    np.add(design._members[refs].reshape(r, v), np.arange(b, b + r * v, v)[:, None],
+           out=bins[b:].reshape(r, v))
+    return bool((np.bincount(bins, minlength=b + r * v) == 1).all())
 
 
 # Bits of the `keep` masks one resolution search holds: each is b bits, so
 # a design with more than sqrt(MEETS_MEMO_BITS) blocks keeps the masks of
-# MEETS_MEMO_BITS // b of them and rebuilds the others on use.
+# MEETS_MEMO_BITS // b of them and rebuilds the others on use.  The memo of
+# completed classes in _Search.run is held to about as many bits.
 MEETS_MEMO_BITS = 1 << 26
 
 
@@ -329,8 +334,13 @@ class _Search:
     nothing more.  The current class is (unused, opener, base): the
     blocks of no earlier class, the n of the block b-n that opened it and
     the stack height where its levels start; it is pushed on `opened`
-    when the next class opens.  Each class's (contents, refs) is built
-    once, when it completes (_class_key), with its ParallelClass.
+    when the next class opens.  A completed class's (contents, refs) and
+    its ParallelClass (_class_key) are built once per distinct class, not
+    once per completion: `run` keeps them in a memo by the class's block
+    mask, cleared when it holds MEETS_MEMO_BITS // (b + 128·w) entries,
+    so, short of a clearing, the resolutions of one search share one
+    ParallelClass per distinct class.  The m-1 images of a symmetry-stage
+    class are keyed directly.
 
     `run` is given `keep` and `sigma`, a block permutation whose cycles
     all have length m, as sigma[n] = n' for blocks b-n and b-n'.  The
@@ -363,6 +373,10 @@ class _Search:
         masks, through, key, points = self.masks, self.through, self.key, self.points
         design, b, w, found = self.design, self.b, self.w, self.found
         classes: list = [None] * (b // w)
+        # The _class_key of each completed class, by its block mask; about
+        # b + 128·w bits an entry, so it is cleared at the keep masks' budget.
+        memo: dict[int, tuple] = {}
+        room = MEETS_MEMO_BITS // (b + 128 * w)
         stack: list[tuple[int, int, int, int]] = []
         opened: list[tuple[int, int, int]] = []
         # Block 0, the highest bit, opens the first class; k < v leaves it
@@ -395,9 +409,10 @@ class _Search:
                 # Block b-n completes the class: its blocks are the opener,
                 # the block each of its stacked levels placed, and b-n.
                 placed = [opener, n] + [level[3] for level in stack[base:]]
-                rest = unused
+                mask = 0
                 for x in placed:
-                    rest ^= 1 << (x - 1)
+                    mask |= 1 << (x - 1)
+                rest = unused ^ mask
                 if m > 1:
                     images = [placed]
                     for _ in range(m - 1):
@@ -419,7 +434,12 @@ class _Search:
                     for cls in images[1:]:
                         classes[slot] = _class_key(cls, key, b)
                         slot += 1
-                classes[slot] = _class_key(placed, key, b)
+                entry = memo.get(mask)
+                if entry is None:
+                    if len(memo) >= room:
+                        memo.clear()
+                    entry = memo[mask] = _class_key(placed, key, b)
+                classes[slot] = entry
                 if rest:
                     stack.append((candidates, uncovered, avail, n))
                     opened.append((unused, opener, base))
@@ -483,8 +503,8 @@ class _Search:
 def _class_key(placed: list[int], key: list[int], b: int) -> tuple[tuple, tuple, ParallelClass]:
     """(contents, refs, class) of the class of blocks b-n for n in
     `placed`: refs in increasing `key` order, (block, index), contents the
-    ranks of those blocks, and the ParallelClass of the refs, made once
-    per completed class and shared by every resolution that holds it.
+    ranks of those blocks, and the ParallelClass of the refs, which the
+    memo of _Search.run shares among the resolutions that hold the class.
     Classes sort by (contents, refs), and the contents of the sorted
     classes are the content key under which two resolutions are the same;
     the refs of the classes of one resolution are distinct blocks, so the

@@ -559,6 +559,36 @@ def test_empty_expectations_are_refused(capsys, tri63):
     assert (code, out, err) == (2, "", "error: --expect-params wants 'v,b,r,k', got ''\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--t", "2", "--t", "4"], "need 1 <= t <= k, got t=4 k=3"),
+        (["--t", "0", "--t", "2"], "need 1 <= t <= k, got t=0 k=3"),
+        (["--t", "2", "--t", "3", "--expect-lambda", "1"],
+         "--expect-lambda needs exactly one --t"),
+        (["--expect-lambda", "1"], "--expect-lambda needs exactly one --t"),
+        (["--t", "3", "--expect-params", "6,20,10"],
+         "--expect-params wants four integers 'v,b,r,k'"),
+        (["--t", "3", "--expect-params", "6,20,x,3"],
+         "--expect-params wants 'v,b,r,k', got '6,20,x,3'"),
+        # The t values are checked first, then --expect-lambda, then
+        # --expect-params.
+        (["--t", "4", "--t", "2", "--expect-lambda", "1", "--expect-params", "x"],
+         "need 1 <= t <= k, got t=4 k=3"),
+        (["--t", "2", "--t", "3", "--expect-lambda", "1", "--expect-params", "x"],
+         "--expect-lambda needs exactly one --t"),
+    ],
+)
+def test_verify_refuses_its_arguments_before_counting(capsys, tri63, monkeypatch,
+                                                     argv, message):
+    def no_counting(design, t):
+        raise AssertionError(f"counted the t={t} spectrum before refusing")
+
+    monkeypatch.setattr(cli, "t_coverage_spectrum", no_counting)
+    code, out, err = run(capsys, "verify", tri63, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_searches_refuse_rows_above_the_bound(capsys, tmp_path, monkeypatch):
     # The resolution and PRP searches read the blocks off the verifiers'
     # packed rows, so they share the rows' bound: the 12 rows of AG(2,3)

@@ -101,6 +101,26 @@ def test_verify_rejects_a_block_size_that_does_not_divide_v():
     assert result.reason == "class 0: block size 2 does not divide 5"
 
 
+@pytest.mark.parametrize(
+    "v, blocks, classes, reason",
+    [
+        (4, [], [], None),
+        (4, [], [()], "class 0: class has 0 blocks, expected 2"),
+        (5, [(0, 1), (2, 3), (1, 4)], [], "block instance 0 is in no class"),
+        (5, [(0, 1), (2, 3), (1, 4)], [(0,), (1,), (2,)],
+         "class 0: block size 2 does not divide 5"),
+        (5, [(0, 1), (2, 3), (1, 4)], [(0, 1, 2)], "class 0: block size 2 does not divide 5"),
+    ],
+)
+def test_verify_on_no_blocks_and_on_a_block_size_not_dividing_v(v, blocks, classes, reason):
+    # The count's edges: no blocks at all (r·w = b = 0), and k ∤ v, where
+    # neither the class lengths nor any count can make a resolution.
+    design = core.Design(points=core.PointSet(v), blocks=tuple(blocks), k=2)
+    result = verify_resolution(design, Resolution(design, tuple(map(ParallelClass, classes))))
+    assert (result.ok, result.reason) == (reason is None, reason)
+    assert bool(result) == naive_is_resolution(v, design.blocks, classes)
+
+
 def test_verify_translate_classes_of_cyclic_master():
     master, res = cyclic_develop(catalog_entry("3-(30,15,65)").base)
     assert verify_resolution(master, res)
@@ -115,7 +135,7 @@ def test_verify_agrees_with_naive_check_on_altered_classes(data):
     classes = [list(cls.block_refs) for cls in res.classes]
     b = len(design._members)
     change = data.draw(st.sampled_from(
-        ["none", "swap", "replace", "drop ref", "drop class", "add ref"]))
+        ["none", "swap", "replace", "drop ref", "drop class", "add ref", "move ref"]))
     i, j = data.draw(st.permutations(range(len(classes))))[:2]
     x = data.draw(st.integers(0, len(classes[i]) - 1))
     if change == "swap":
@@ -129,6 +149,8 @@ def test_verify_agrees_with_naive_check_on_altered_classes(data):
         del classes[i]
     elif change == "add ref":
         classes[i].append(data.draw(st.integers(0, b - 1)))
+    elif change == "move ref":  # r·w = b still holds; two class lengths do not
+        classes[j].append(classes[i].pop(x))
     altered = Resolution(design, tuple(ParallelClass(tuple(c)) for c in classes))
     result = verify_resolution(design, altered)
     assert bool(result) == naive_is_resolution(design.points.size, design.blocks, classes)
@@ -562,6 +584,63 @@ def test_overlap_masks_past_the_memo_bound_are_rebuilt(monkeypatch):
     expected = find_resolutions(design, limit=50)
     monkeypatch.setattr(resolution, "MEETS_MEMO_BITS", 2 * len(design.blocks))
     assert find_resolutions(design, limit=50) == expected
+
+
+# Searches whose classes recur: 6,386 nodes find the first 300 of the K_16
+# embedding's resolutions, and the relabelled (24,3,2) is resolved by its
+# symmetry stage, one class and its m - 1 = 22 images.
+MEMO_SEARCHES = {
+    "sub4 limit=300": (lambda: sub_factorization_embedding(4)[0], 300, 6386),
+    "relabelled (24,3,2) limit=1": (
+        lambda: _shuffled(*_catalog_master(24, 3, 2), seed=0)[0], 1, 8193 + 107 * 184 + 144,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", MEMO_SEARCHES)
+def test_class_memo_cleared_every_few_classes_changes_nothing(name, monkeypatch):
+    # With MEETS_MEMO_BITS at b·b the keep masks are still one list, so the
+    # symmetry stage runs, but the memo of completed classes holds only
+    # b·b // (b + 128·w) of them (12 for sub4, 28 for (24,3,2)) and is
+    # cleared many times over: the results, their class order and the
+    # nodes spent are the default bound's.
+    make, limit, nodes = MEMO_SEARCHES[name]
+    design = make()
+    b = len(design.blocks)
+    keyed = 0
+    class_key = resolution._class_key
+
+    def counting(*args):
+        nonlocal keyed
+        keyed += 1
+        return class_key(*args)
+
+    monkeypatch.setattr(resolution, "_class_key", counting)
+
+    def search():
+        found = find_resolutions(design, limit, node_budget=nodes)
+        with pytest.raises(SearchBudgetExceeded):
+            find_resolutions(design, limit, node_budget=nodes - 1)
+        return [tuple(cls.block_refs for cls in res.classes) for res in found]
+
+    expected = search()
+    keyed_by_default, keyed = keyed, 0
+    monkeypatch.setattr(resolution, "MEETS_MEMO_BITS", b * b)
+    assert isinstance(resolution._search_masks(design)[2], list)
+    assert search() == expected
+    assert keyed > keyed_by_default
+
+
+def test_resolutions_of_one_search_share_one_class_per_distinct_class():
+    design, _ = sub_factorization_embedding(4)
+    found = find_resolutions(design, limit=1000)
+    assert len(found) == 1000
+    objects = {id(cls) for res in found for cls in res.classes}
+    contents = {
+        tuple(sorted(design.blocks[i] for i in cls.block_refs))
+        for res in found for cls in res.classes
+    }
+    assert len(objects) <= len(contents)
 
 
 def test_searches_leave_no_reference_cycles(k8_subfac):
