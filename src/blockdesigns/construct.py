@@ -29,8 +29,6 @@ from .core import (
     DesignError,
     DesignParams,
     _block_permutation,
-    _row_matching,
-    _row_order,
     _row_ranks,
     is_simple,
     lambda_j,
@@ -298,17 +296,14 @@ def _kept_automorphisms(
     Classes are compared by block content: the master's check of g
     (Design._permutations) names the block each block goes to, and a
     class is the ascending row of its blocks' content ranks, which are
-    distinct, as its blocks are disjoint.  The indexing blocks are
-    ordered once, and each sigma is checked once.  The classes are
-    matched all at once, equal classes in index order; only when that
-    matching fails and some classes hold the same blocks is a matching
-    searched for class by class, each class taking the first free one it
-    may.  That finds a matching whenever one exists: with o_i the map
-    from positions to blocks of class i and gamma the map g induces on
-    blocks, sigma = o_j^-1 gamma o_i is an indexing automorphism exactly
-    when o_j and gamma o_i lie in one coset of the indexing automorphism
-    group, so classes i of one coset may all take the same classes j, and
-    no choice among them blocks another.
+    distinct, as its blocks are disjoint.  Each sigma is checked once.
+    The classes are matched class by class, each image class taking the
+    first free equal class it may.  That finds a matching whenever one
+    exists: with o_i the map from positions to blocks of class i and
+    gamma the map g induces on blocks, sigma = o_j^-1 gamma o_i is an
+    indexing automorphism exactly when o_j and gamma o_i lie in one coset
+    of the indexing automorphism group, so classes i of one coset may all
+    take the same classes j, and no choice among them blocks another.
     """
     _, moves = master._permutations
     if not moves or not len(refs):
@@ -316,45 +311,29 @@ def _kept_automorphisms(
     ranks = _row_ranks(master._members)
     positions = np.argsort(ranks[refs], axis=1)
     rows = np.sort(ranks[refs], axis=1)
-    order = _row_order(rows)
-    listed = rows[order]
-    repeated = bool((listed[1:] == listed[:-1]).all(axis=1).any())
-    members = indexing._members
-    indexing_order = _row_order(members)
-    indexing_listed = members[indexing_order]
+    b = len(indexing._members)
     found: dict[bytes, np.ndarray | None] = {}
 
     def induced(sigma) -> np.ndarray | None:
         """pi_sigma, or None when sigma is no indexing automorphism."""
         key = sigma.tobytes()
         if key not in found:
-            found[key] = _block_permutation(members, sigma, indexing_order,
-                                            indexing_listed)
+            found[key] = _block_permutation(indexing, sigma)
         return found[key]
-
-    def block_perm(match, back) -> np.ndarray | None:
-        pis = [induced(sigma) for sigma in positions[match[:, None], back]]
-        if any(pi is None for pi in pis):
-            return None
-        return (match[:, None] * len(members) + np.array(pis)).ravel()
 
     kept, block_perms = [], []
     for gen, move in zip(master.automorphisms, moves):
         image = ranks[move[refs]]
-        image_rows = np.sort(image, axis=1)
         # Position p of image class i holds the back[i, p]-th rank of its
         # row, which class j holds at positions[j, back[i, p]]: sigma.
         back = np.argsort(np.argsort(image, axis=1), axis=1)
-        match = _row_matching(image_rows, order, listed)
-        perm = None if match is None else block_perm(match, back)
-        if perm is None and match is not None and repeated:
-            match = _first_free_matching(
-                image_rows, rows,
-                lambda i, j: induced(positions[j, back[i]]) is not None)
-            perm = None if match is None else block_perm(match, back)
-        if perm is not None:
+        match = _first_free_matching(
+            np.sort(image, axis=1), rows,
+            lambda i, j: induced(positions[j].take(back[i])) is not None)
+        if match is not None:
+            pis = [induced(sigma) for sigma in positions[match[:, None], back]]
             kept.append(gen)
-            block_perms.append(perm)
+            block_perms.append((match[:, None] * b + np.array(pis)).ravel())
     return tuple(kept), tuple(block_perms)
 
 
@@ -362,18 +341,20 @@ def _first_free_matching(image_rows, rows, respects):
     """The match i -> j of image row i to an equal class row j, each i in
     turn taking the first free j with respects(i, j), or None when some i
     finds none."""
-    by_row: dict[bytes, list[int]] = {}
-    for j, row in enumerate(rows):
-        by_row.setdefault(row.tobytes(), []).append(j)
-    match = np.empty(len(rows), dtype=np.intp)
-    for i, row in enumerate(image_rows):
-        free = by_row[row.tobytes()]
-        j = next((j for j in free if respects(i, j)), None)
-        if j is None:
+    by_row: dict[tuple, list[int]] = {}
+    for j, row in enumerate(map(tuple, rows.tolist())):
+        by_row.setdefault(row, []).append(j)
+    match = []
+    for i, row in enumerate(map(tuple, image_rows.tolist())):
+        free = by_row.get(row, [])
+        for j in free:
+            if respects(i, j):
+                break
+        else:
             return None
         free.remove(j)
-        match[i] = j
-    return match
+        match.append(j)
+    return np.array(match, dtype=np.intp)
 
 
 def predict_ibd_params(

@@ -408,7 +408,6 @@ class Design:
         v = self.points.size
         members = self._members
         supplied = self._block_perms or (None,) * len(self.automorphisms)
-        order = listed = None
         point_perms, block_perms = [], []
         for i, (gen, blocks) in enumerate(
                 zip(self.automorphisms, supplied, strict=True)):
@@ -420,10 +419,7 @@ class Design:
             if blocks is not None:
                 blocks = _checked_block_permutation(members, perm, blocks)
             else:
-                if order is None:
-                    order = _row_order(members)
-                    listed = members[order]
-                blocks = _block_permutation(members, perm, order, listed)
+                blocks = _block_permutation(self, perm)
             if blocks is None:
                 raise DesignError(
                     f"automorphism {i} does not map the blocks onto themselves"
@@ -431,6 +427,17 @@ class Design:
             point_perms.append(perm)
             block_perms.append(blocks)
         return tuple(point_perms), tuple(block_perms)
+
+    @cached_property
+    def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
+        """(order, listed): the _row_order of the members and the members
+        in that order, sorted on first use, read-only.  Every match of
+        block images against the blocks reads them."""
+        order = _row_order(self._members)
+        listed = self._members[order]
+        for array in (order, listed):
+            array.flags.writeable = False
+        return order, listed
 
     @cached_property
     def _symmetry(self) -> tuple[_Orbits, _Orbits] | None:
@@ -575,21 +582,24 @@ def _as_permutation(gen, v: int) -> np.ndarray | None:
 
 
 def _row_order(rows: np.ndarray) -> np.ndarray:
-    """The indices of the rows in an order that depends only on their
-    contents: lexicographic on each row's bytes, zero-padded and read as
-    64-bit words.  Two arrays hold the same rows as a multiset exactly when
-    they are equal in this order."""
-    b, width = len(rows), rows.shape[1] * rows.itemsize
-    padded = np.zeros((b, -(-width // 8) * 8), dtype=np.uint8)
-    padded[:, :width] = rows.view(np.uint8).reshape(b, width)
-    return np.lexsort(padded.view(np.uint64).T)
+    """The indices of the rows of a 2-D integer array in lexicographic
+    order, equal rows in index order.  Two arrays hold the same rows as a
+    multiset exactly when they are equal in this order."""
+    return np.lexsort(rows.T[::-1])
 
 
-def _block_permutation(members, perm, order, listed) -> np.ndarray | None:
-    """The block permutation i -> j with perm(block i) = block j, or None
-    when perm does not map the blocks (the rows of members; `listed` holds
-    them in their _row_order `order`) onto themselves as a multiset."""
-    return _row_matching(_image(members, perm), order, listed)
+def _block_permutation(design: Design, perm) -> np.ndarray | None:
+    """The block permutation i -> j with perm(block i) = block j, equal
+    blocks matched in index order, or None when perm does not map the
+    blocks of design onto themselves as a multiset."""
+    order, listed = design._sorted
+    image = _image(design._members, perm)
+    image_order = _row_order(image)
+    if not np.array_equal(image[image_order], listed):
+        return None
+    matching = np.empty(len(image), dtype=np.intp)
+    matching[image_order] = order
+    return matching
 
 
 def _image(members, perm) -> np.ndarray:
@@ -597,19 +607,6 @@ def _image(members, perm) -> np.ndarray:
     image = np.take(perm.astype(members.dtype), members)
     image.sort(axis=1)
     return image
-
-
-def _row_matching(image, order, listed) -> np.ndarray | None:
-    """The map i -> j with image[i] equal to row j of an array whose rows
-    `listed` holds in their _row_order `order`, or None when image does
-    not hold the same rows as a multiset.  Equal rows are matched in
-    index order."""
-    image_order = _row_order(image)
-    if not np.array_equal(image[image_order], listed):
-        return None
-    matching = np.empty(len(image), dtype=np.intp)
-    matching[image_order] = order
-    return matching
 
 
 def _checked_block_permutation(members, perm, blocks) -> np.ndarray | None:
@@ -646,16 +643,14 @@ def is_automorphism(design: Design, perm) -> bool:
     perm = _as_permutation(perm, design.points.size)
     if perm is None:
         return False
-    members = design._members
-    order = _row_order(members)
-    return _block_permutation(members, perm, order, members[order]) is not None
+    return _block_permutation(design, perm) is not None
 
 
 def _row_ranks(rows) -> np.ndarray:
     """The rank of each row of a 2-D integer array in the lexicographic
     order of the rows, equal rows sharing one rank: comparing ranks
     compares the rows."""
-    order = np.lexsort(rows.T[::-1])
+    order = _row_order(rows)
     listed = rows[order]
     rank = np.zeros(len(rows), dtype=np.intp)
     rank[order[1:]] = np.cumsum((listed[1:] != listed[:-1]).any(axis=1))
@@ -723,8 +718,6 @@ def _find_automorphism(design: Design, accept, spend) -> tuple[np.ndarray, np.nd
     if b == 0 or (replication != replication[0]).any():
         return None
     through = design._incidences[0].reshape(v, -1)
-    order = _row_order(members)
-    listed = members[order]
     block_points = members.astype(np.intp)  # faster to index with than uint8
     # Every colour is at most max(v, b): a rank below v or b, or v for an
     # individualised point.  Each round writes its signature rows into
@@ -803,7 +796,7 @@ def _find_automorphism(design: Design, accept, spend) -> tuple[np.ndarray, np.nd
                 continue
             perm = np.empty(v, dtype=np.intp)
             perm[leaf] = np.argsort(points)
-            block_perm = _block_permutation(members, perm, order, listed)
+            block_perm = _block_permutation(design, perm)
             if block_perm is not None and accept(block_perm):
                 return perm, block_perm
     return None

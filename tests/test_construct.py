@@ -134,8 +134,10 @@ def union_inputs(draw, widths=(3, 4, 5), resolvable=False):
     their classes hold w blocks, w drawn from `widths`.  Or it is the
     one-factorization of K_4n with a sub-one-factorization
     (sub_factorization_embedding, n = 2 or 3, w = 2n), its points
-    relabelled, carrying nothing: a simple master with k'-PRPs for many
-    k'.  Classes, positions in a class and the block list are shuffled.
+    relabelled, carrying nothing or a random point permutation: a simple
+    master with k'-PRPs for many k'.  Every point permutation maps the
+    edges of K_4n onto themselves, and most map some class onto one the
+    resolution lacks.  Classes, positions in a class and the block list are shuffled.
     The indexing design is trivial or a few random blocks, or, when
     `resolvable`, the union of 1-3 random parallel classes of the w
     points.  Two times in three, an embedding takes trivial indexing with
@@ -152,7 +154,7 @@ def union_inputs(draw, widths=(3, 4, 5), resolvable=False):
             [tuple(sorted(relabel[p] for p in embedded.blocks[ref])) for ref in cls.block_refs]
             for cls in embedded_res.classes
         ]
-        generators = ()
+        generators = (tuple(draw(st.permutations(range(v)))),) if draw(st.booleans()) else ()
     else:
         k = draw(st.integers(2, 3))
         w = draw(st.sampled_from(widths))

@@ -1250,6 +1250,52 @@ def test_automorphism_search_stops_when_spend_raises():
     assert spent == rounds
 
 
+# --- ordering block rows -----------------------------------------------------
+
+@st.composite
+def rows_to_order(draw):
+    """A b x width array of uint8, uint16, int64 or uint64 values, b from 0
+    to 40 and width from 1 to 5.  Values are often a bound of the type, 0
+    or 1, so rows tie often; uint64 words often have the top bit set."""
+    dtype = np.dtype(draw(st.sampled_from(["uint8", "uint16", "int64", "uint64"])))
+    low, high = int(np.iinfo(dtype).min), int(np.iinfo(dtype).max)
+    value = st.sampled_from([low, 0, 1, high]) | st.integers(low, high)
+    if dtype == np.uint64:
+        value |= st.integers(1 << 63, high)
+    width = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(value, min_size=width, max_size=width), max_size=40))
+    return np.array(rows, dtype=dtype).reshape(len(rows), width)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(rows_to_order())
+def test_row_order_is_the_stable_lexicographic_order(rows):
+    listed = rows.tolist()
+    assert core._row_order(rows).tolist() == sorted(range(len(rows)), key=lambda i: listed[i])
+
+
+def test_a_design_sorts_its_blocks_once(monkeypatch):
+    # The automorphism check, is_automorphism and the finder all match
+    # block images against one sorted view of the blocks.
+    design = _relabelled(cyclic_develop(catalog_entry("3-(24,12,175)").base)[0], seed=1)
+    (perm, _), _ = _spent(design)
+    design = dataclasses.replace(design, automorphisms=(tuple(perm.tolist()),))
+    sorted_members = 0
+
+    def counted(rows):
+        nonlocal sorted_members
+        sorted_members += np.shares_memory(rows, design._members)
+        return row_order(rows)
+
+    row_order = core._row_order
+    monkeypatch.setattr(core, "_row_order", counted)
+    design._permutations
+    assert is_automorphism(design, perm)
+    assert not is_automorphism(design, np.roll(np.arange(design.points.size), 1))
+    assert _spent(design)[0] is not None
+    assert sorted_members == 1
+
+
 # --- the paper's nontriviality bound (an oracle closed form) ------------------
 
 def test_bound_examples():
