@@ -296,7 +296,8 @@ def _kept_automorphisms(
     Classes are compared by block content: the master's check of g
     (Design._permutations) names the block each block goes to, and a
     class is the ascending row of its blocks' content ranks, which are
-    distinct, as its blocks are disjoint.  Each sigma is checked once.
+    distinct, as its blocks are disjoint.  Each sigma is checked once, and
+    the pi_sigma a class matched with is the one kept.
     The classes are matched class by class, each image class taking the
     first free equal class it may.  That finds a matching whenever one
     exists: with o_i the map from positions to blocks of class i and
@@ -327,34 +328,37 @@ def _kept_automorphisms(
         # Position p of image class i holds the back[i, p]-th rank of its
         # row, which class j holds at positions[j, back[i, p]]: sigma.
         back = np.argsort(np.argsort(image, axis=1), axis=1)
-        match = _first_free_matching(
+        matched = _first_free_matching(
             np.sort(image, axis=1), rows,
-            lambda i, j: induced(positions[j].take(back[i])) is not None)
-        if match is not None:
-            pis = [induced(sigma) for sigma in positions[match[:, None], back]]
+            lambda i, j: induced(positions[j].take(back[i])))
+        if matched is not None:
+            match, pis = matched
             kept.append(gen)
             block_perms.append((match[:, None] * b + np.array(pis)).ravel())
     return tuple(kept), tuple(block_perms)
 
 
-def _first_free_matching(image_rows, rows, respects):
-    """The match i -> j of image row i to an equal class row j, each i in
-    turn taking the first free j with respects(i, j), or None when some i
-    finds none."""
+def _first_free_matching(image_rows, rows, induced):
+    """(match, values): the match i -> j of image row i to an equal class
+    row j, each i in turn taking the first free j for which induced(i, j)
+    is not None, and those values of induced(i, j) in the order of i;
+    None when some i finds none."""
     by_row: dict[tuple, list[int]] = {}
     for j, row in enumerate(map(tuple, rows.tolist())):
         by_row.setdefault(row, []).append(j)
-    match = []
+    match, values = [], []
     for i, row in enumerate(map(tuple, image_rows.tolist())):
         free = by_row.get(row, [])
         for j in free:
-            if respects(i, j):
+            value = induced(i, j)
+            if value is not None:
                 break
         else:
             return None
         free.remove(j)
         match.append(j)
-    return np.array(match, dtype=np.intp)
+        values.append(value)
+    return np.array(match, dtype=np.intp), values
 
 
 def predict_ibd_params(

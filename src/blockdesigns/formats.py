@@ -15,14 +15,18 @@ belong to that class, and the design's block order is the file order.
 digits.  The JSON form carries the same content as a key/value tree; a
 ``"classes"`` key that is present must hold a resolution.  Paths ending
 in ``.json`` are JSON and all others text: ``load_design_or_resolution``
-makes that choice for every loader, ``dumps`` for every writer.  No file
-may declare more than ``core.MAX_POINTS`` points.
+makes that choice for every loader, ``dumps`` for every writer.  Files
+are UTF-8, and a byte-order mark that starts one is skipped.  No file may
+declare more than ``core.MAX_POINTS`` points.
 
 The text parser reads the header, label and class lines one by one and
 the block lines all at once, as one array of points (``_read_points``);
 a block line is looked at on its own only when the bulk check finds it
-is not written the way ``dumps`` writes it.  ``dumps`` writes each point
-through a table of point names built once per file.
+is not written the way ``dumps`` writes it.  ``dumps`` writes the block
+lines a slice of rows at a time from one byte table of point names
+(``_point_names``), with no Python step per point: it gathers the rows'
+names at once, ends each row with a line break and drops the names' NUL
+padding.
 """
 
 from __future__ import annotations
@@ -57,8 +61,9 @@ class FormatError(ValueError):
     pass
 
 
-# Block rows that dumps turns into lists of Python ints at a time.
-_TEXT_ROWS = 1024
+# Bytes of point names that dumps gathers at a time: a slice of block
+# rows stays this size (or one row) whatever k is.
+_TEXT_BYTES = 1 << 18
 
 
 def dumps(design: Design, res: Resolution | None, as_json: bool) -> str:
@@ -68,25 +73,56 @@ def dumps(design: Design, res: Resolution | None, as_json: bool) -> str:
         data = resolution_to_dict(res) if res is not None else design_to_dict(design)
         return json.dumps(data, indent=2, sort_keys=True) + "\n"
     members = design._members
-    # A plain design is one run of all its blocks, with no class line.
-    runs = ([cls.block_refs for cls in res.classes] if res is not None
-            else [range(len(members))])
-    lines = [f"design v={design.points.size} k={design.k} b={sum(map(len, runs))}"]
+    # The block rows in file order, and the row each class line goes
+    # before: a plain design has all its rows and no class line.
+    classes = [cls.block_refs for cls in res.classes] if res is not None else []
+    order = (np.fromiter(itertools.chain.from_iterable(classes), dtype=np.intp)
+             if res is not None else np.arange(len(members)))
+    starts = np.cumsum([0, *map(len, classes)])[:-1].tolist()
+    parts = [f"design v={design.points.size} k={design.k} b={len(order)}\n"]
     for i, label in enumerate(design.points.labels or ()):
         if not label or any(ch.isspace() for ch in label) or "#" in label:
             raise FormatError(f"label {label!r} cannot be written to the text format")
-        lines.append(f"label {i} {label}")
-    # The name of every point up to the largest in a block, the last of
-    # its (increasing) block.
-    top = int(members[:, -1].max()) if len(members) else -1
-    name = list(map(str, range(top + 1))).__getitem__
-    for ci, refs in enumerate(runs):
-        if res is not None:
-            lines.append(f"class {ci}")
-        for lo in range(0, len(refs), _TEXT_ROWS):
-            rows = members[np.asarray(refs[lo : lo + _TEXT_ROWS], dtype=np.intp)]
-            lines.extend(" ".join(map(name, row)) for row in rows.tolist())
-    return "\n".join(lines) + "\n"
+        parts.append(f"label {i} {label}\n")
+    # Every point up to the largest in a block, the last of its
+    # (increasing) block.
+    names = _point_names(int(members[:, -1].max()) if len(members) else 0)
+    step = max(1, _TEXT_BYTES // names[0].nbytes // design.k)
+    ci = 0  # the next class line
+    for lo in range(0, len(order), step):
+        rows = np.take(names, members[order[lo : lo + step]], axis=0)
+        rows = rows.reshape(len(rows), -1)
+        rows[:, -1] = ord("\n")  # the separator after each row's last point
+        text = rows.tobytes().replace(b"\0", b"").decode("ascii")
+        hi = lo + len(rows)
+        if ci < len(starts) and starts[ci] < hi:
+            # Where each row of the slice starts in text, and so each
+            # class line of the slice goes.
+            offsets = [0, *np.cumsum(np.count_nonzero(rows, axis=1)).tolist()]
+            at = 0
+            while ci < len(starts) and starts[ci] < hi:
+                cut = offsets[starts[ci] - lo]
+                parts += [text[at:cut], f"class {ci}\n"]
+                at, ci = cut, ci + 1
+            text = text[at:]
+        parts.append(text)
+    parts.extend(f"class {i}\n" for i in range(ci, len(starts)))
+    return "".join(parts)
+
+
+def _point_names(top: int) -> np.ndarray:
+    """The names of the points 0..top as rows of bytes: the decimal digits
+    of p right-aligned behind NUL bytes, in as many bytes as top has
+    digits, then a space."""
+    width = len(str(top))
+    names = np.zeros((top + 1, width + 1), dtype=np.uint8)
+    names[:, width] = ord(" ")
+    points = np.arange(top + 1)
+    for col in range(width):
+        place = 10 ** (width - 1 - col)
+        lo = place if place > 1 else 0  # the points with a digit at place
+        names[lo:, col] = points[lo:] // place % 10 + ord("0")
+    return names
 
 
 def _int(token: str) -> int:
@@ -376,9 +412,10 @@ def load_resolution(path) -> tuple[Design, Resolution]:
 def load_design_or_resolution(path) -> tuple[Design, Resolution | None]:
     """(design, resolution) from one read and parse of a file of either
     flavor, JSON when path ends in .json and text otherwise; the
-    resolution is None when the file has no classes."""
+    resolution is None when the file has no classes.  The file is UTF-8,
+    a leading byte-order mark skipped."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path} is not text: {exc}") from None
     if not _is_json_path(path):
@@ -393,8 +430,8 @@ def load_design_or_resolution(path) -> tuple[Design, Resolution | None]:
 
 
 def save_design(design: Design, path) -> None:
-    Path(path).write_text(dumps(design, None, _is_json_path(path)))
+    Path(path).write_text(dumps(design, None, _is_json_path(path)), encoding="utf-8")
 
 
 def save_resolution(res: Resolution, path) -> None:
-    Path(path).write_text(dumps(res.design, res, _is_json_path(path)))
+    Path(path).write_text(dumps(res.design, res, _is_json_path(path)), encoding="utf-8")

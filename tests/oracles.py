@@ -387,6 +387,21 @@ def naive_block_lines(lines, first_lineno=1):
     return tuple(blocks), None
 
 
+def naive_text_file(v, k, blocks, labels=None, classes=None) -> str:
+    """The text file of a design, or of a resolution when classes (runs
+    of block indices) is given, written one line at a time: the header,
+    a label line per point, and each block as its ascending points joined
+    by single spaces, the blocks of class i after a 'class i' line."""
+    runs = [range(len(blocks))] if classes is None else classes
+    lines = [f"design v={v} k={k} b={sum(map(len, runs))}"]
+    lines += [f"label {i} {label}" for i, label in enumerate(labels or ())]
+    for ci, refs in enumerate(runs):
+        if classes is not None:
+            lines.append(f"class {ci}")
+        lines += [" ".join(map(str, sorted(blocks[ref]))) for ref in refs]
+    return "".join(line + "\n" for line in lines)
+
+
 # --- the paper's closed forms -------------------------------------------------
 
 class DivisibilityViolation(ValueError):

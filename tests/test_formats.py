@@ -1,11 +1,13 @@
 import json
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from blockdesigns import formats
 from blockdesigns.cli import main
-from blockdesigns.core import Design, DesignError, PointSet, make_design
+from blockdesigns.core import MAX_POINTS, Design, DesignError, PointSet, make_design
 from blockdesigns.formats import (
     FormatError,
     design_from_dict,
@@ -25,7 +27,7 @@ from blockdesigns.generators import cyclic_develop, round_robin_one_factorizatio
 from blockdesigns.catalog import catalog_entry
 from blockdesigns.resolution import ParallelClass, Resolution, verify_resolution
 
-from oracles import naive_block_lines
+from oracles import naive_block_lines, naive_text_file
 
 
 def sample_design():
@@ -225,6 +227,26 @@ def test_load_design_or_resolution_reads_either_flavor(tmp_path):
     (tmp_path / "bad.txt").write_text("design v=4 k=2 b=1\nclass 0\n0 1\n2 3\n")
     with pytest.raises(FormatError, match="declares b=1"):
         load_design_or_resolution(tmp_path / "bad.txt")
+
+
+def test_byte_order_mark_is_skipped(tmp_path, capsys):
+    # Some editors start a UTF-8 file with a byte-order mark; unless it
+    # is skipped, the header line reads as a block line.
+    design = sample_design()
+    _, res = round_robin_one_factorization(4)
+    for name, value in [("d.design", design), ("d.json", design),
+                        ("r.res", res), ("r.json", res)]:
+        plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+        (save_design if value is design else save_resolution)(value, plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert load_design_or_resolution(marked) == load_design_or_resolution(plain)
+    marked = tmp_path / "bom-d.design"
+    assert main(["verify", str(marked), "--t", "2"]) == 0
+    assert "coverage t=2:" in capsys.readouterr().out
+    latin = tmp_path / "latin.design"
+    latin.write_bytes("design v=4 k=2 b=1\nlabel 0 \xe9\n0 1\n".encode("latin-1"))
+    assert main(["verify", str(latin), "--t", "2"]) == 2
+    assert "is not text" in capsys.readouterr().err
 
 
 def test_out_of_range_class_refs_raise_through_both_loaders(tmp_path):
@@ -452,6 +474,59 @@ def test_design_round_trips(design):
 def test_resolution_round_trips(res):
     assert parse_resolution(dumps(res.design, res, as_json=False)) == (res.design, res)
     assert resolution_from_dict(_via_json(resolution_to_dict(res))) == (res.design, res)
+
+
+@st.composite
+def written_files(draw):
+    """(v, k, blocks, labels, classes, rows): a design on v points, v - 1
+    of 1 to 7 digits and MAX_POINTS - 1 at most, with no blocks or some,
+    labels when v is small, classes (runs of a block order) or None, and
+    the block rows per slice of the writer, or None for its own budget."""
+    digits = draw(st.integers(1, 7))
+    top = draw(st.integers(max(2, 10 ** (digits - 1)), min(10 ** digits, MAX_POINTS) - 1))
+    v = top + 1
+    k = draw(st.integers(2, min(5, v - 1)))
+    points = st.integers(0, top) | st.sampled_from([0, top])
+    blocks = draw(st.lists(st.sets(points, min_size=k, max_size=k), max_size=12))
+    labels = None
+    if v <= 30:
+        labels = draw(st.none() | st.lists(LABELS, min_size=v, max_size=v, unique=True))
+    classes = None
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(len(blocks))))
+        cuts = sorted(draw(st.lists(st.integers(0, len(blocks)), max_size=4)))
+        bounds = [0] + cuts + [len(blocks)]
+        classes = [order[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    rows = draw(st.none() | st.integers(1, 3))
+    return v, k, blocks, labels, classes, rows
+
+
+@PROPERTY_SETTINGS
+@given(written_files())
+@example((MAX_POINTS, 3, [{0, 9, MAX_POINTS - 1}, {1, 10, 999_999}] * 3, None,
+          [[0, 2, 4], [1, 3], [5]], 1))
+@example((12, 2, [], None, None, None))
+@example((12, 2, [], None, [[]], None))
+def test_text_writer_matches_the_line_by_line_oracle(scratch, case):
+    v, k, blocks, labels, classes, rows = case
+    design = make_design(v, blocks, labels=labels, k=k)
+    res = None
+    if classes is not None:
+        res = Resolution(design, tuple(ParallelClass(tuple(run)) for run in classes))
+    expected = naive_text_file(v, k, blocks, labels, classes)
+    budget = formats._TEXT_BYTES
+    if rows is not None and blocks:
+        # A slice of `rows` block rows: k names of the largest point's
+        # digits and a separator each.
+        budget = rows * k * (len(str(max(map(max, blocks)))) + 1)
+    with mock.patch.object(formats, "_TEXT_BYTES", budget):
+        assert dumps(design, res, as_json=False) == expected
+        path = scratch / ("w.design" if res is None else "w.res")
+        if res is None:
+            save_design(design, path)
+        else:
+            save_resolution(res, path)
+    assert path.read_bytes() == expected.encode("utf-8")
 
 
 # Inputs near the grammar reach past the header checks more often than
