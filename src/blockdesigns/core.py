@@ -307,8 +307,13 @@ class Design:
     @cached_property
     def _replication(self) -> np.ndarray:
         """The number of blocks through each point, counted on first use,
-        read-only."""
-        replication = np.bincount(self._members.ravel(), minlength=self.points.size)
+        read-only.  The members are counted in slices of at least
+        _CHUNK_WORDS points and v (bincount copies each slice to intp)."""
+        members, v = self._members, self.points.size
+        step = max(1, max(_CHUNK_WORDS, v) // self.k)
+        replication = np.bincount(members[:step].ravel(), minlength=v)
+        for lo in range(step, len(members), step):
+            replication += np.bincount(members[lo : lo + step].ravel(), minlength=v)
         replication.flags.writeable = False
         return replication
 

@@ -609,6 +609,112 @@ def test_block_lines_read_as_the_line_by_line_oracle(case):
     assert _outcome(lambda: parse_design(text)) == expected
 
 
+# Ways a text file may differ from the bytes dumps writes, each made at one
+# line, a block line when there is one (see _altered); "none" leaves it.
+ALTERATIONS = [
+    "tab", "crlf", "file separator", "comment", "break in a comment",
+    "blank line", "leading zero", "19 leading zeros", "19 nines", "point v",
+    "double space and a point fewer", "a point moved to the next line",
+    "bom", "no final break", "wrong b", "header after a block",
+]
+
+
+def _altered(text: str, how: str, line: int, v: int) -> str:
+    """text, as dumps writes it, altered as `how` names at its line `line`
+    (a block line, unless the file has none)."""
+    lines = text.splitlines()
+    blocks = [i for i, row in enumerate(lines) if row[:1].isdigit()]
+    i = blocks[line % len(blocks)] if blocks else len(lines) - 1
+    tokens = lines[i].split(" ")
+    end = "\n"
+    if how == "tab":
+        lines[i] = "\t".join(tokens)
+    elif how == "crlf":
+        end = "\r\n"
+    elif how == "file separator":  # a line break to str.splitlines
+        lines[i] = "\x1c".join(tokens)
+    elif how == "comment":
+        lines[i] += " # c"
+    elif how == "break in a comment":  # a block line to str.splitlines
+        lines.insert(i, "#\x1c" + lines[i])
+    elif how == "blank line":
+        lines.insert(i, "")
+    elif how == "leading zero":
+        lines[i] = "0" + lines[i]
+    elif how == "19 leading zeros":
+        lines[i] = "0" * 19 + lines[i]
+    elif how == "19 nines":
+        lines[i] = " ".join(["9" * 19] + tokens[1:])
+    elif how == "point v":
+        lines[i] = " ".join(tokens[:-1] + [str(v)])
+    elif how == "double space and a point fewer":  # still k separators
+        lines[i] = " ".join(tokens[:-1]).replace(" ", "  ", 1)
+    elif how == "a point moved to the next line" and i + 1 < len(lines):
+        lines[i], lines[i + 1] = " ".join(tokens[:-1]), f"{tokens[-1]} {lines[i + 1]}"
+    elif how == "wrong b":
+        lines[0] = lines[0].replace(" b=", " b=1")
+    elif how == "header after a block":
+        lines[0], lines[i] = lines[i], lines[0]
+    altered = "".join(row + end for row in lines)
+    if how == "bom":
+        return "\ufeff" + altered
+    return altered[:-1] if how == "no final break" else altered
+
+
+ASCII_LABELS = st.text(st.sampled_from("abz+-_.09"), min_size=1, max_size=3)
+
+
+@st.composite
+def text_files(draw):
+    """(data, budget, regular): a design or resolution file as dumps writes
+    it, with labels or none and 0 to 12 blocks of points of 1 to 4 digits,
+    maybe altered (ALTERATIONS); a slice budget of a few block lines or
+    less, or None for _TEXT_BYTES; and whether the file is ASCII and
+    unaltered, so that the byte path must read it."""
+    v = draw(st.integers(3, 30) | st.integers(90, 1100))
+    k = draw(st.integers(2, min(5, v - 1)))
+    blocks = draw(st.lists(st.sets(st.integers(0, v - 1), min_size=k, max_size=k),
+                           max_size=12))
+    labels = None
+    if v <= 30:
+        labels = draw(st.none() | st.lists(ASCII_LABELS | LABELS, min_size=v,
+                                           max_size=v, unique=True))
+    design = make_design(v, blocks, labels=labels, k=k)
+    res = None
+    if draw(st.booleans()):
+        cuts = sorted(draw(st.lists(st.integers(0, len(blocks)), max_size=4)))
+        bounds = [0] + cuts + [len(blocks)]
+        res = Resolution(design, tuple(
+            ParallelClass(tuple(range(lo, hi))) for lo, hi in zip(bounds, bounds[1:])))
+    budget = draw(st.none() | st.integers(1, 3 * k * (len(str(v - 1)) + 1)))
+    how = draw(st.just("none") | st.sampled_from(ALTERATIONS))
+    text = _altered(dumps(design, res, as_json=False), how, draw(st.integers(0, 11)), v)
+    return text.encode("utf-8"), budget, how == "none" and text.isascii()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(text_files())
+@example((b"design v=4 k=2 b=2\nclass 0\n0 1\n2 3\nclass 1\n", 4, True))
+@example((b"design v=4 k=2 b=2\nclass 0\n0 1\nclass 1\n2 3\n", None, True))
+@example((b"design v=4 k=2 b=1\nclass 0\n0 1\nclass 1\n", 1, True))
+@example((b"design v=256 k=2 b=1\n256 257\n", None, False))  # 256 wraps in uint8
+@example((b"design v=20 k=3 b=1\n10  11\n", None, False))  # an empty point
+@example((b"design v=20 k=3 b=2\n10 11\n12 13 14 15\n", None, False))  # 3 a line on average
+@example((b"design v=200 k=2 b=2\n100\n110\n", None, False))  # too few points
+def test_byte_path_reads_as_the_text_path(scratch, case):
+    # The byte path reads a file exactly as the line-by-line path does, or
+    # declines it; the loader then gives what the line-by-line path gives.
+    data, budget, regular = case
+    path = scratch / "bytes.res"
+    path.write_bytes(data)
+    with mock.patch.object(formats, "_TEXT_BYTES", budget or formats._TEXT_BYTES):
+        expected = _outcome(lambda: formats._parse_lines(data.decode("utf-8-sig")))
+        parsed = formats._parse_bytes(data)  # raises nothing
+        assert parsed is not None or not regular
+        assert parsed is None or parsed == expected
+        assert _outcome(lambda: load_design_or_resolution(path)) == expected
+
+
 @pytest.fixture(scope="module")
 def scratch(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
